@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace dckpt::ckpt {
 
@@ -86,9 +87,9 @@ std::optional<Snapshot> BuddyStore::committed_at(std::size_t depth,
   return it->second;
 }
 
-bool BuddyStore::append_delta(const BlockDelta& layer) {
+bool BuddyStore::append_delta(BlockDelta layer) {
   if (committed_.find(layer.owner()) == committed_.end()) return false;
-  chains_[layer.owner()].push_back(layer);
+  chains_[layer.owner()].push_back(std::move(layer));
   return true;
 }
 

@@ -89,8 +89,9 @@ class BuddyStore {
 
   /// Appends a differential layer to `owner`'s chain. Returns false (and
   /// files nothing) when this node holds no committed base for `owner` --
-  /// a chain cannot grow on a missing base.
-  bool append_delta(const BlockDelta& layer);
+  /// a chain cannot grow on a missing base. Taken by value, so the last
+  /// holder of a layer can take it without a copy.
+  bool append_delta(BlockDelta layer);
 
   /// Differential layers currently chained on `owner`'s committed base,
   /// oldest first (empty when none).

@@ -20,7 +20,9 @@ std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t seed) {
 }
 
 std::size_t block_count(std::size_t size_bytes, std::size_t block_size) {
-  return size_bytes == 0 ? 0 : (size_bytes + block_size - 1) / block_size;
+  // Not (size + block_size - 1) / block_size: that wraps to 0 blocks for
+  // block sizes near 2^64.
+  return size_bytes == 0 ? 0 : (size_bytes - 1) / block_size + 1;
 }
 
 }  // namespace
@@ -82,22 +84,18 @@ std::vector<std::uint64_t> block_hashes(const Snapshot& image,
   if (block_size == 0) {
     throw std::invalid_argument("block_hashes: block_size must be > 0");
   }
-  const std::vector<std::byte> bytes = image.to_bytes();
-  const std::size_t count = block_count(bytes.size(), block_size);
   std::vector<std::uint64_t> hashes;
-  hashes.reserve(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    const std::size_t offset = b * block_size;
-    const std::size_t len = std::min(block_size, bytes.size() - offset);
-    hashes.push_back(fnv1a({bytes.data() + offset, len}));
-  }
+  hashes.reserve(block_count(image.size_bytes(), block_size));
+  image.walk_blocks(
+      block_size, [&](std::size_t, std::uint64_t hash, Snapshot::BlockPieces) {
+        hashes.push_back(hash);
+      });
   return hashes;
 }
 
-BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
-                            std::uint64_t base_version,
-                            std::uint64_t base_hash, const Snapshot& current,
-                            std::size_t block_size) {
+BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
+                      std::uint64_t base_version, std::uint64_t base_hash,
+                      const Snapshot& current, std::size_t block_size) {
   if (block_size == 0) {
     throw std::invalid_argument("make_block_delta: block_size must be > 0");
   }
@@ -107,27 +105,41 @@ BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
         std::to_string(base_version) + ", current v" +
         std::to_string(current.version()) + ")");
   }
-  const std::vector<std::byte> bytes = current.to_bytes();
-  const std::size_t count = block_count(bytes.size(), block_size);
+  const std::size_t count = block_count(current.size_bytes(), block_size);
   if (base_hashes.size() != count) {
     throw std::invalid_argument(
         "make_block_delta: base hash array has " +
         std::to_string(base_hashes.size()) + " entries, want " +
         std::to_string(count));
   }
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(count);
   std::vector<DcpBlock> blocks;
-  for (std::size_t b = 0; b < count; ++b) {
-    const std::size_t offset = b * block_size;
-    const std::size_t len = std::min(block_size, bytes.size() - offset);
-    if (fnv1a({bytes.data() + offset, len}) == base_hashes[b]) continue;
-    blocks.push_back({b, std::vector<std::byte>(
-                             bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-                             bytes.begin() +
-                                 static_cast<std::ptrdiff_t>(offset + len))});
-  }
-  return BlockDelta(current.owner(), base_version, current.version(),
-                    bytes.size(), block_size, base_hash,
-                    current.content_hash(), std::move(blocks));
+  current.walk_blocks(
+      block_size, [&](std::size_t index, std::uint64_t hash,
+                      Snapshot::BlockPieces pieces) {
+        hashes.push_back(hash);
+        if (hash == base_hashes[index]) return;
+        DcpBlock& block = blocks.emplace_back();
+        block.index = index;
+        for (const auto piece : pieces) {
+          block.payload.insert(block.payload.end(), piece.begin(),
+                               piece.end());
+        }
+      });
+  return {BlockDelta(current.owner(), base_version, current.version(),
+                     current.size_bytes(), block_size, base_hash,
+                     current.content_hash(), std::move(blocks)),
+          std::move(hashes)};
+}
+
+BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
+                            std::uint64_t base_version,
+                            std::uint64_t base_hash, const Snapshot& current,
+                            std::size_t block_size) {
+  return diff_blocks(base_hashes, base_version, base_hash, current,
+                     block_size)
+      .layer;
 }
 
 BlockDelta make_block_delta(const Snapshot& base,

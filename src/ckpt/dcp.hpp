@@ -90,15 +90,30 @@ class BlockDelta {
 
 /// Per-block FNV-1a hash array of `image` (the dcpScalable hashArray): one
 /// hash per block_size-sized block, tail block over the remaining bytes.
-/// Throws std::invalid_argument when block_size == 0.
+/// One walk over the pages (Snapshot::walk_blocks), which also caches the
+/// image's content hash. Throws std::invalid_argument when block_size == 0.
 std::vector<std::uint64_t> block_hashes(const Snapshot& image,
                                         std::size_t block_size);
+
+/// A differential layer plus the hash array its walk left behind.
+struct BlockDiff {
+  BlockDelta layer;
+  /// block_hashes(current, block_size): what the next diff compares against.
+  std::vector<std::uint64_t> hashes;
+};
 
 /// Diffs `current` against a base known only by its cached hash array --
 /// the coordinator commit path, where the previous image itself is gone but
 /// its block_hashes(), version and content hash were recorded at commit
 /// time. `base_version` must predate current.version() and `base_hashes`
-/// must cover current's layout exactly.
+/// must cover current's layout exactly. One walk over current's pages
+/// compares every block hash, copies the dirty blocks straight from the
+/// pages, returns current's hash array and caches its content hash.
+BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
+                      std::uint64_t base_version, std::uint64_t base_hash,
+                      const Snapshot& current, std::size_t block_size);
+
+/// diff_blocks() without the next hash array.
 BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
                             std::uint64_t base_version,
                             std::uint64_t base_hash, const Snapshot& current,

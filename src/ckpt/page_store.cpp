@@ -2,15 +2,39 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace dckpt::ckpt {
+
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// Advances two FNV-1a chains over the same bytes in one loop. The chains'
+/// multiplies are independent, so the CPU overlaps them and the pair costs
+/// about as much as one chain.
+void fnv1a_pair(std::span<const std::byte> data, std::uint64_t& first,
+                std::uint64_t& second) {
+  std::uint64_t a = first;
+  std::uint64_t b = second;
+  for (std::byte byte : data) {
+    const auto value = static_cast<std::uint64_t>(byte);
+    a = (a ^ value) * kFnvPrime;
+    b = (b ^ value) * kFnvPrime;
+  }
+  first = a;
+  second = b;
+}
+
+}  // namespace
 
 std::uint64_t fnv1a(std::span<const std::byte> data, std::uint64_t seed) {
   std::uint64_t hash = seed;
   for (std::byte b : data) {
     hash ^= static_cast<std::uint64_t>(b);
-    hash *= 0x100000001b3ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }
@@ -23,16 +47,9 @@ Snapshot::Snapshot(std::vector<Page> pages, std::size_t size_bytes,
       owner_(owner) {}
 
 std::uint64_t Snapshot::content_hash() const {
-  if (!hash_valid_) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    std::size_t remaining = size_bytes_;
-    for (const auto& page : pages_) {
-      const std::size_t take = std::min(remaining, page->size());
-      hash = fnv1a(std::span(page->data(), take), hash);
-      remaining -= take;
-    }
-    cached_hash_ = hash;
-    hash_valid_ = true;
+  if (!hash_valid_) {  // the walk computes and caches the digest
+    walk_blocks(std::numeric_limits<std::size_t>::max(),
+                [](std::size_t, std::uint64_t, BlockPieces) {});
   }
   return cached_hash_;
 }
@@ -47,6 +64,44 @@ std::vector<std::byte> Snapshot::to_bytes() const {
     remaining -= take;
   }
   return out;
+}
+
+void Snapshot::walk_blocks(std::size_t block_size,
+                           const BlockVisitor& on_block) const {
+  if (block_size == 0) {
+    throw std::invalid_argument(
+        "Snapshot::walk_blocks: block_size must be > 0");
+  }
+  std::uint64_t whole = kFnvOffset;
+  std::uint64_t block_hash = kFnvOffset;
+  std::size_t index = 0;
+  // Counted down, so a block size near 2^64 cannot wrap an end offset.
+  std::size_t block_left = block_size;
+  std::vector<std::span<const std::byte>> pieces;
+  std::size_t remaining = size_bytes_;
+  for (const auto& page : pages_) {
+    const std::size_t take = std::min(remaining, page->size());
+    remaining -= take;
+    std::span<const std::byte> rest(page->data(), take);
+    while (!rest.empty()) {
+      const auto piece = rest.first(std::min(rest.size(), block_left));
+      rest = rest.subspan(piece.size());
+      fnv1a_pair(piece, block_hash, whole);
+      pieces.push_back(piece);
+      block_left -= piece.size();
+      if (block_left == 0) {
+        on_block(index++, block_hash, pieces);
+        pieces.clear();
+        block_hash = kFnvOffset;
+        block_left = block_size;
+      }
+    }
+  }
+  if (!pieces.empty()) on_block(index, block_hash, pieces);  // short tail
+  if (!hash_valid_) {  // a cached digest is kept, never rewritten
+    cached_hash_ = whole;
+    hash_valid_ = true;
+  }
 }
 
 Snapshot corrupt_copy(const Snapshot& image) {

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,7 +38,8 @@ class Snapshot {
   std::uint64_t owner() const noexcept { return owner_; }
   bool empty() const noexcept { return pages_.empty(); }
 
-  /// FNV-1a over the content; cached after the first call.
+  /// FNV-1a over the content, by a walk_blocks() with one block; cached
+  /// after the first call or walk.
   std::uint64_t content_hash() const;
 
   /// Integrity check at a restore point: does the content still hash to
@@ -49,6 +51,20 @@ class Snapshot {
 
   /// Copies the image back into a flat buffer (restore path).
   std::vector<std::byte> to_bytes() const;
+
+  /// The page slices holding one block's bytes, in order.
+  using BlockPieces = std::span<const std::span<const std::byte>>;
+  /// Called at the end of every block with its index and FNV-1a hash.
+  using BlockVisitor =
+      std::function<void(std::size_t index, std::uint64_t hash,
+                         BlockPieces pieces)>;
+
+  /// One walk over the pages, with no flat copy: cuts the content into
+  /// `block_size`-byte blocks (the tail block may be shorter; a block may
+  /// span pages) and hands each block's FNV-1a hash and page slices to
+  /// `on_block`. The content hash runs in the same loop and is cached if
+  /// it was not already. Throws std::invalid_argument when block_size == 0.
+  void walk_blocks(std::size_t block_size, const BlockVisitor& on_block) const;
 
   const std::vector<Page>& pages() const noexcept { return pages_; }
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/dcp.hpp"
+#include "runtime/commit_hashing.hpp"
 
 namespace dckpt::runtime {
 
@@ -209,23 +211,18 @@ void Coordinator::begin_checkpoint(std::uint64_t step) {
   staging_version_ = images.front().version();
   staging_snapshot_step_ = step;
   staged_bytes_ = 0;
-  staging_hashes_.assign(workers_.size(), 0);
   const auto epochs = engine_.current_epochs();
   staging_epochs_.assign(epochs.begin(), epochs.end());
-  if (config_.dcp_stack_size > 0) {
-    // Refresh the per-node hash arrays for the full base these deltas will
-    // chain on. Safe to overwrite here: dcp forbids staging, so this
-    // snapshot set commits before anything can roll back past it.
-    hash_arrays_.assign(workers_.size(), {});
-  }
+  // Hash before staging, so every filed copy carries the cached digest the
+  // restore paths verify against. With dcp on, the same walk refreshes the
+  // per-node hash arrays for the full base the next deltas chain on. Safe
+  // to overwrite here: dcp forbids staging, so this snapshot set commits
+  // before anything can roll back past it.
+  staging_hashes_ = hash_full_commit(
+      pool_, images, config_.dcp_stack_size > 0 ? config_.dcp_block_size : 0,
+      hash_arrays_);
   for (std::uint64_t node = 0; node < workers_.size(); ++node) {
     const ckpt::Snapshot& image = images[node];
-    // Hash before staging, so every filed copy carries the cached digest
-    // the restore paths verify against.
-    staging_hashes_[node] = image.content_hash();
-    if (config_.dcp_stack_size > 0) {
-      hash_arrays_[node] = ckpt::block_hashes(image, config_.dcp_block_size);
-    }
     if (config_.topology == ckpt::Topology::Pairs) {
       workers_[node].store().stage(image);  // local copy
       workers_[groups_.preferred_buddy(node)].store().stage(image);
@@ -283,22 +280,25 @@ void Coordinator::commit_delta_checkpoint(RunReport& report,
   images.reserve(workers_.size());
   for (Worker& worker : workers_) images.push_back(worker.take_snapshot());
 
+  std::vector<ckpt::BlockDelta> layers =
+      diff_delta_commit(pool_, images, dcp_tip_version_, committed_hashes_,
+                        config_.dcp_block_size, hash_arrays_);
   for (std::uint64_t node = 0; node < workers_.size(); ++node) {
-    const ckpt::Snapshot& image = images[node];
-    const ckpt::BlockDelta layer = ckpt::make_block_delta(
-        hash_arrays_[node], dcp_tip_version_, committed_hashes_[node], image,
-        config_.dcp_block_size);
+    // The second holder takes the layer itself rather than a copy, so the
+    // commit peaks at the layers the stores keep.
+    ckpt::BlockDelta& layer = layers[node];
+    committed_hashes_[node] = layer.result_hash();
     if (config_.topology == ckpt::Topology::Pairs) {
-      workers_[node].store().append_delta(layer);  // local copy
-      workers_[groups_.preferred_buddy(node)].store().append_delta(layer);
       report.bytes_replicated += layer.delta_bytes();
+      workers_[node].store().append_delta(layer);  // local copy
+      workers_[groups_.preferred_buddy(node)].store().append_delta(
+          std::move(layer));
     } else {
-      workers_[groups_.preferred_buddy(node)].store().append_delta(layer);
-      workers_[groups_.secondary_buddy(node)].store().append_delta(layer);
       report.bytes_replicated += 2 * layer.delta_bytes();
+      workers_[groups_.preferred_buddy(node)].store().append_delta(layer);
+      workers_[groups_.secondary_buddy(node)].store().append_delta(
+          std::move(layer));
     }
-    committed_hashes_[node] = image.content_hash();
-    hash_arrays_[node] = ckpt::block_hashes(image, config_.dcp_block_size);
   }
   committed_step_ = step;
   dcp_tip_version_ = images.front().version();

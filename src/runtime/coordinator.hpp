@@ -201,6 +201,8 @@ struct RunReport {
   std::uint64_t fatal_step = 0;       ///< step of the exhausted rollback
   std::string fatal_reason;
   std::uint64_t final_hash = 0;       ///< FNV-1a over the global state
+
+  bool operator==(const RunReport&) const = default;
 };
 
 class Coordinator {

@@ -6,6 +6,9 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "runtime/commit_hashing.hpp"
 
 namespace dckpt::runtime {
 
@@ -230,17 +233,14 @@ void GridCoordinator::checkpoint_all(RunReport& report) {
   images.reserve(blocks_.size());
   for (auto& block : blocks_) images.push_back(block->memory.snapshot(block->id));
   const std::uint64_t version = images.front().version();
-  if (config_.dcp_stack_size > 0) {
-    hash_arrays_.assign(blocks_.size(), {});
-  }
+  // Hash before staging, so every filed copy carries the cached digest the
+  // restore paths verify against (and, with dcp on, refresh the hash arrays
+  // in the same walk).
+  committed_hashes_ = hash_full_commit(
+      pool_, images, config_.dcp_stack_size > 0 ? config_.dcp_block_size : 0,
+      hash_arrays_);
   for (std::uint64_t node = 0; node < blocks_.size(); ++node) {
     const ckpt::Snapshot& image = images[node];
-    // Hash before staging, so every filed copy carries the cached digest
-    // the restore paths verify against.
-    committed_hashes_[node] = image.content_hash();
-    if (config_.dcp_stack_size > 0) {
-      hash_arrays_[node] = ckpt::block_hashes(image, config_.dcp_block_size);
-    }
     if (config_.topology == ckpt::Topology::Pairs) {
       blocks_[node]->store.stage(image);
       blocks_[groups_.preferred_buddy(node)]->store.stage(image);
@@ -277,22 +277,25 @@ void GridCoordinator::delta_checkpoint_all(RunReport& report) {
   for (auto& block : blocks_) {
     images.push_back(block->memory.snapshot(block->id));
   }
+  std::vector<ckpt::BlockDelta> layers =
+      diff_delta_commit(pool_, images, dcp_tip_version_, committed_hashes_,
+                        config_.dcp_block_size, hash_arrays_);
   for (std::uint64_t node = 0; node < blocks_.size(); ++node) {
-    const ckpt::Snapshot& image = images[node];
-    const ckpt::BlockDelta layer = ckpt::make_block_delta(
-        hash_arrays_[node], dcp_tip_version_, committed_hashes_[node], image,
-        config_.dcp_block_size);
+    // The second holder takes the layer itself rather than a copy, so the
+    // commit peaks at the layers the stores keep.
+    ckpt::BlockDelta& layer = layers[node];
+    committed_hashes_[node] = layer.result_hash();
     if (config_.topology == ckpt::Topology::Pairs) {
-      blocks_[node]->store.append_delta(layer);  // local copy
-      blocks_[groups_.preferred_buddy(node)]->store.append_delta(layer);
       report.bytes_replicated += layer.delta_bytes();
+      blocks_[node]->store.append_delta(layer);  // local copy
+      blocks_[groups_.preferred_buddy(node)]->store.append_delta(
+          std::move(layer));
     } else {
-      blocks_[groups_.preferred_buddy(node)]->store.append_delta(layer);
-      blocks_[groups_.secondary_buddy(node)]->store.append_delta(layer);
       report.bytes_replicated += 2 * layer.delta_bytes();
+      blocks_[groups_.preferred_buddy(node)]->store.append_delta(layer);
+      blocks_[groups_.secondary_buddy(node)]->store.append_delta(
+          std::move(layer));
     }
-    committed_hashes_[node] = image.content_hash();
-    hash_arrays_[node] = ckpt::block_hashes(image, config_.dcp_block_size);
   }
   dcp_tip_version_ = images.front().version();
   ++dcp_layers_;

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace dckpt::util {
 
@@ -77,7 +78,17 @@ void parallel_for_chunked(
         pool.submit([&body, c, begin, end] { body(c, begin, end); }));
     begin = end;
   }
-  for (auto& f : futures) f.get();  // rethrows worker exceptions here
+  // Wait for every chunk before rethrowing the first failure: a chunk still
+  // running must not outlive `body` and whatever it captured.
+  std::exception_ptr failure;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace dckpt::util

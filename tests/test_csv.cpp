@@ -19,7 +19,12 @@ std::string slurp(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/dckpt_csv_test.csv";
+  // One file per test: ctest runs each case as its own process, in
+  // parallel, and a shared path let one case read another's file.
+  std::string path_ =
+      ::testing::TempDir() + "/dckpt_csv_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

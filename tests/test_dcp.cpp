@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ckpt/buddy_store.hpp"
@@ -16,6 +22,7 @@
 #include "model/dcp.hpp"
 #include "model/scenario.hpp"
 #include "model/waste.hpp"
+#include "proptest.hpp"
 
 namespace {
 
@@ -148,6 +155,160 @@ TEST(BlockDeltaTest, TornLayerCopyFailsSelfVerification) {
   ASSERT_EQ(empty.dirty_blocks(), 0u);
   ASSERT_TRUE(empty.verify_self());
   EXPECT_FALSE(torn_layer_copy(empty).verify_self());
+}
+
+TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
+  // The CLI turns --dcp-block=-1 into SIZE_MAX. Counting blocks as
+  // (size + block - 1) / block wrapped to 0 there, and every delta shipped
+  // nothing.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  auto memory = make_memory();
+  const auto base = memory.snapshot(0);
+  const auto hashes = block_hashes(base, kMax);
+  ASSERT_EQ(hashes.size(), 1u);
+  EXPECT_EQ(hashes.front(), base.content_hash());
+  memory.write(3 * kPage + 5, fill(1, 0xEE));
+  const auto current = memory.snapshot(0);
+  const auto delta = make_block_delta(base, current, kMax);
+  ASSERT_EQ(delta.dirty_blocks(), 1u);
+  EXPECT_EQ(delta.blocks().front().index, 0u);
+  EXPECT_EQ(delta.delta_bytes(), kBytes);
+  EXPECT_DOUBLE_EQ(delta.dirty_ratio(), 1.0);
+  const auto rebuilt = apply_block_delta(base, delta);
+  EXPECT_EQ(rebuilt.to_bytes(), current.to_bytes());
+  EXPECT_TRUE(rebuilt.verify(delta.result_hash()));
+}
+
+TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
+  // forall layouts -- partial tail pages, a tail page allocated past its
+  // meaningful bytes (as apply_block_delta repages them) with junk in the
+  // slack -- and block sizes from one byte to SIZE_MAX: the single walk
+  // over the pages must match fnv1a over slices of to_bytes() bit for bit,
+  // in the block hashes, the cached digest and the delta payloads.
+  struct Case {
+    std::uint64_t size = 1;
+    std::uint64_t page = 1;
+    std::uint64_t slack = 0;  ///< bytes allocated past the tail's content
+    std::uint64_t block = 1;
+    std::uint64_t seed = 0;
+  };
+  using Bytes = std::vector<std::byte>;
+  using Pages = std::vector<std::shared_ptr<Bytes>>;
+  proptest::ForallConfig config;
+  config.seed = 0xb10c;
+  config.iterations = 150;
+  proptest::forall<Case>(
+      config,
+      [](proptest::Gen& gen) {
+        Case c;
+        c.size = gen.integer(1, 5000);
+        c.page = gen.integer(1, 1500);
+        c.slack = gen.boolean() ? gen.integer(1, 64) : 0;
+        constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+        c.block = gen.element<std::uint64_t>(
+            {1, 96, c.page, 2 * c.page, c.size + gen.integer(0, 100), kMax});
+        c.seed = gen.integer(0, 1u << 30);
+        return c;
+      },
+      [](const Case& c) -> std::optional<std::string> {
+        proptest::Gen gen(c.seed);
+        const auto random_bytes = [&](std::size_t n) {
+          Bytes out(n);
+          for (auto& b : out) b = static_cast<std::byte>(gen.integer(0, 255));
+          return out;
+        };
+        // Pages over `content`, every allocated byte past it junk.
+        const auto paginate = [&](const Bytes& content) {
+          Pages pages;
+          for (std::size_t at = 0; at < content.size(); at += c.page) {
+            const std::size_t take =
+                std::min<std::size_t>(c.page, content.size() - at);
+            const bool tail = at + take == content.size();
+            auto page = std::make_shared<Bytes>(
+                random_bytes(c.page + (tail ? c.slack : 0)));
+            std::copy_n(content.begin() + static_cast<std::ptrdiff_t>(at),
+                        take, page->begin());
+            pages.push_back(std::move(page));
+          }
+          return pages;
+        };
+        const auto snapshot_of = [&](const Pages& pages,
+                                     std::uint64_t version) {
+          return Snapshot({pages.begin(), pages.end()}, c.size, version, 0);
+        };
+        const Bytes content = random_bytes(c.size);
+        const auto pages = paginate(content);
+        const Snapshot image = snapshot_of(pages, 2);
+        const Bytes reference = image.to_bytes();
+        if (reference != content) return "to_bytes() lost content";
+        const std::size_t count = (c.size - 1) / c.block + 1;
+        const auto slice = [&](std::size_t b) {
+          const std::size_t offset = b * c.block;
+          return std::span(reference).subspan(
+              offset, std::min<std::size_t>(c.block, c.size - offset));
+        };
+
+        const auto hashes = block_hashes(image, c.block);
+        if (hashes.size() != count) return "wrong block count";
+        for (std::size_t b = 0; b < count; ++b) {
+          if (hashes[b] != fnv1a(slice(b))) {
+            return "block " + std::to_string(b) + " hash differs";
+          }
+        }
+        // The walk cached the digest and a later walk keeps it: with a page
+        // byte scribbled on, a digest that re-read the pages would differ.
+        (*pages.front())[0] ^= std::byte{0xff};
+        (void)block_hashes(image, c.block);
+        const std::uint64_t cached = image.content_hash();
+        (*pages.front())[0] ^= std::byte{0xff};
+        if (cached != fnv1a(reference)) return "cached digest differs";
+
+        // A base with a random subset of blocks flipped: exactly those are
+        // dirty, with the reference bytes as payload.
+        Bytes base_content = content;
+        std::vector<bool> flipped(count);
+        for (std::size_t b = 0; b < count; ++b) {
+          if (!gen.boolean()) continue;
+          flipped[b] = true;
+          for (std::size_t i = 0; i < slice(b).size(); ++i) {
+            base_content[b * c.block + i] ^= std::byte{0x5a};
+          }
+        }
+        const Snapshot base = snapshot_of(paginate(base_content), 1);
+        const Snapshot current = snapshot_of(pages, 2);  // digest not cached
+        const BlockDiff diff =
+            diff_blocks(block_hashes(base, c.block), base.version(),
+                        base.content_hash(), current, c.block);
+        if (diff.hashes != hashes) return "next hash array differs";
+        if (diff.layer.result_hash() != fnv1a(reference)) {
+          return "result hash differs";
+        }
+        std::size_t next = 0;
+        for (std::size_t b = 0; b < count; ++b) {
+          if (!flipped[b]) continue;
+          if (next >= diff.layer.blocks().size()) return "dirty block missed";
+          const DcpBlock& block = diff.layer.blocks()[next++];
+          if (block.index != b) return "dirty block index differs";
+          const auto want = slice(b);
+          if (!std::equal(block.payload.begin(), block.payload.end(),
+                          want.begin(), want.end())) {
+            return "block " + std::to_string(b) + " payload differs";
+          }
+        }
+        if (next != diff.layer.blocks().size()) return "clean block shipped";
+        if (apply_block_delta(base, diff.layer).to_bytes() != reference) {
+          return "replay differs";
+        }
+        return std::nullopt;
+      },
+      nullptr,
+      [](const Case& c) {
+        std::ostringstream out;
+        out << "size=" << c.size << " page=" << c.page
+            << " slack=" << c.slack << " block=" << c.block
+            << " seed=" << c.seed;
+        return out.str();
+      });
 }
 
 TEST(BuddyStoreChainTest, ChainNeedsABaseAndClearsOnPromote) {

@@ -95,6 +95,24 @@ TEST(GridCoordinatorTest, ResultIndependentOfThreadCount) {
   const auto h1 = reference_hash(config);
   config.threads = 4;
   EXPECT_EQ(reference_hash(config), h1);
+
+  // dcp on, and a loss that replays base + chain (see the 1-D test).
+  auto dcp = small_grid();
+  dcp.dcp_stack_size = 4;
+  dcp.dcp_block_size = 128;  // four blocks per 8x8 block of doubles
+  // Full commit at 6, deltas at 12 and 18: the loss at 21 replays 2 layers.
+  const FailureInjection failures[] = {{21, 2}};
+  dcp.threads = 1;
+  const auto one =
+      GridCoordinator(dcp, std::make_unique<HeatKernel2D>()).run(failures);
+  dcp.threads = 4;
+  const auto four =
+      GridCoordinator(dcp, std::make_unique<HeatKernel2D>()).run(failures);
+  ASSERT_FALSE(one.fatal) << one.fatal_reason;
+  EXPECT_GT(one.chain_replays, 0u);
+  EXPECT_EQ(one.final_hash, reference_hash(dcp));
+  EXPECT_EQ(one.final_hash, four.final_hash);
+  EXPECT_TRUE(one == four) << "RunReport differs between 1 and 4 threads";
 }
 
 TEST(GridCoordinatorTest, EnergyDiffusesGlobally) {

@@ -193,6 +193,26 @@ TEST(RuntimeTest, ResultIndependentOfThreadCount) {
   config.threads = 4;
   const auto h4 = reference_hash(config);
   EXPECT_EQ(h1, h4);
+
+  // dcp on, and a loss that replays base + chain. Commits hash and diff
+  // every node on the stepping pool, so every counter must match too.
+  auto dcp = small_config(Topology::Pairs);
+  dcp.cells_per_node = 1024;  // two pages per node
+  dcp.dcp_stack_size = 4;
+  dcp.dcp_block_size = 1024;
+  // Full commit at 8, deltas at 16 and 24: the loss at 29 replays 2 layers.
+  const FailureInjection failures[] = {{29, 1}};
+  dcp.threads = 1;
+  const auto one =
+      Coordinator(dcp, std::make_unique<HeatKernel>()).run(failures);
+  dcp.threads = 4;
+  const auto four =
+      Coordinator(dcp, std::make_unique<HeatKernel>()).run(failures);
+  ASSERT_FALSE(one.fatal) << one.fatal_reason;
+  EXPECT_GT(one.chain_replays, 0u);
+  EXPECT_EQ(one.final_hash, reference_hash(dcp));
+  EXPECT_EQ(one.final_hash, four.final_hash);
+  EXPECT_TRUE(one == four) << "RunReport differs between 1 and 4 threads";
 }
 
 TEST(StagedRuntimeTest, FaultFreeStagingMatchesBlockingResult) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -109,6 +111,23 @@ TEST(ParallelForTest, RethrowsBodyException) {
                              if (c == 1) throw std::logic_error("chunk boom");
                            }),
       std::logic_error);
+}
+
+TEST(ParallelForTest, WaitsForEveryChunkBeforeRethrowing) {
+  // The failing chunk ends first; the call must still outlast the slow one,
+  // which uses the caller's state.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      parallel_for_chunked(pool, 2, 2,
+                           [&](std::size_t c, std::size_t, std::size_t) {
+                             if (c == 0) throw std::logic_error("chunk boom");
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(20));
+                             ++finished;
+                           }),
+      std::logic_error);
+  EXPECT_EQ(finished.load(), 1);
 }
 
 }  // namespace

@@ -42,7 +42,12 @@ TEST(TraceInjectorTest, Validation) {
 
 class TraceFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/dckpt_trace_test.txt";
+  // One file per test: ctest runs each case as its own process, in
+  // parallel, and a shared path let one case read another's file.
+  std::string path_ =
+      ::testing::TempDir() + "/dckpt_trace_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
