@@ -6,9 +6,11 @@
 // Extra mode for CI: `bench_micro_engine --engine-json=PATH [--trials=N]`
 // skips google-benchmark and instead times the scalar vs batched Monte-Carlo
 // engines head-to-head on the reference campaign, writing
-// {scalar_trials_per_sec, batched_trials_per_sec, speedup, trials} to PATH.
-// scripts/check_bench_regression.py compares that file against the committed
-// BENCH_engine.json baseline.
+// {scalar_trials_per_sec, batched_trials_per_sec, speedup, trials} to PATH,
+// then on a small serve-sized Weibull campaign, appending
+// {small_trials, small_scalar_trials_per_sec, small_batched_trials_per_sec,
+// small_speedup}. scripts/check_bench_regression.py compares that file
+// against the committed BENCH_engine.json baseline.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -205,21 +207,40 @@ void BM_MaxMinFairRates(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinFairRates)->Arg(8)->Arg(64)->Arg(256);
 
-/// Times `trials` trials through one engine (single thread, fixed seed) and
-/// returns trials per second. One small untimed warmup run absorbs lazy
-/// allocations; best-of-3 repetitions filters scheduler noise, which
-/// otherwise dwarfs real regressions on shared CI runners.
-double engine_trials_per_sec(sim::SimEngine engine, std::uint64_t trials) {
-  const auto config = engine_reference_config();
-  sim::MonteCarloOptions options;
-  options.engine = engine;
+/// A fresh Weibull `kind=sim` request of `dckpt serve` as the service builds
+/// it: its defaults (Triple, platform MTBF 25200 s, t_base 1e5 s, 400
+/// trials) on the base platform at phi/theta = 0.25, shrunk to 108 nodes
+/// with shape-0.7 Weibull node lifetimes. Its 64 chunks hold ~6 trials, a
+/// fifth of a 32-lane wave, so it measures how the runner packs small
+/// chunks and how lanes reuse their per-node injectors.
+constexpr std::uint64_t kSmallTrials = 400;
+
+sim::SimConfig small_campaign_config() {
+  sim::SimConfig config;
+  config.protocol = model::Protocol::Triple;
+  config.params = model::base_scenario().at_phi_ratio(0.25).with_mtbf(25200.0);
+  config.params.nodes = 108;
+  config.period =
+      model::optimal_period_closed_form(config.protocol, config.params).period;
+  config.t_base = 100000.0;
+  config.stop_on_fatal = false;
+  return config;
+}
+
+/// Times `trials` trials of `config` through one engine (single thread,
+/// fixed seed) and returns trials per second. One small untimed warmup run
+/// absorbs lazy allocations; best-of-`reps` repetitions filters scheduler
+/// noise, which otherwise dwarfs real regressions on shared CI runners.
+double engine_trials_per_sec(const sim::SimConfig& config,
+                             sim::MonteCarloOptions options,
+                             std::uint64_t trials, int reps) {
   options.threads = 1;
   options.seed = 42;
   options.trials = 64;
   benchmark::DoNotOptimize(sim::run_monte_carlo(config, options));  // warmup
   options.trials = trials;
   double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(sim::run_monte_carlo(config, options));
     const double seconds =
@@ -232,16 +253,31 @@ double engine_trials_per_sec(sim::SimEngine engine, std::uint64_t trials) {
 
 int run_engine_comparison(const std::string& json_path,
                           std::uint64_t trials) {
-  const double scalar =
-      engine_trials_per_sec(sim::SimEngine::kScalar, trials);
-  const double batched =
-      engine_trials_per_sec(sim::SimEngine::kBatched, trials);
+  const auto reference = engine_reference_config();
+  sim::MonteCarloOptions options;
+  options.engine = sim::SimEngine::kScalar;
+  const double scalar = engine_trials_per_sec(reference, options, trials, 3);
+  options.engine = sim::SimEngine::kBatched;
+  const double batched = engine_trials_per_sec(reference, options, trials, 3);
+  // A small campaign takes milliseconds, so more repetitions cost little.
+  const auto small = small_campaign_config();
+  options.weibull = util::Weibull::from_mean(0.7, small.params.node_mtbf());
+  options.engine = sim::SimEngine::kScalar;
+  const double small_scalar =
+      engine_trials_per_sec(small, options, kSmallTrials, 15);
+  options.engine = sim::SimEngine::kBatched;
+  const double small_batched =
+      engine_trials_per_sec(small, options, kSmallTrials, 15);
   auto v = dckpt::util::JsonValue::object();
   v.set("record", "bench_engine");
   v.set("trials", trials);
   v.set("scalar_trials_per_sec", scalar);
   v.set("batched_trials_per_sec", batched);
   v.set("speedup", batched / scalar);
+  v.set("small_trials", kSmallTrials);
+  v.set("small_scalar_trials_per_sec", small_scalar);
+  v.set("small_batched_trials_per_sec", small_batched);
+  v.set("small_speedup", small_batched / small_scalar);
   const std::string text = v.dump();
   std::FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {

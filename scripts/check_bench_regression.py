@@ -10,7 +10,10 @@ kernel itself gets slower (or the scalar oracle gets faster, which is also
 worth knowing about).
 
 Exit 1 when the fresh speedup drops below --min-ratio (default 0.8, i.e. a
->20% regression) of the baseline speedup.
+>20% regression) of the baseline speedup. When the baseline also carries
+`small_speedup` (the same ratio on a small serve-sized Weibull campaign,
+which measures how the runner packs small chunks into full kernel waves),
+the fresh record must carry it too and it is gated with the same ratio.
 
 Usage:
   scripts/check_bench_regression.py FRESH.json [--baseline BENCH_engine.json]
@@ -23,15 +26,41 @@ import pathlib
 import sys
 
 
+SMALL_KEYS = ("small_scalar_trials_per_sec", "small_batched_trials_per_sec",
+              "small_speedup")
+
+
+def require_positive(record, path, keys):
+    for key in keys:
+        if not isinstance(record.get(key), (int, float)) or record[key] <= 0:
+            raise ValueError(f"{path}: missing or non-positive '{key}'")
+
+
 def load_record(path):
     with open(path, encoding="utf-8") as handle:
         record = json.load(handle)
     if record.get("record") != "bench_engine":
         raise ValueError(f"{path}: not a bench_engine record")
-    for key in ("scalar_trials_per_sec", "batched_trials_per_sec", "speedup"):
-        if not isinstance(record.get(key), (int, float)) or record[key] <= 0:
-            raise ValueError(f"{path}: missing or non-positive '{key}'")
+    require_positive(record, path,
+                     ("scalar_trials_per_sec", "batched_trials_per_sec",
+                      "speedup"))
     return record
+
+
+def gate(label, fresh, baseline, prefix, min_ratio):
+    """Prints one speedup comparison; returns False when it regressed."""
+    ratio = fresh[prefix + "speedup"] / baseline[prefix + "speedup"]
+    for name, record in (("baseline", baseline), ("fresh", fresh)):
+        print(f"{label} {name} speedup: {record[prefix + 'speedup']:.2f}x "
+              f"({record[prefix + 'batched_trials_per_sec']:.0f} vs "
+              f"{record[prefix + 'scalar_trials_per_sec']:.0f} trials/s)")
+    print(f"{label} ratio: {ratio:.3f} (gate: >= {min_ratio})")
+    if ratio < min_ratio:
+        print(f"FAIL: {label} batched-engine speedup regressed by "
+              f"{(1.0 - ratio) * 100.0:.1f}% against the committed baseline",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def main():
@@ -48,20 +77,13 @@ def main():
 
     fresh = load_record(args.fresh)
     baseline = load_record(args.baseline)
-    ratio = fresh["speedup"] / baseline["speedup"]
-
-    print(f"baseline speedup: {baseline['speedup']:.2f}x "
-          f"({baseline['batched_trials_per_sec']:.0f} vs "
-          f"{baseline['scalar_trials_per_sec']:.0f} trials/s)")
-    print(f"fresh speedup:    {fresh['speedup']:.2f}x "
-          f"({fresh['batched_trials_per_sec']:.0f} vs "
-          f"{fresh['scalar_trials_per_sec']:.0f} trials/s)")
-    print(f"ratio: {ratio:.3f} (gate: >= {args.min_ratio})")
-
-    if ratio < args.min_ratio:
-        print(f"FAIL: batched-engine speedup regressed by "
-              f"{(1.0 - ratio) * 100.0:.1f}% against the committed baseline",
-              file=sys.stderr)
+    passed = gate("reference", fresh, baseline, "", args.min_ratio)
+    if "small_speedup" in baseline:
+        require_positive(baseline, args.baseline, SMALL_KEYS)
+        require_positive(fresh, args.fresh, SMALL_KEYS)
+        passed = gate("small", fresh, baseline, "small_",
+                      args.min_ratio) and passed
+    if not passed:
         return 1
     print("OK: batched-engine speedup within tolerance")
     return 0

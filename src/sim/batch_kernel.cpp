@@ -139,17 +139,23 @@ class ExpEventSource {
 
 /// Per-node renewal failures (Weibull et al.): wraps the real injector so
 /// heap ordering, generation invalidation and draw order are identical by
-/// construction. The cached next event is refreshed only at the points where
-/// the scalar engine would observe peek() -- never between pop() and
-/// on_node_replaced(), where the heap is in a transient state.
+/// construction. The lane builds its injector once and resets it for every
+/// later trial (no per-trial law clones or heap allocation). The cached
+/// next event is refreshed only at the points where the scalar engine would
+/// observe peek() -- never between pop() and on_node_replaced(), where the
+/// heap is in a transient state.
 class RenewalEventSource {
  public:
   void set_law(const util::Weibull& weibull) { law_ = weibull; }
 
   void reset(std::uint64_t seed, double /*platform_mtbf*/,
              std::uint64_t nodes) {
-    injector_ = std::make_unique<PerNodeInjector>(law_, nodes,
-                                                  util::Xoshiro256ss(seed));
+    const util::Xoshiro256ss stream(seed);
+    if (injector_) {
+      injector_->reset(stream);
+    } else {
+      injector_ = std::make_unique<PerNodeInjector>(law_, nodes, stream);
+    }
     next_ = injector_->peek();
   }
 

@@ -1,6 +1,8 @@
 #include "sim/failure_injector.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace dckpt::sim {
@@ -50,7 +52,7 @@ PerNodeInjector::PerNodeInjector(const util::Distribution& inter_arrival,
   for (std::uint64_t node = 0; node < nodes; ++node) {
     dists_.push_back(inter_arrival.clone());
   }
-  for (std::uint64_t node = 0; node < nodes; ++node) push_node(node, 0.0);
+  push_all_nodes();
 }
 
 PerNodeInjector::PerNodeInjector(
@@ -64,23 +66,41 @@ PerNodeInjector::PerNodeInjector(
   for (const auto& law : dists_) {
     if (!law) throw std::invalid_argument("PerNodeInjector: null law");
   }
-  for (std::uint64_t node = 0; node < dists_.size(); ++node) {
-    push_node(node, 0.0);
-  }
+  push_all_nodes();
+}
+
+void PerNodeInjector::reset(util::Xoshiro256ss rng) {
+  rng_ = rng;
+  std::fill(generation_.begin(), generation_.end(), 0);
+  heap_.clear();
+  has_top_ = false;
+  push_all_nodes();
 }
 
 void PerNodeInjector::push_node(std::uint64_t node, double from_time) {
   const double t = from_time + dists_[node]->sample(rng_);
   next_time_[node] = t;
-  heap_.push(HeapEntry{t, node, generation_[node]});
+  heap_.push_back(HeapEntry{t, node, generation_[node]});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+void PerNodeInjector::push_all_nodes() {
+  for (std::uint64_t node = 0; node < dists_.size(); ++node) {
+    push_node(node, 0.0);
+  }
+}
+
+void PerNodeInjector::pop_entry() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  heap_.pop_back();
 }
 
 void PerNodeInjector::refill() {
   if (has_top_) return;
   while (!heap_.empty()) {
-    const HeapEntry entry = heap_.top();
+    const HeapEntry entry = heap_.front();
     if (entry.generation != generation_[entry.node]) {
-      heap_.pop();  // stale: the node was reborn since this was scheduled
+      pop_entry();  // stale: the node was reborn since this was scheduled
       continue;
     }
     top_ = {entry.time, entry.node};
@@ -97,7 +117,7 @@ FailureEvent PerNodeInjector::peek() {
 
 void PerNodeInjector::pop() {
   refill();
-  heap_.pop();
+  pop_entry();
   has_top_ = false;
   // The node keeps failing on its renewal schedule until on_node_replaced
   // reschedules it; schedule the next arrival from the consumed one so the

@@ -11,7 +11,9 @@
 //    inter-arrival Distribution (Weibull, LogNormal, ...), maintained as a
 //    min-heap of per-node next-failure times. A failed node is replaced
 //    after the downtime; the replacement's clock restarts (renewal with
-//    rebirth). O(log n) per failure.
+//    rebirth). O(log n) per failure. reset() restarts the whole fleet on a
+//    new stream in place, so a Monte-Carlo lane reuses one injector across
+//    trials instead of cloning n laws per trial.
 //
 // Injectors are advanced lazily: peek() exposes the next failure, pop()
 // consumes it, on_node_replaced() reschedules the failed node's stream.
@@ -19,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "util/distributions.hpp"
@@ -88,6 +89,11 @@ class PerNodeInjector final : public FailureInjector {
   PerNodeInjector(std::vector<std::unique_ptr<util::Distribution>> laws,
                   util::Xoshiro256ss rng);
 
+  /// Restarts every node's clock at time 0 on `rng`, keeping the laws and
+  /// the storage: afterwards the injector yields exactly the events a
+  /// freshly constructed one with the same laws and `rng` would.
+  void reset(util::Xoshiro256ss rng);
+
   FailureEvent peek() override;
   void pop() override;
   void on_node_replaced(std::uint64_t node, double failure_time,
@@ -105,14 +111,18 @@ class PerNodeInjector final : public FailureInjector {
   };
 
   void push_node(std::uint64_t node, double from_time);
+  void push_all_nodes();
+  void pop_entry();
   void refill();
 
   std::vector<std::unique_ptr<util::Distribution>> dists_;  ///< per node
   util::Xoshiro256ss rng_;
   std::vector<double> next_time_;
   std::vector<std::uint64_t> generation_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      heap_;
+  /// Min-heap under std::greater<>, driven by std::push_heap/pop_heap --
+  /// the calls std::priority_queue makes -- so reset() can clear it and
+  /// keep its capacity.
+  std::vector<HeapEntry> heap_;
   bool has_top_ = false;
   FailureEvent top_{};
 };

@@ -1,5 +1,6 @@
 #include "sim/runner.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 #include <stdexcept>
@@ -101,39 +102,63 @@ MonteCarloResult run_monte_carlo(const SimConfig& config,
   config.validate();
   if (options.metrics) options.metrics->validate();
 
-  // A fixed chunk count (not a multiple of the thread count) keeps the pool
-  // busy AND pins the stats merge tree: RunningStats::merge is exact in
-  // content but not in floating-point association, so chunk boundaries must
-  // not move with the thread count or the exported JSONL would differ in the
-  // last ulp between -j1 and -j8 runs.
+  // Chunks are the accumulation units. A fixed chunk count (not a multiple
+  // of the thread count) pins the stats merge tree: RunningStats::merge is
+  // exact in content but not in floating-point association, so chunk
+  // boundaries must not move with the thread count or the exported JSONL
+  // would differ in the last ulp between -j1 and -j8 runs.
   constexpr std::size_t kChunks = 64;
   const std::size_t chunks = std::min<std::uint64_t>(options.trials, kChunks);
   // With trials == 0 there are no chunks; `partial` keeps one default slot
   // so the merge below runs and yields an empty (all-counts-zero) result.
   std::vector<MonteCarloResult> partial(std::max<std::size_t>(chunks, 1));
+  const auto chunk_begin = [&](std::size_t c) {
+    return util::chunk_begin(options.trials, chunks, c);
+  };
+
+  // Tasks are the dispatch units. Chunks that fill a kernel wave are a task
+  // each; smaller ones are packed into contiguous runs, one per pool thread,
+  // so a small campaign runs full waves with few thread handoffs. Every
+  // trial still lands in its own chunk in trial order, so the packing
+  // changes no result bit.
+  const std::size_t tasks =
+      options.trials / kChunks < kBatchLanes ? pool.thread_count() : chunks;
 
   util::parallel_for_chunked(
-      pool, options.trials, chunks,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        MonteCarloResult& local = partial[chunk];
-        if (options.metrics) local.metrics.emplace(*options.metrics);
+      pool, chunks, tasks,
+      [&](std::size_t, std::size_t first_chunk, std::size_t end_chunk) {
+        if (options.metrics) {
+          for (std::size_t c = first_chunk; c < end_chunk; ++c) {
+            partial[c].metrics.emplace(*options.metrics);
+          }
+        }
+        const std::size_t begin = chunk_begin(first_chunk);
+        const std::size_t end = chunk_begin(end_chunk);
+        // Both engines hand trials over in ascending order, so a cursor
+        // routes each one to its chunk's accumulator.
+        std::size_t chunk = first_chunk;
+        std::size_t chunk_end = chunk_begin(chunk + 1);
+        std::size_t trial = begin;
+        const auto sink = [&](const TrialResult& r) {
+          if (trial == chunk_end) chunk_end = chunk_begin(++chunk + 1);
+          accumulate_trial(partial[chunk], r);
+          ++trial;
+        };
         if (options.engine == SimEngine::kBatched) {
-          run_trials_batched(
-              config, options, begin, end,
-              [&local](const TrialResult& r) { accumulate_trial(local, r); },
-              local.kernel);
+          run_trials_batched(config, options, begin, end, sink,
+                             partial[first_chunk].kernel);
           return;
         }
-        for (std::size_t trial = begin; trial < end; ++trial) {
+        for (std::size_t k = begin; k < end; ++k) {
           // Per-trial stream derived by seed mixing (SplitMix64 inside the
           // Xoshiro constructor): trial k gets the same stream regardless of
           // chunking or thread count.
           const std::uint64_t stream_seed =
-              options.seed ^ (0x9e3779b97f4a7c15ULL * (trial + 1));
+              options.seed ^ (0x9e3779b97f4a7c15ULL * (k + 1));
           const util::Xoshiro256ss stream(stream_seed);
           ProtocolSimulation simulation(
               config, make_injector(config, options, stream), stream_seed);
-          accumulate_trial(local, simulation.run());
+          sink(simulation.run());
         }
       });
 

@@ -2,8 +2,12 @@
 // aggregates waste, makespan and fatal-failure statistics.
 //
 // Reproducibility contract: trial k always uses RNG stream k split from the
-// master seed, and trials are distributed over threads with deterministic
-// static chunking -- results are bit-identical for any thread count.
+// master seed, and trials fall into 64 fixed chunks whose boundaries, add
+// order and merge tree depend only on the trial count -- results are
+// bit-identical for any thread count. Chunks are accumulation units, not
+// dispatch units: a chunk that fills a kernel wave runs as its own pool
+// task, while smaller chunks share a task, one contiguous run per pool
+// thread, so a small campaign runs full waves.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -309,6 +310,10 @@ void Server::accept_ready() {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf,
                    sizeof(options_.sndbuf));
     }
+    // Each reply is its own send(): with Nagle on, a reply queued behind
+    // one still unacknowledged waits out the client's delayed ACK (~40 ms).
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     Connection conn;
     conn.fd = fd;
     conn.id = next_conn_id_++;

@@ -71,9 +71,11 @@ double parse_number(const std::string& key, const std::string& text) {
 }
 
 /// Guards the double -> uint64 casts: a negative or over-2^53 double makes
-/// the cast undefined behavior, so reject the request instead.
+/// the cast undefined behavior, so reject the request instead. A fractional
+/// count would be truncated silently (trials=0.5 ran zero trials), so it is
+/// rejected too.
 void require_castable_count(const std::string& key, double value) {
-  if (value < 0.0 || value > kMaxExactInteger) {
+  if (value < 0.0 || value > kMaxExactInteger || value != std::trunc(value)) {
     throw EvalError("parse", "'" + key +
                                  "' must be a non-negative integer <= 2^53");
   }

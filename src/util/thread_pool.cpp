@@ -61,22 +61,22 @@ void ThreadPool::worker_loop() {
   }
 }
 
+std::size_t chunk_begin(std::size_t n, std::size_t chunks, std::size_t c) {
+  return c * (n / chunks) + std::min(c, n % chunks);
+}
+
 void parallel_for_chunked(
     ThreadPool& pool, std::size_t n, std::size_t chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   if (n == 0) return;
   chunks = std::clamp<std::size_t>(chunks, 1, n);
-  const std::size_t base = n / chunks;
-  const std::size_t remainder = n % chunks;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
-  std::size_t begin = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < remainder ? 1 : 0);
-    const std::size_t end = begin + len;
+    const std::size_t begin = chunk_begin(n, chunks, c);
+    const std::size_t end = chunk_begin(n, chunks, c + 1);
     futures.push_back(
         pool.submit([&body, c, begin, end] { body(c, begin, end); }));
-    begin = end;
   }
   // Wait for every chunk before rethrowing the first failure: a chunk still
   // running must not outlive `body` and whatever it captured.

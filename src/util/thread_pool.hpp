@@ -47,6 +47,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// First index of range `c` (0 <= c <= chunks, chunks > 0) when [0, n) is
+/// split into `chunks` contiguous ranges whose lengths differ by at most one,
+/// the longer ones first: the split parallel_for_chunked makes.
+std::size_t chunk_begin(std::size_t n, std::size_t chunks, std::size_t c);
+
 /// Runs body(chunk_index, begin, end) over [0, n) split into `chunks` ranges
 /// on `pool`. Chunk boundaries depend only on (n, chunks), never on thread
 /// count or scheduling: reproducibility contract for RNG splitting.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -381,59 +382,130 @@ TEST(BatchKernel, BitIdenticalOnFastPathDominatedCampaign) {
   expect_equivalent(cfg, options, 40);
 }
 
+/// Trial counts around the runner's packing rule (64 chunks; a chunk
+/// smaller than a 32-lane wave shares a task with its neighbours): one
+/// trial, chunks far below a wave, 31-32 trials per chunk, exactly one
+/// wave per chunk, and one trial more.
+const std::uint64_t kDispatchTrials[] = {1, 33, 400, 2047, 2048, 2049};
+
+/// Campaign options with metrics on, the inputs the dispatch tests vary.
+sim::MonteCarloOptions campaign_options(const sim::SimConfig& config,
+                                        std::uint64_t trials,
+                                        std::size_t threads, bool weibull,
+                                        std::uint64_t seed) {
+  sim::MonteCarloOptions options;
+  options.trials = trials;
+  options.threads = threads;
+  options.seed = seed;
+  options.metrics = sim::MetricsSpec{};
+  if (weibull) {
+    options.weibull = util::Weibull::from_mean(0.7, config.params.node_mtbf());
+  }
+  return options;
+}
+
+std::string metrics_jsonl(const sim::MonteCarloResult& result) {
+  std::ostringstream out;
+  sim::write_metrics_jsonl(out, result);
+  return out.str();
+}
+
 TEST(BatchKernel, ExportedJsonlInvariantAcrossThreadCounts) {
   const auto config = make_config(model::Protocol::Triple, 400.0, 12, 90.0,
                                   8000.0, /*stop_on_fatal=*/false);
-  sim::MonteCarloOptions options;
-  options.trials = 300;
-  options.seed = 11;
-  options.metrics = sim::MetricsSpec{};
-  std::string dumps[2];
-  const std::size_t threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    auto o = options;
-    o.threads = threads[i];
-    const auto result = sim::run_monte_carlo(config, o);
-    std::ostringstream out;
-    sim::write_metrics_jsonl(out, result);
-    dumps[i] = out.str();
+  std::vector<std::uint64_t> trial_counts{300};
+  trial_counts.insert(trial_counts.end(), std::begin(kDispatchTrials),
+                      std::end(kDispatchTrials));
+  for (const bool weibull : {false, true}) {
+    for (const std::uint64_t trials : trial_counts) {
+      std::string reference;
+      for (const std::size_t threads : {1, 3, 4}) {
+        const auto options =
+            campaign_options(config, trials, threads, weibull, 11);
+        const std::string dump =
+            metrics_jsonl(sim::run_monte_carlo(config, options));
+        if (threads == 1) {
+          reference = dump;
+          continue;
+        }
+        EXPECT_EQ(dump, reference) << "trials " << trials << ", threads "
+                                   << threads << ", weibull " << weibull;
+      }
+    }
   }
-  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(BatchKernel, AggregateMatchesScalarEngineExactly) {
   const auto config = make_config(model::Protocol::DoubleBof, 300.0, 12,
                                   80.0, 6000.0, /*stop_on_fatal=*/false);
+  struct Input {
+    std::uint64_t trials;
+    std::size_t threads;
+  };
+  std::vector<Input> inputs{{200, 2}};
+  for (const std::uint64_t trials : kDispatchTrials) {
+    for (const std::size_t threads : {1, 3}) {
+      inputs.push_back({trials, threads});
+    }
+  }
+  for (const bool weibull : {false, true}) {
+    for (const Input& input : inputs) {
+      SCOPED_TRACE("trials " + std::to_string(input.trials) + ", threads " +
+                   std::to_string(input.threads) + ", weibull " +
+                   std::to_string(weibull));
+      auto batched_options = campaign_options(config, input.trials,
+                                              input.threads, weibull, 3);
+      batched_options.engine = sim::SimEngine::kBatched;
+      auto scalar_options = batched_options;
+      scalar_options.engine = sim::SimEngine::kScalar;
+      const auto b = sim::run_monte_carlo(config, batched_options);
+      const auto s = sim::run_monte_carlo(config, scalar_options);
+      // Same trials in the same chunk layout through the same Welford adds:
+      // the aggregates must agree to the last bit, not within a tolerance.
+      EXPECT_EQ(s.waste.mean(), b.waste.mean());
+      EXPECT_EQ(s.waste.variance(), b.waste.variance());
+      EXPECT_EQ(s.makespan.mean(), b.makespan.mean());
+      EXPECT_EQ(s.makespan.min(), b.makespan.min());
+      EXPECT_EQ(s.makespan.max(), b.makespan.max());
+      EXPECT_EQ(s.failures.sum(), b.failures.sum());
+      EXPECT_EQ(s.risk_time.mean(), b.risk_time.mean());
+      EXPECT_EQ(s.success.estimate(), b.success.estimate());
+      EXPECT_EQ(s.diverged, b.diverged);
+      ASSERT_TRUE(s.metrics && b.metrics);
+      EXPECT_EQ(s.metrics->slowdown.total_count(),
+                b.metrics->slowdown.total_count());
+      EXPECT_EQ(s.metrics->slowdown.quantile(0.5),
+                b.metrics->slowdown.quantile(0.5));
+      EXPECT_EQ(s.metrics->degenerate, b.metrics->degenerate);
+      EXPECT_EQ(metrics_jsonl(s), metrics_jsonl(b));
+      // Kernel counters populate only through the batched engine.
+      EXPECT_EQ(b.kernel.lanes, input.trials);
+      EXPECT_GT(b.kernel.waves, 0u);
+      EXPECT_EQ(s.kernel.lanes, 0u);
+    }
+  }
+}
+
+TEST(BatchKernel, SmallCampaignPacksChunksIntoFullWaves) {
+  const auto config = make_config(model::Protocol::DoubleNbl, 900.0, 12,
+                                  90.0, 4000.0, /*stop_on_fatal=*/false);
   sim::MonteCarloOptions options;
-  options.trials = 200;
-  options.seed = 3;
+  options.seed = 7;
+  options.engine = sim::SimEngine::kBatched;
+  // 400 trials are 64 chunks of 6-7, far below a 32-lane wave: on one
+  // thread they run as one task of 13 waves, not 64 one-wave tasks.
+  options.trials = 400;
+  options.threads = 1;
+  const auto small = sim::run_monte_carlo(config, options);
+  EXPECT_EQ(small.kernel.lanes, 400u);
+  EXPECT_EQ(small.kernel.waves, 13u);
+  // 4000 trials fill a wave per chunk (62-63 trials), so every chunk stays
+  // a task of its own: two waves each.
+  options.trials = 4000;
   options.threads = 2;
-  options.metrics = sim::MetricsSpec{};
-  auto batched_options = options;
-  batched_options.engine = sim::SimEngine::kBatched;
-  auto scalar_options = options;
-  scalar_options.engine = sim::SimEngine::kScalar;
-  const auto b = sim::run_monte_carlo(config, batched_options);
-  const auto s = sim::run_monte_carlo(config, scalar_options);
-  // Same trials in the same chunk layout through the same Welford adds:
-  // the aggregates must agree to the last bit, not within a tolerance.
-  EXPECT_EQ(s.waste.mean(), b.waste.mean());
-  EXPECT_EQ(s.waste.variance(), b.waste.variance());
-  EXPECT_EQ(s.makespan.mean(), b.makespan.mean());
-  EXPECT_EQ(s.makespan.min(), b.makespan.min());
-  EXPECT_EQ(s.makespan.max(), b.makespan.max());
-  EXPECT_EQ(s.failures.sum(), b.failures.sum());
-  EXPECT_EQ(s.risk_time.mean(), b.risk_time.mean());
-  EXPECT_EQ(s.success.estimate(), b.success.estimate());
-  EXPECT_EQ(s.diverged, b.diverged);
-  ASSERT_TRUE(s.metrics && b.metrics);
-  EXPECT_EQ(s.metrics->slowdown.total_count(), b.metrics->slowdown.total_count());
-  EXPECT_EQ(s.metrics->slowdown.quantile(0.5), b.metrics->slowdown.quantile(0.5));
-  EXPECT_EQ(s.metrics->degenerate, b.metrics->degenerate);
-  // Kernel counters populate only through the batched engine.
-  EXPECT_EQ(b.kernel.lanes, options.trials);
-  EXPECT_GT(b.kernel.waves, 0u);
-  EXPECT_EQ(s.kernel.lanes, 0u);
+  const auto large = sim::run_monte_carlo(config, options);
+  EXPECT_EQ(large.kernel.lanes, 4000u);
+  EXPECT_EQ(large.kernel.waves, 128u);
 }
 
 struct DrawnPlatform {

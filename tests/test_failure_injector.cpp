@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "proptest.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
 using namespace dckpt::sim;
+using dckpt::util::Distribution;
 using dckpt::util::Exponential;
 using dckpt::util::RunningStats;
 using dckpt::util::Weibull;
@@ -198,6 +204,105 @@ TEST(HeterogeneousInjectorTest, NullLawRejected) {
   laws.push_back(nullptr);
   EXPECT_THROW(PerNodeInjector(std::move(laws), Xoshiro256ss(15)),
                std::invalid_argument);
+}
+
+struct ResetCase {
+  std::uint64_t nodes = 1;
+  double shape = 1.0;
+  bool per_node_laws = false;  ///< the heterogeneous-fleet constructor
+  std::uint64_t warm_seed = 1;
+  std::uint64_t warm_events = 0;
+  bool warm_ends_on_peek = false;
+  std::uint64_t seed = 2;
+  std::uint64_t driver_seed = 3;
+};
+
+std::unique_ptr<PerNodeInjector> make_injector(const ResetCase& c,
+                                               std::uint64_t seed) {
+  if (!c.per_node_laws) {
+    return std::make_unique<PerNodeInjector>(Weibull::from_mean(c.shape, 100.0),
+                                             c.nodes, Xoshiro256ss(seed));
+  }
+  std::vector<std::unique_ptr<Distribution>> laws;
+  for (std::uint64_t node = 0; node < c.nodes; ++node) {
+    const Weibull law =
+        Weibull::from_mean(c.shape, 50.0 * static_cast<double>(node + 1));
+    laws.push_back(std::make_unique<Weibull>(law));
+  }
+  return std::make_unique<PerNodeInjector>(std::move(laws), Xoshiro256ss(seed));
+}
+
+/// Consumes `events` failures, replacing the failed node after a drawn
+/// downtime about half the time (each replacement leaves a stale heap
+/// entry behind), and returns the (time, node) sequence seen by peek().
+std::vector<FailureEvent> drive(PerNodeInjector& injector,
+                                std::uint64_t driver_seed,
+                                std::uint64_t events) {
+  Xoshiro256ss choices(driver_seed);
+  std::vector<FailureEvent> seen;
+  for (std::uint64_t i = 0; i < events; ++i) {
+    const FailureEvent event = injector.peek();
+    seen.push_back(event);
+    injector.pop();
+    if (choices.next_below(2) == 0) {
+      injector.on_node_replaced(event.node, event.time,
+                                event.time + 40.0 * choices.next_double());
+    }
+  }
+  return seen;
+}
+
+TEST(PerNodeInjectorTest, PropertyResetMatchesFreshInjector) {
+  proptest::ForallConfig config;
+  config.seed = 0x4e5e7;
+  config.iterations = 150;
+  const auto draw = [](proptest::Gen& gen) {
+    ResetCase c;
+    c.nodes = gen.integer(1, 12);
+    c.shape = gen.uniform(0.5, 2.0);
+    c.per_node_laws = gen.boolean();
+    c.warm_seed = gen.integer(1, 1u << 30);
+    c.warm_events = gen.integer(0, 300);
+    c.warm_ends_on_peek = gen.boolean();
+    c.seed = gen.integer(1, 1u << 30);
+    c.driver_seed = gen.integer(1, 1u << 30);
+    return c;
+  };
+  const proptest::Property<ResetCase> property =
+      [](const ResetCase& c) -> std::optional<std::string> {
+    // The reused injector runs another trial first, so reset() must clear
+    // its clocks, heap (stale entries included), cached top and stream.
+    auto reused = make_injector(c, c.warm_seed);
+    (void)drive(*reused, c.driver_seed + 1, c.warm_events);
+    if (c.warm_ends_on_peek) (void)reused->peek();
+    reused->reset(Xoshiro256ss(c.seed));
+    auto fresh = make_injector(c, c.seed);
+    constexpr std::uint64_t kEvents = 2000;
+    const auto expected = drive(*fresh, c.driver_seed, kEvents);
+    const auto actual = drive(*reused, c.driver_seed, kEvents);
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      if (actual[i].time != expected[i].time ||
+          actual[i].node != expected[i].node) {
+        std::ostringstream out;
+        out.precision(17);
+        out << "event " << i << ": reset gives (" << actual[i].time << ", "
+            << actual[i].node << "), fresh gives (" << expected[i].time
+            << ", " << expected[i].node << ")";
+        return out.str();
+      }
+    }
+    return std::nullopt;
+  };
+  const proptest::Show<ResetCase> show = [](const ResetCase& c) {
+    std::ostringstream out;
+    out << "nodes=" << c.nodes << " shape=" << c.shape
+        << " per_node_laws=" << c.per_node_laws
+        << " warm_seed=" << c.warm_seed << " warm_events=" << c.warm_events
+        << " warm_ends_on_peek=" << c.warm_ends_on_peek
+        << " seed=" << c.seed << " driver_seed=" << c.driver_seed;
+    return out.str();
+  };
+  proptest::forall<ResetCase>(config, draw, property, nullptr, show);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -109,6 +110,13 @@ class Client {
   }
 
   ~Client() { close(); }
+
+  /// Turns off Nagle's algorithm on the client side, as a latency-minded
+  /// client (and perfbench's) does.
+  void set_nodelay() {
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
 
   void close() {
     if (fd_ >= 0) ::close(fd_);
@@ -310,6 +318,29 @@ TEST(Server, RepliesKeepRequestOrderAcrossHeavyWork) {
   EXPECT_EQ(client.read_json().at("kind").as_string(), "sim");
   EXPECT_EQ(client.read_json().at("kind").as_string(), "period");
   EXPECT_EQ(client.read_json().at("record").as_string(), "bye");
+  fixture.stop();
+}
+
+TEST(Server, LightReplyBehindASimIsNotHeldForTheDelayedAck) {
+  ServerFixture fixture;
+  Client client(fixture.port());
+  client.set_nodelay();
+  // A fresh connection ACKs at once (quick-ACK mode), which would hide
+  // the stall; a few round trips move it to delayed ACKs.
+  for (int i = 0; i < 20; ++i) {
+    client.send_all("EVAL kind=period protocol=Triple mtbf=3600\n");
+    ASSERT_EQ(client.read_json().at("kind").as_string(), "period");
+  }
+  // The light reply is queued behind the sim's and sent by its own send().
+  // With Nagle on at the server it waits for the ACK of the sim reply,
+  // which the client delays by at least 40 ms.
+  client.send_all(sim_line(23, 10) + "\n");
+  client.send_all("EVAL kind=waste protocol=Triple mtbf=3600 period=600\n");
+  EXPECT_EQ(client.read_json().at("kind").as_string(), "sim");
+  const auto sim_reply_at = std::chrono::steady_clock::now();
+  EXPECT_EQ(client.read_json().at("kind").as_string(), "waste");
+  const auto gap = std::chrono::steady_clock::now() - sim_reply_at;
+  EXPECT_LT(gap, std::chrono::milliseconds(25));
   fixture.stop();
 }
 

@@ -156,9 +156,9 @@ TEST(EvalService, ErrorRecordsCarryTypedCodes) {
 
 TEST(EvalService, RejectsNonFiniteAndNonCastableNumerics) {
   sim::EvalService service;
-  // A negative double cast to an unsigned is UB; nan/inf pass std::stod.
-  // All of these must come back as typed parse errors, never as garbage
-  // answers or sanitizer traps.
+  // A negative double cast to an unsigned is UB; nan/inf pass std::stod;
+  // a fractional count would be truncated. All of these must come back as
+  // typed parse errors, never as garbage answers or sanitizer traps.
   const char* bad[] = {
       "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 seed=-1",
       "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 trials=nan",
@@ -169,6 +169,13 @@ TEST(EvalService, RejectsNonFiniteAndNonCastableNumerics) {
       "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 "
       "nodes=1e300",
       "EVAL kind=waste protocol=Triple mtbf=3600 period=-10",
+      // Fractional counts were truncated: a 0-trial campaign, seed 1 under
+      // a second cache key, 100 nodes.
+      "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 "
+      "trials=0.5",
+      "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 seed=1.5",
+      "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 "
+      "nodes=100.5",
   };
   for (const char* line : bad) {
     const auto v = respond(service, line);
