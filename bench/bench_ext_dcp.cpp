@@ -6,18 +6,100 @@
 // of model/dcp.hpp. At small d the reduction approaches d + h per commit
 // (plus the 1/K full-image amortization), which is the dcpScalable result
 // the model encodes.
+//
+// Extra mode for CI: `bench_ext_dcp --hash-json=PATH` skips the volume
+// table and instead times a full commit's hashing of one 1 MiB image
+// (block_hashes at 4 KiB blocks, then content_hash, on a fresh Snapshot
+// over the same pages each repetition, so no cached digest is timed)
+// against flat fnv1a over a copy of the same bytes, best of N each. It
+// writes {commit_hash_gb_per_s, flat_fnv1a_gb_per_s, speedup, ...} to PATH;
+// scripts/check_bench_regression.py compares that file against the
+// committed BENCH_hash.json baseline.
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <numeric>
 
 #include "ckpt/dcp.hpp"
 #include "ckpt/page_store.hpp"
 #include "util/rng.hpp"
 
+namespace {
+
+using namespace dckpt;
+
+/// Seconds taken by one call of `work`.
+template <typename Work>
+double time_once(Work&& work) {
+  const auto start = std::chrono::steady_clock::now();
+  work();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+int run_hash_comparison(const std::string& json_path) {
+  constexpr std::size_t kImageBytes = 1 << 20;  // 1 MiB
+  // Each repetition hashes 1 MiB twice (~2-4 ms); the best of many filters
+  // scheduler noise at little cost.
+  constexpr int kReps = 200;
+  ckpt::PageStore store(kImageBytes, ckpt::kDefaultPageSize);
+  util::Xoshiro256ss rng(0x4a54);
+  std::vector<std::byte> content(kImageBytes);
+  for (auto& byte : content) byte = static_cast<std::byte>(rng());
+  store.write(0, content);
+  const ckpt::Snapshot image = store.snapshot(0);
+  const std::vector<std::byte> flat = image.to_bytes();
+  const auto bytes = static_cast<double>(kImageBytes);
+  volatile std::uint64_t sink = 0;
+  double commit_best = 0.0;
+  double flat_best = 0.0;
+  // Alternating the two within each repetition exposes both to the same
+  // host noise.
+  for (int rep = 0; rep < kReps; ++rep) {
+    const ckpt::Snapshot fresh(image.pages(), image.size_bytes(),
+                               image.version(), image.owner());
+    const double commit_s = time_once([&] {
+      const auto hashes = ckpt::block_hashes(fresh, ckpt::kDigestBlockSize);
+      sink = sink ^ hashes.back() ^ fresh.content_hash();
+    });
+    const double flat_s =
+        time_once([&] { sink = sink ^ ckpt::fnv1a(flat); });
+    commit_best = std::max(commit_best, bytes / commit_s * 1e-9);
+    flat_best = std::max(flat_best, bytes / flat_s * 1e-9);
+  }
+  auto v = util::JsonValue::object();
+  v.set("record", "bench_hash");
+  v.set("image_bytes", kImageBytes);
+  v.set("block_size", ckpt::kDigestBlockSize);
+  v.set("reps", kReps);
+  v.set("commit_hash_gb_per_s", commit_best);
+  v.set("flat_fnv1a_gb_per_s", flat_best);
+  v.set("speedup", commit_best / flat_best);
+  const std::string text = v.dump();
+  std::FILE* out = std::fopen(json_path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  std::fprintf(out, "%s\n", text.c_str());
+  std::fclose(out);
+  std::printf("%s\n", text.c_str());
+  return 0;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace dckpt;
   using namespace dckpt::bench;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--hash-json=", 12) == 0) {
+      return run_hash_comparison(argv[i] + 12);
+    }
+  }
   const auto context = parse_bench_args(
       argc, argv, "Differential checkpoints: transfer bytes full vs dcp");
   if (!context) return 0;

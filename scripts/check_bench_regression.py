@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Guards the batched Monte-Carlo engine against performance regressions.
+"""Guards the committed speedup records against performance regressions.
 
-Compares a freshly measured engine-comparison record (written by
-`bench_micro_engine --engine-json=PATH`) against the committed baseline
-`BENCH_engine.json`. Absolute trials/sec numbers are machine-dependent, so
-the gate is the scalar-vs-batched *speedup* measured on the same machine in
-the same run: it cancels out host speed and only moves when the batched
-kernel itself gets slower (or the scalar oracle gets faster, which is also
-worth knowing about).
+Compares a freshly measured record against its committed baseline. Two
+record kinds are accepted, each gated on speedups measured on the same
+machine in the same run, so host speed cancels out:
 
-Exit 1 when the fresh speedup drops below --min-ratio (default 0.8, i.e. a
->20% regression) of the baseline speedup. When the baseline also carries
-`small_speedup` (the same ratio on a small serve-sized Weibull campaign,
-which measures how the runner packs small chunks into full kernel waves),
-the fresh record must carry it too and it is gated with the same ratio.
+* `bench_engine` (`bench_micro_engine --engine-json=PATH`, baseline
+  `BENCH_engine.json`): the batched Monte-Carlo kernel against the scalar
+  engine on the reference campaign (`speedup`) and, when the baseline
+  carries it, on a small serve-sized Weibull campaign (`small_speedup`,
+  which measures how the runner packs small chunks into full kernel waves).
+  The fresh record must then carry it too.
+* `bench_hash` (`bench_ext_dcp --hash-json=PATH`, baseline
+  `BENCH_hash.json`): a full commit's hashing of a 1 MiB image against flat
+  FNV-1a over the same bytes (`speedup`). It only moves when the
+  four-chain block walk itself gets slower.
+
+Exit 1 when a fresh speedup drops below --min-ratio (default 0.8, i.e. a
+>20% regression) of the baseline's.
 
 Usage:
-  scripts/check_bench_regression.py FRESH.json [--baseline BENCH_engine.json]
+  scripts/check_bench_regression.py FRESH.json [--baseline BASELINE.json]
       [--min-ratio 0.8]
+
+The baseline defaults to the committed record of FRESH.json's kind.
 """
 
 import argparse
@@ -26,66 +32,92 @@ import pathlib
 import sys
 
 
-SMALL_KEYS = ("small_scalar_trials_per_sec", "small_batched_trials_per_sec",
-              "small_speedup")
+# Per record kind: the committed baseline, what it measures, and its gated
+# speedups as (label, speedup key, fast rate key, slow rate key, unit). The
+# first gate is required; the others apply when the baseline carries them.
+RECORDS = {
+    "bench_engine": {
+        "baseline": "BENCH_engine.json",
+        "what": "batched-engine",
+        "gates": [
+            ("reference", "speedup", "batched_trials_per_sec",
+             "scalar_trials_per_sec", "trials/s"),
+            ("small", "small_speedup", "small_batched_trials_per_sec",
+             "small_scalar_trials_per_sec", "trials/s"),
+        ],
+    },
+    "bench_hash": {
+        "baseline": "BENCH_hash.json",
+        "what": "commit-hashing",
+        "gates": [
+            ("hash", "speedup", "commit_hash_gb_per_s",
+             "flat_fnv1a_gb_per_s", "GB/s"),
+        ],
+    },
+}
 
 
-def require_positive(record, path, keys):
-    for key in keys:
+def require_positive(record, path, gate):
+    for key in gate[1:4]:
         if not isinstance(record.get(key), (int, float)) or record[key] <= 0:
             raise ValueError(f"{path}: missing or non-positive '{key}'")
 
 
-def load_record(path):
+def load_record(path, kind=None):
     with open(path, encoding="utf-8") as handle:
         record = json.load(handle)
-    if record.get("record") != "bench_engine":
-        raise ValueError(f"{path}: not a bench_engine record")
-    require_positive(record, path,
-                     ("scalar_trials_per_sec", "batched_trials_per_sec",
-                      "speedup"))
+    found = record.get("record")
+    if found not in RECORDS:
+        raise ValueError(f"{path}: not a {' or '.join(RECORDS)} record")
+    if kind is not None and found != kind:
+        raise ValueError(f"{path}: a {found} record, want {kind}")
+    require_positive(record, path, RECORDS[found]["gates"][0])
     return record
 
 
-def gate(label, fresh, baseline, prefix, min_ratio):
-    """Prints one speedup comparison; returns False when it regressed."""
-    ratio = fresh[prefix + "speedup"] / baseline[prefix + "speedup"]
+def gate(spec, fresh, baseline, min_ratio):
+    """Prints one speedup comparison; returns the fresh/baseline ratio."""
+    label, key, fast, slow, unit = spec
+    ratio = fresh[key] / baseline[key]
     for name, record in (("baseline", baseline), ("fresh", fresh)):
-        print(f"{label} {name} speedup: {record[prefix + 'speedup']:.2f}x "
-              f"({record[prefix + 'batched_trials_per_sec']:.0f} vs "
-              f"{record[prefix + 'scalar_trials_per_sec']:.0f} trials/s)")
+        print(f"{label} {name} speedup: {record[key]:.2f}x "
+              f"({record[fast]:.6g} vs {record[slow]:.6g} {unit})")
     print(f"{label} ratio: {ratio:.3f} (gate: >= {min_ratio})")
-    if ratio < min_ratio:
-        print(f"FAIL: {label} batched-engine speedup regressed by "
-              f"{(1.0 - ratio) * 100.0:.1f}% against the committed baseline",
-              file=sys.stderr)
-        return False
-    return True
+    return ratio
 
 
 def main():
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(
-        description="fail on batched-engine speedup regressions")
-    parser.add_argument("fresh", help="freshly measured bench_engine JSON")
+        description="fail on speedup regressions against a committed record")
+    parser.add_argument("fresh", help="freshly measured bench_engine or "
+                        "bench_hash JSON")
     parser.add_argument("--baseline",
-                        default=str(repo_root / "BENCH_engine.json"),
-                        help="committed baseline record")
+                        help="committed baseline record (default: the "
+                        "committed record of the fresh record's kind)")
     parser.add_argument("--min-ratio", type=float, default=0.8,
                         help="minimum fresh/baseline speedup ratio")
     args = parser.parse_args()
 
     fresh = load_record(args.fresh)
-    baseline = load_record(args.baseline)
-    passed = gate("reference", fresh, baseline, "", args.min_ratio)
-    if "small_speedup" in baseline:
-        require_positive(baseline, args.baseline, SMALL_KEYS)
-        require_positive(fresh, args.fresh, SMALL_KEYS)
-        passed = gate("small", fresh, baseline, "small_",
-                      args.min_ratio) and passed
+    kind = RECORDS[fresh["record"]]
+    baseline_path = args.baseline or str(repo_root / kind["baseline"])
+    baseline = load_record(baseline_path, fresh["record"])
+    passed = True
+    for index, spec in enumerate(kind["gates"]):
+        if index > 0 and spec[1] not in baseline:
+            continue
+        require_positive(baseline, baseline_path, spec)
+        require_positive(fresh, args.fresh, spec)
+        ratio = gate(spec, fresh, baseline, args.min_ratio)
+        if ratio < args.min_ratio:
+            print(f"FAIL: {spec[0]} {kind['what']} speedup regressed by "
+                  f"{(1.0 - ratio) * 100.0:.1f}% against the committed "
+                  "baseline", file=sys.stderr)
+            passed = False
     if not passed:
         return 1
-    print("OK: batched-engine speedup within tolerance")
+    print(f"OK: {kind['what']} speedup within tolerance")
     return 0
 
 

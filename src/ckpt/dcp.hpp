@@ -12,12 +12,14 @@
 // Restores replay a chain: one full base image plus up to K - 1 differential
 // layers, where K is the dcp stack size (a full checkpoint every K commits
 // bounds the chain). Each layer carries
-//   * base_hash    -- content hash of the exact image it was diffed against,
-//                     so a corrupt base is detected before replay even when a
-//                     later layer would happen to overwrite the damage;
-//   * result_hash  -- content hash of the image the replay must produce;
-//   * a self hash over the layer's own metadata and payloads, so a torn
-//     layer (truncated transfer) is detected without replaying anything.
+//   * base_hash    -- digest (Snapshot::content_hash) of the exact image it
+//                     was diffed against, so a corrupt base is detected
+//                     before replay even when a later layer would happen to
+//                     overwrite the damage;
+//   * result_hash  -- digest of the image the replay must produce;
+//   * a self hash folding the layer's own metadata and each payload's
+//     FNV-1a, so a torn layer (truncated transfer) is detected without
+//     replaying anything.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +92,9 @@ class BlockDelta {
 
 /// Per-block FNV-1a hash array of `image` (the dcpScalable hashArray): one
 /// hash per block_size-sized block, tail block over the remaining bytes.
-/// One walk over the pages (Snapshot::walk_blocks), which also caches the
-/// image's content hash. Throws std::invalid_argument when block_size == 0.
+/// One walk over the pages (Snapshot::walk_blocks), which at
+/// kDigestBlockSize also caches the image's digest. Throws
+/// std::invalid_argument when block_size == 0.
 std::vector<std::uint64_t> block_hashes(const Snapshot& image,
                                         std::size_t block_size);
 
@@ -104,11 +107,12 @@ struct BlockDiff {
 
 /// Diffs `current` against a base known only by its cached hash array --
 /// the coordinator commit path, where the previous image itself is gone but
-/// its block_hashes(), version and content hash were recorded at commit
-/// time. `base_version` must predate current.version() and `base_hashes`
-/// must cover current's layout exactly. One walk over current's pages
-/// compares every block hash, copies the dirty blocks straight from the
-/// pages, returns current's hash array and caches its content hash.
+/// its block_hashes(), version and digest were recorded at commit time.
+/// `base_version` must predate current.version() and `base_hashes` must
+/// cover current's layout exactly. One walk over current's pages compares
+/// every block hash, copies the dirty blocks straight from the pages and
+/// returns current's hash array; at kDigestBlockSize it also caches
+/// current's digest, which becomes the layer's result_hash.
 BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
                       std::uint64_t base_version, std::uint64_t base_hash,
                       const Snapshot& current, std::size_t block_size);

@@ -2,31 +2,64 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 namespace dckpt::ckpt {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-/// Advances two FNV-1a chains over the same bytes in one loop. The chains'
-/// multiplies are independent, so the CPU overlaps them and the pair costs
-/// about as much as one chain.
-void fnv1a_pair(std::span<const std::byte> data, std::uint64_t& first,
-                std::uint64_t& second) {
-  std::uint64_t a = first;
-  std::uint64_t b = second;
-  for (std::byte byte : data) {
-    const auto value = static_cast<std::uint64_t>(byte);
-    a = (a ^ value) * kFnvPrime;
-    b = (b ^ value) * kFnvPrime;
+/// Reads an image's meaningful bytes front to back, one page slice at a
+/// time: each page holds min(its size, bytes not yet read) of them.
+class PageCursor {
+ public:
+  PageCursor(const std::vector<Snapshot::Page>& pages, std::size_t size_bytes)
+      : page_(pages.data()),
+        end_(pages.data() + pages.size()),
+        remaining_(size_bytes) {}
+
+  /// The next at most `limit` unread bytes, all from one page; empty at
+  /// the end of the image or when `limit` is 0.
+  std::span<const std::byte> next(std::size_t limit) {
+    while (rest_.empty() && page_ != end_) {
+      const std::size_t take = std::min(remaining_, (*page_)->size());
+      rest_ = {(*page_)->data(), take};
+      remaining_ -= take;
+      ++page_;
+    }
+    const auto piece = rest_.first(std::min(rest_.size(), limit));
+    rest_ = rest_.subspan(piece.size());
+    return piece;
   }
-  first = a;
-  second = b;
-}
+
+  /// Moves past `count` bytes without reading them.
+  void skip(std::size_t count) {
+    while (count > 0) {
+      const std::size_t moved = next(count).size();
+      if (moved == 0) return;
+      count -= moved;
+    }
+  }
+
+  /// Bytes left to read.
+  std::size_t unread() const {
+    std::size_t total = rest_.size();
+    std::size_t remaining = remaining_;
+    for (const Snapshot::Page* page = page_; page != end_; ++page) {
+      const std::size_t take = std::min(remaining, (*page)->size());
+      total += take;
+      remaining -= take;
+    }
+    return total;
+  }
+
+ private:
+  const Snapshot::Page* page_;
+  const Snapshot::Page* end_;
+  std::span<const std::byte> rest_;  ///< unread bytes of the last page read
+  std::size_t remaining_;            ///< bytes the pages from page_ on hold
+};
 
 }  // namespace
 
@@ -39,6 +72,39 @@ std::uint64_t fnv1a(std::span<const std::byte> data, std::uint64_t seed) {
   return hash;
 }
 
+std::uint64_t fnv1a_u64(std::uint64_t value, std::uint64_t seed) {
+  std::byte bytes[8]{};
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::byte>((value >> (8 * i)) & 0xffU);
+  }
+  return fnv1a({bytes, 8}, seed);
+}
+
+std::array<std::uint64_t, 4> fnv1a_x4(
+    const std::array<std::span<const std::byte>, 4>& data,
+    std::array<std::uint64_t, 4> seeds) {
+  const std::size_t common = std::min(
+      {data[0].size(), data[1].size(), data[2].size(), data[3].size()});
+  const std::byte* p0 = data[0].data();
+  const std::byte* p1 = data[1].data();
+  const std::byte* p2 = data[2].data();
+  const std::byte* p3 = data[3].data();
+  std::uint64_t h0 = seeds[0];
+  std::uint64_t h1 = seeds[1];
+  std::uint64_t h2 = seeds[2];
+  std::uint64_t h3 = seeds[3];
+  for (std::size_t i = 0; i < common; ++i) {
+    h0 = (h0 ^ static_cast<std::uint64_t>(p0[i])) * kFnvPrime;
+    h1 = (h1 ^ static_cast<std::uint64_t>(p1[i])) * kFnvPrime;
+    h2 = (h2 ^ static_cast<std::uint64_t>(p2[i])) * kFnvPrime;
+    h3 = (h3 ^ static_cast<std::uint64_t>(p3[i])) * kFnvPrime;
+  }
+  return {fnv1a(data[0].subspan(common), h0),
+          fnv1a(data[1].subspan(common), h1),
+          fnv1a(data[2].subspan(common), h2),
+          fnv1a(data[3].subspan(common), h3)};
+}
+
 // ------------------------------------------------------------------ Snapshot
 
 Snapshot::Snapshot(std::vector<Page> pages, std::size_t size_bytes,
@@ -47,8 +113,8 @@ Snapshot::Snapshot(std::vector<Page> pages, std::size_t size_bytes,
       owner_(owner) {}
 
 std::uint64_t Snapshot::content_hash() const {
-  if (!hash_valid_) {  // the walk computes and caches the digest
-    walk_blocks(std::numeric_limits<std::size_t>::max(),
+  if (!hash_valid_) {  // the walk at the digest's block size caches it
+    walk_blocks(kDigestBlockSize,
                 [](std::size_t, std::uint64_t, BlockPieces) {});
   }
   return cached_hash_;
@@ -72,34 +138,67 @@ void Snapshot::walk_blocks(std::size_t block_size,
     throw std::invalid_argument(
         "Snapshot::walk_blocks: block_size must be > 0");
   }
-  std::uint64_t whole = kFnvOffset;
-  std::uint64_t block_hash = kFnvOffset;
+  const bool fold = block_size == kDigestBlockSize && !hash_valid_;
+  std::uint64_t digest = kFnvOffsetBasis;
   std::size_t index = 0;
-  // Counted down, so a block size near 2^64 cannot wrap an end offset.
-  std::size_t block_left = block_size;
-  std::vector<std::span<const std::byte>> pieces;
-  std::size_t remaining = size_bytes_;
-  for (const auto& page : pages_) {
-    const std::size_t take = std::min(remaining, page->size());
-    remaining -= take;
-    std::span<const std::byte> rest(page->data(), take);
-    while (!rest.empty()) {
-      const auto piece = rest.first(std::min(rest.size(), block_left));
-      rest = rest.subspan(piece.size());
-      fnv1a_pair(piece, block_hash, whole);
-      pieces.push_back(piece);
-      block_left -= piece.size();
-      if (block_left == 0) {
-        on_block(index++, block_hash, pieces);
-        pieces.clear();
-        block_hash = kFnvOffset;
-        block_left = block_size;
-      }
+  const auto visit = [&](std::uint64_t hash, BlockPieces pieces) {
+    if (fold) digest = fnv1a_u64(hash, digest);
+    on_block(index++, hash, pieces);
+  };
+  std::array<std::vector<std::span<const std::byte>>, 4> pieces;
+  PageCursor cursor(pages_, size_bytes_);
+  // Four full blocks at a time, one chain each. A lane cursor per block
+  // reads its block's page slices; the chains advance together up to the
+  // nearest page boundary of any lane.
+  for (std::size_t full = cursor.unread() / block_size; full >= 4;
+       full -= 4) {
+    std::array<PageCursor, 4> lanes{cursor, cursor, cursor, cursor};
+    for (std::size_t k = 1; k < 4; ++k) {
+      lanes[k] = lanes[k - 1];
+      lanes[k].skip(block_size);
     }
+    std::array<std::uint64_t, 4> hashes{kFnvOffsetBasis, kFnvOffsetBasis,
+                                        kFnvOffsetBasis, kFnvOffsetBasis};
+    std::array<std::span<const std::byte>, 4> unread;
+    for (std::size_t left = block_size; left > 0;) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        if (!unread[k].empty()) continue;
+        unread[k] = lanes[k].next(left);
+        pieces[k].push_back(unread[k]);
+      }
+      const std::size_t step =
+          std::min({unread[0].size(), unread[1].size(), unread[2].size(),
+                    unread[3].size()});
+      hashes = fnv1a_x4({unread[0].first(step), unread[1].first(step),
+                         unread[2].first(step), unread[3].first(step)},
+                        hashes);
+      for (auto& span : unread) span = span.subspan(step);
+      left -= step;
+    }
+    for (std::size_t k = 0; k < 4; ++k) {
+      visit(hashes[k], pieces[k]);
+      pieces[k].clear();
+    }
+    cursor = lanes[3];
   }
-  if (!pieces.empty()) on_block(index, block_hash, pieces);  // short tail
-  if (!hash_valid_) {  // a cached digest is kept, never rewritten
-    cached_hash_ = whole;
+  // The rest -- up to three full blocks and the short tail -- one chain.
+  // Counted down, so a block size near 2^64 cannot wrap an end offset.
+  auto& rest = pieces[0];
+  while (true) {
+    std::uint64_t hash = kFnvOffsetBasis;
+    std::size_t left = block_size;
+    for (auto piece = cursor.next(left); !piece.empty();
+         piece = cursor.next(left)) {
+      hash = fnv1a(piece, hash);
+      rest.push_back(piece);
+      left -= piece.size();
+    }
+    if (rest.empty()) break;
+    visit(hash, rest);
+    rest.clear();
+  }
+  if (fold) {  // a cached digest is kept, never rewritten
+    cached_hash_ = digest;
     hash_valid_ = true;
   }
 }

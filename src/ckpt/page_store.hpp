@@ -11,6 +11,7 @@
 // that the paper's phi parameter abstracts.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -22,6 +23,13 @@ namespace dckpt::ckpt {
 
 /// Default page size: 4 KiB, like the OS pages fork() shares.
 inline constexpr std::size_t kDefaultPageSize = 4096;
+
+/// The image digest folds the hashes of blocks this size (see
+/// Snapshot::content_hash).
+inline constexpr std::size_t kDigestBlockSize = 4096;
+
+/// FNV-1a 64-bit offset basis: the seed of every chain.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 
 /// Immutable checkpoint image: shared pages + integrity metadata.
 class Snapshot {
@@ -38,13 +46,16 @@ class Snapshot {
   std::uint64_t owner() const noexcept { return owner_; }
   bool empty() const noexcept { return pages_.empty(); }
 
-  /// FNV-1a over the content, by a walk_blocks() with one block; cached
-  /// after the first call or walk.
+  /// The image digest: the FNV-1a fold (fnv1a_u64, in block order) of the
+  /// FNV-1a hashes of the content's kDigestBlockSize-byte blocks. Cached
+  /// by the first call or the first walk_blocks() at that block size; an
+  /// uncached call runs that walk.
   std::uint64_t content_hash() const;
 
   /// Integrity check at a restore point: does the content still hash to
-  /// what the producer recorded at snapshot time? A torn (prefix-only)
-  /// image fails this too -- the hash runs over fewer meaningful bytes.
+  /// what the producer recorded at snapshot time? A single changed byte
+  /// always changes its block's hash, so a damaged or torn image fails
+  /// this unless a 64-bit hash collides.
   bool verify(std::uint64_t expected_hash) const {
     return content_hash() == expected_hash;
   }
@@ -62,8 +73,10 @@ class Snapshot {
   /// One walk over the pages, with no flat copy: cuts the content into
   /// `block_size`-byte blocks (the tail block may be shorter; a block may
   /// span pages) and hands each block's FNV-1a hash and page slices to
-  /// `on_block`. The content hash runs in the same loop and is cached if
-  /// it was not already. Throws std::invalid_argument when block_size == 0.
+  /// `on_block`, in block order. Four full blocks are hashed at a time, on
+  /// four independent chains. A walk at kDigestBlockSize also caches the
+  /// digest unless it is cached already; no walk rewrites a cached digest.
+  /// Throws std::invalid_argument when block_size == 0.
   void walk_blocks(std::size_t block_size, const BlockVisitor& on_block) const;
 
   const std::vector<Page>& pages() const noexcept { return pages_; }
@@ -121,7 +134,22 @@ class PageStore {
 
 /// FNV-1a 64-bit over a byte range (exposed for tests and recovery checks).
 std::uint64_t fnv1a(std::span<const std::byte> data,
-                    std::uint64_t seed = 0xcbf29ce484222325ULL);
+                    std::uint64_t seed = kFnvOffsetBasis);
+
+/// FNV-1a over the 8 little-endian bytes of `value`, so a fold of 64-bit
+/// words is the same on every platform: the image digest's fold step and
+/// the dcp layer self hash's.
+std::uint64_t fnv1a_u64(std::uint64_t value,
+                        std::uint64_t seed = kFnvOffsetBasis);
+
+/// fnv1a(data[k], seeds[k]) for k = 0..3. The four chains advance together
+/// over the ranges' common length, then each finishes alone; their
+/// multiplies are independent, so the CPU overlaps them and four
+/// equal-length ranges cost little more than one.
+std::array<std::uint64_t, 4> fnv1a_x4(
+    const std::array<std::span<const std::byte>, 4>& data,
+    std::array<std::uint64_t, 4> seeds = {kFnvOffsetBasis, kFnvOffsetBasis,
+                                          kFnvOffsetBasis, kFnvOffsetBasis});
 
 /// Fault-injection helpers (chaos harness): both return a *fresh* Snapshot
 /// with its own pages and an unset hash cache, so verify() recomputes over

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -155,6 +156,13 @@ TEST(BlockDeltaTest, TornLayerCopyFailsSelfVerification) {
   ASSERT_EQ(empty.dirty_blocks(), 0u);
   ASSERT_TRUE(empty.verify_self());
   EXPECT_FALSE(torn_layer_copy(empty).verify_self());
+  // Six dirty blocks: the torn last payload is hashed after the first
+  // four-payload group.
+  memory.write(0, fill(6 * kPage, 4));
+  const auto wide = make_block_delta(v2, memory.snapshot(0), kPage);
+  ASSERT_EQ(wide.dirty_blocks(), 6u);
+  ASSERT_TRUE(wide.verify_self());
+  EXPECT_FALSE(torn_layer_copy(wide).verify_self());
 }
 
 TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
@@ -166,7 +174,7 @@ TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
   const auto base = memory.snapshot(0);
   const auto hashes = block_hashes(base, kMax);
   ASSERT_EQ(hashes.size(), 1u);
-  EXPECT_EQ(hashes.front(), base.content_hash());
+  EXPECT_EQ(hashes.front(), fnv1a(base.to_bytes()));
   memory.write(3 * kPage + 5, fill(1, 0xEE));
   const auto current = memory.snapshot(0);
   const auto delta = make_block_delta(base, current, kMax);
@@ -179,12 +187,29 @@ TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
   EXPECT_TRUE(rebuilt.verify(delta.result_hash()));
 }
 
+/// The image digest recomputed from a flat copy: FNV-1a over the 8
+/// little-endian bytes of each 4 KiB slice's fnv1a, in order.
+std::uint64_t flat_digest(std::span<const std::byte> bytes) {
+  std::uint64_t digest = kFnvOffsetBasis;
+  for (std::size_t at = 0; at < bytes.size(); at += 4096) {
+    const std::uint64_t hash = fnv1a(
+        bytes.subspan(at, std::min<std::size_t>(4096, bytes.size() - at)));
+    std::array<std::byte, 8> word{};
+    for (std::size_t i = 0; i < word.size(); ++i) {
+      word[i] = static_cast<std::byte>(hash >> (8 * i));
+    }
+    digest = fnv1a(word, digest);
+  }
+  return digest;
+}
+
 TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
   // forall layouts -- partial tail pages, a tail page allocated past its
   // meaningful bytes (as apply_block_delta repages them) with junk in the
-  // slack -- and block sizes from one byte to SIZE_MAX: the single walk
-  // over the pages must match fnv1a over slices of to_bytes() bit for bit,
-  // in the block hashes, the cached digest and the delta payloads.
+  // slack -- and block sizes from one byte to SIZE_MAX: the walk over the
+  // pages, four blocks at a time, must match fnv1a over slices of
+  // to_bytes() bit for bit in the block hashes and the delta payloads, and
+  // the digest must be flat_digest() of the bytes under every page size.
   struct Case {
     std::uint64_t size = 1;
     std::uint64_t page = 1;
@@ -194,6 +219,10 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
   };
   using Bytes = std::vector<std::byte>;
   using Pages = std::vector<std::shared_ptr<Bytes>>;
+  // Walks with at least one four-block group, by block count mod 4, and
+  // those of them that end in a short tail block.
+  std::array<std::size_t, 4> grouped_by_residue{};
+  std::size_t grouped_short_tails = 0;
   proptest::ForallConfig config;
   config.seed = 0xb10c;
   config.iterations = 150;
@@ -201,16 +230,20 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
       config,
       [](proptest::Gen& gen) {
         Case c;
-        c.size = gen.integer(1, 5000);
+        // Half the images hold at least four digest blocks.
+        c.size = gen.boolean() ? gen.integer(1, 5000)
+                               : gen.integer(4 * kDigestBlockSize, 20000);
         c.page = gen.integer(1, 1500);
         c.slack = gen.boolean() ? gen.integer(1, 64) : 0;
         constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-        c.block = gen.element<std::uint64_t>(
-            {1, 96, c.page, 2 * c.page, c.size + gen.integer(0, 100), kMax});
+        c.block = gen.element<std::uint64_t>({1, 96, c.page, 2 * c.page,
+                                              kDigestBlockSize,
+                                              c.size + gen.integer(0, 100),
+                                              kMax});
         c.seed = gen.integer(0, 1u << 30);
         return c;
       },
-      [](const Case& c) -> std::optional<std::string> {
+      [&](const Case& c) -> std::optional<std::string> {
         proptest::Gen gen(c.seed);
         const auto random_bytes = [&](std::size_t n) {
           Bytes out(n);
@@ -218,14 +251,14 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
           return out;
         };
         // Pages over `content`, every allocated byte past it junk.
-        const auto paginate = [&](const Bytes& content) {
+        const auto paginate = [&](const Bytes& content, std::size_t page_size) {
           Pages pages;
-          for (std::size_t at = 0; at < content.size(); at += c.page) {
+          for (std::size_t at = 0; at < content.size(); at += page_size) {
             const std::size_t take =
-                std::min<std::size_t>(c.page, content.size() - at);
+                std::min<std::size_t>(page_size, content.size() - at);
             const bool tail = at + take == content.size();
             auto page = std::make_shared<Bytes>(
-                random_bytes(c.page + (tail ? c.slack : 0)));
+                random_bytes(page_size + (tail ? c.slack : 0)));
             std::copy_n(content.begin() + static_cast<std::ptrdiff_t>(at),
                         take, page->begin());
             pages.push_back(std::move(page));
@@ -237,11 +270,16 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
           return Snapshot({pages.begin(), pages.end()}, c.size, version, 0);
         };
         const Bytes content = random_bytes(c.size);
-        const auto pages = paginate(content);
+        const auto pages = paginate(content, c.page);
         const Snapshot image = snapshot_of(pages, 2);
         const Bytes reference = image.to_bytes();
         if (reference != content) return "to_bytes() lost content";
+        const std::uint64_t digest = flat_digest(reference);
         const std::size_t count = (c.size - 1) / c.block + 1;
+        if (count >= 4) {
+          ++grouped_by_residue[count % 4];
+          if (c.size % c.block != 0) ++grouped_short_tails;
+        }
         const auto slice = [&](std::size_t b) {
           const std::size_t offset = b * c.block;
           return std::span(reference).subspan(
@@ -255,13 +293,40 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
             return "block " + std::to_string(b) + " hash differs";
           }
         }
-        // The walk cached the digest and a later walk keeps it: with a page
+        if (image.content_hash() != digest) return "digest differs";
+        // The same bytes on other page sizes: the same block hashes and
+        // one digest for every layout.
+        for (const std::size_t page_size :
+             {std::size_t{kDigestBlockSize},
+              static_cast<std::size_t>(gen.integer(1, 9000)),
+              static_cast<std::size_t>(gen.integer(1, 9000))}) {
+          const Snapshot relaid = snapshot_of(paginate(content, page_size), 2);
+          if (block_hashes(relaid, c.block) != hashes) {
+            return "block hashes differ at page size " +
+                   std::to_string(page_size);
+          }
+          if (relaid.content_hash() != digest) {
+            return "digest differs at page size " + std::to_string(page_size);
+          }
+        }
+
+        // A 4 KiB walk or content_hash() caches the digest; later walks at
+        // any block size neither recompute nor rewrite it: with a page
         // byte scribbled on, a digest that re-read the pages would differ.
-        (*pages.front())[0] ^= std::byte{0xff};
-        (void)block_hashes(image, c.block);
-        const std::uint64_t cached = image.content_hash();
-        (*pages.front())[0] ^= std::byte{0xff};
-        if (cached != fnv1a(reference)) return "cached digest differs";
+        {
+          const Snapshot probe = snapshot_of(pages, 2);
+          if (gen.boolean()) {
+            (void)block_hashes(probe, kDigestBlockSize);
+          } else {
+            (void)probe.content_hash();
+          }
+          (*pages.front())[0] ^= std::byte{0xff};
+          (void)block_hashes(probe, c.block);
+          (void)block_hashes(probe, kDigestBlockSize);
+          const std::uint64_t cached = probe.content_hash();
+          (*pages.front())[0] ^= std::byte{0xff};
+          if (cached != digest) return "cached digest differs";
+        }
 
         // A base with a random subset of blocks flipped: exactly those are
         // dirty, with the reference bytes as payload.
@@ -274,15 +339,13 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
             base_content[b * c.block + i] ^= std::byte{0x5a};
           }
         }
-        const Snapshot base = snapshot_of(paginate(base_content), 1);
+        const Snapshot base = snapshot_of(paginate(base_content, c.page), 1);
         const Snapshot current = snapshot_of(pages, 2);  // digest not cached
         const BlockDiff diff =
             diff_blocks(block_hashes(base, c.block), base.version(),
                         base.content_hash(), current, c.block);
         if (diff.hashes != hashes) return "next hash array differs";
-        if (diff.layer.result_hash() != fnv1a(reference)) {
-          return "result hash differs";
-        }
+        if (diff.layer.result_hash() != digest) return "result hash differs";
         std::size_t next = 0;
         for (std::size_t b = 0; b < count; ++b) {
           if (!flipped[b]) continue;
@@ -309,6 +372,12 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
             << " seed=" << c.seed;
         return out.str();
       });
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_GT(grouped_by_residue[r], 0u)
+        << "no walk of 4n + " << r << " blocks (n >= 1) was drawn";
+  }
+  EXPECT_GT(grouped_short_tails, 0u)
+      << "no walk past a four-block group ended in a short tail block";
 }
 
 TEST(BuddyStoreChainTest, ChainNeedsABaseAndClearsOnPromote) {

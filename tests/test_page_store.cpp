@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -10,11 +12,16 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/dcp.hpp"
 #include "proptest.hpp"
 
 namespace {
 
+using dckpt::ckpt::block_hashes;
 using dckpt::ckpt::fnv1a;
+using dckpt::ckpt::fnv1a_u64;
+using dckpt::ckpt::fnv1a_x4;
+using dckpt::ckpt::kDigestBlockSize;
 using dckpt::ckpt::PageStore;
 using dckpt::ckpt::Snapshot;
 
@@ -30,6 +37,29 @@ TEST(Fnv1aTest, KnownProperties) {
   EXPECT_NE(fnv1a(a), fnv1a(b));
   EXPECT_EQ(fnv1a(a), fnv1a(a));
   EXPECT_EQ(fnv1a({}), 0xcbf29ce484222325ULL);  // seed passes through
+}
+
+TEST(Fnv1aTest, WordFoldIsLittleEndianBytes) {
+  const std::uint64_t value = 0x0807060504030201ULL;
+  const std::vector<std::byte> bytes{
+      std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4},
+      std::byte{5}, std::byte{6}, std::byte{7}, std::byte{8}};
+  EXPECT_EQ(fnv1a_u64(value), fnv1a(bytes));
+  EXPECT_EQ(fnv1a_u64(value, 42), fnv1a(bytes, 42));
+}
+
+TEST(Fnv1aTest, FourChainsMatchOneChainEach) {
+  // Unequal lengths (one empty) and distinct seeds: every lane must equal
+  // its own single-chain hash, past the common length too.
+  const auto a = bytes_of("the quick brown fox");
+  const auto b = bytes_of("jumps");
+  const auto c = bytes_of("over the lazy dog, twice over");
+  const std::array<std::uint64_t, 4> seeds{1, 2, 3, 0xcbf29ce484222325ULL};
+  const auto lanes = fnv1a_x4({a, b, c, {}}, seeds);
+  EXPECT_EQ(lanes[0], fnv1a(a, 1));
+  EXPECT_EQ(lanes[1], fnv1a(b, 2));
+  EXPECT_EQ(lanes[2], fnv1a(c, 3));
+  EXPECT_EQ(lanes[3], 0xcbf29ce484222325ULL);
 }
 
 TEST(PageStoreTest, ZeroInitialized) {
@@ -265,6 +295,60 @@ TEST(SnapshotVerifyTest, FinalPartialPageCorruptionIsDetected) {
   EXPECT_FALSE(store.snapshot(1).verify(hash));
 }
 
+/// A store of `blocks` digest blocks of pseudo-random bytes on 1000-byte
+/// pages, so blocks straddle pages.
+PageStore random_store(std::size_t blocks, std::uint64_t seed) {
+  PageStore store(blocks * kDigestBlockSize, 1000);
+  std::vector<std::byte> content(store.size_bytes());
+  std::uint64_t state = seed;
+  for (auto& b : content) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<std::byte>(state >> 56);
+  }
+  store.write(0, content);
+  return store;
+}
+
+TEST(SnapshotVerifyTest, SwappedDigestBlocksAreDetected) {
+  // Trading two whole 4 KiB blocks keeps the set of block hashes: a sum or
+  // XOR of them would accept it. The digest folds them in order.
+  PageStore store = random_store(5, 7);
+  const Snapshot before = store.snapshot(1);
+  const std::uint64_t hash = before.content_hash();
+  std::vector<std::byte> first(kDigestBlockSize);
+  std::vector<std::byte> third(kDigestBlockSize);
+  store.read(0, first);
+  store.read(2 * kDigestBlockSize, third);
+  store.write(0, third);
+  store.write(2 * kDigestBlockSize, first);
+  const Snapshot after = store.snapshot(1);
+  auto hashes_before = block_hashes(before, kDigestBlockSize);
+  auto hashes_after = block_hashes(after, kDigestBlockSize);
+  ASSERT_NE(hashes_before, hashes_after);
+  std::sort(hashes_before.begin(), hashes_before.end());
+  std::sort(hashes_after.begin(), hashes_after.end());
+  ASSERT_EQ(hashes_before, hashes_after);  // the same set of block hashes
+  EXPECT_FALSE(after.verify(hash));
+}
+
+TEST(SnapshotVerifyTest, OneMaskInTwoDigestBlocksIsDetected) {
+  // Blocks 1 and 3 hold the same bytes and take the same mask at the same
+  // offset, so their hashes change and stay equal to each other: an XOR of
+  // block hashes cancels both changes. The ordered fold does not.
+  PageStore store = random_store(4, 11);
+  std::vector<std::byte> block(kDigestBlockSize);
+  store.read(kDigestBlockSize, block);
+  store.write(3 * kDigestBlockSize, block);
+  const std::uint64_t hash = store.snapshot(1).content_hash();
+  for (const std::size_t at : {kDigestBlockSize, 3 * kDigestBlockSize}) {
+    std::vector<std::byte> one(1);
+    store.read(at + 100, one);
+    one[0] ^= std::byte{0x5a};
+    store.write(at + 100, one);
+  }
+  EXPECT_FALSE(store.snapshot(1).verify(hash));
+}
+
 TEST(SnapshotVerifyTest, EmptySnapshotVerifiesItsOwnHashOnly) {
   const Snapshot empty;
   EXPECT_TRUE(empty.empty());
@@ -283,12 +367,12 @@ TEST(SnapshotVerifyTest, PropertyAnySingleByteFlipIsDetected) {
   proptest::ForallConfig config;
   config.seed = 0xf1a9;
   config.iterations = 200;
-  const std::vector<std::uint64_t> pages{64, 256, 512};
+  const std::vector<std::uint64_t> pages{64, 256, 512, 1000, 4096};
   proptest::forall<Flip>(
       config,
       [&](proptest::Gen& gen) {
         Flip f;
-        f.size = gen.integer(1, 2048);
+        f.size = gen.integer(1, 20000);  // up to five digest blocks
         f.page = gen.element(pages);
         f.offset = gen.integer(0, f.size - 1);
         f.mask = static_cast<std::uint8_t>(gen.integer(1, 255));
