@@ -281,43 +281,32 @@ ChaosCampaignSummary run_campaign(const ChaosCampaignConfig& config) {
 
 std::string repro_command(const ChaosCampaignConfig& config,
                           const ChaosSchedule& schedule) {
-  std::string cmd = "dckpt chaos";
+  const ShadowConfig policy = config.shadow();
+  std::string cmd = "dckpt chaos --topology=";
+  cmd += policy.topology == ckpt::Topology::Pairs ? "pairs" : "triples";
   if (config.grid) {
     const runtime::GridConfig& gc = *config.grid;
-    cmd += " --topology=";
-    cmd += gc.topology == ckpt::Topology::Pairs ? "pairs" : "triples";
     cmd += " --grid=" + std::to_string(gc.grid_rows) + "x" +
            std::to_string(gc.grid_cols);
     cmd += " --block=" + std::to_string(gc.block_rows) + "x" +
            std::to_string(gc.block_cols);
-    cmd += " --steps=" + std::to_string(gc.total_steps);
-    cmd += " --interval=" + std::to_string(gc.checkpoint_interval);
-    cmd += " --rerepl-delay=" + std::to_string(gc.rereplication_delay_steps);
-    cmd += " --retry-max=" + std::to_string(gc.transfer_retry.max_attempts);
-    cmd += " --retry-base=" +
-           std::to_string(gc.transfer_retry.base_delay_steps);
-    cmd += " --verify-every=" + std::to_string(gc.verify_every);
-    cmd += " --keep-last=" + std::to_string(gc.keep_last);
-    cmd += " --dcp-stack=" + std::to_string(gc.dcp_stack_size);
-    cmd += " --dcp-block=" + std::to_string(gc.dcp_block_size);
   } else {
-    const runtime::RuntimeConfig& rc = config.runtime;
-    cmd += " --topology=";
-    cmd += rc.topology == ckpt::Topology::Pairs ? "pairs" : "triples";
-    cmd += " --nodes=" + std::to_string(rc.nodes);
-    cmd += " --cells=" + std::to_string(rc.cells_per_node);
-    cmd += " --steps=" + std::to_string(rc.total_steps);
-    cmd += " --interval=" + std::to_string(rc.checkpoint_interval);
-    cmd += " --staging=" + std::to_string(rc.staging_steps);
-    cmd += " --rerepl-delay=" + std::to_string(rc.rereplication_delay_steps);
-    cmd += " --retry-max=" + std::to_string(rc.transfer_retry.max_attempts);
-    cmd += " --retry-base=" +
-           std::to_string(rc.transfer_retry.base_delay_steps);
-    cmd += " --verify-every=" + std::to_string(rc.verify_every);
-    cmd += " --keep-last=" + std::to_string(rc.keep_last);
-    cmd += " --dcp-stack=" + std::to_string(rc.dcp_stack_size);
-    cmd += " --dcp-block=" + std::to_string(rc.dcp_block_size);
+    cmd += " --nodes=" + std::to_string(config.runtime.nodes);
+    cmd += " --cells=" + std::to_string(config.runtime.cells_per_node);
   }
+  cmd += " --steps=" + std::to_string(policy.total_steps);
+  cmd += " --interval=" + std::to_string(policy.checkpoint_interval);
+  if (!config.grid) {  // the grid always commits immediately
+    cmd += " --staging=" + std::to_string(policy.staging_steps);
+  }
+  cmd += " --rerepl-delay=" + std::to_string(policy.rereplication_delay_steps);
+  cmd += " --retry-max=" + std::to_string(policy.transfer_retry.max_attempts);
+  cmd += " --retry-base=" +
+         std::to_string(policy.transfer_retry.base_delay_steps);
+  cmd += " --verify-every=" + std::to_string(policy.verify_every);
+  cmd += " --keep-last=" + std::to_string(policy.keep_last);
+  cmd += " --dcp-stack=" + std::to_string(policy.dcp_stack_size);
+  cmd += " --dcp-block=" + std::to_string(policy.dcp_block_size);
   cmd += " --kernel=" + config.kernel;
   cmd += " --seed=" + std::to_string(schedule.seed);
   cmd += " --schedule=" + schedule.spec();

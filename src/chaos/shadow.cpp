@@ -2,56 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <stdexcept>
 #include <vector>
 
 #include "ckpt/ring.hpp"
 
 namespace dckpt::chaos {
-
-ShadowConfig::ShadowConfig(const runtime::RuntimeConfig& config)
-    : nodes(config.nodes), topology(config.topology),
-      checkpoint_interval(config.checkpoint_interval),
-      total_steps(config.total_steps), staging_steps(config.staging_steps),
-      rereplication_delay_steps(config.rereplication_delay_steps),
-      transfer_retry(config.transfer_retry),
-      verify_every(config.verify_every), keep_last(config.keep_last),
-      dcp_stack_size(config.dcp_stack_size) {}
-
-ShadowConfig::ShadowConfig(const runtime::GridConfig& config)
-    : nodes(config.nodes()), topology(config.topology),
-      checkpoint_interval(config.checkpoint_interval),
-      total_steps(config.total_steps), staging_steps(0),
-      rereplication_delay_steps(config.rereplication_delay_steps),
-      transfer_retry(config.transfer_retry),
-      verify_every(config.verify_every), keep_last(config.keep_last),
-      dcp_stack_size(config.dcp_stack_size) {}
-
-void ShadowConfig::validate() const {
-  const auto gs =
-      static_cast<std::uint64_t>(topology == ckpt::Topology::Pairs ? 2 : 3);
-  if (nodes == 0 || nodes % gs != 0) {
-    throw std::invalid_argument(
-        "ShadowConfig: nodes must be a positive multiple of the group size");
-  }
-  if (checkpoint_interval == 0 || total_steps == 0) {
-    throw std::invalid_argument("ShadowConfig: zero interval or steps");
-  }
-  if (staging_steps > checkpoint_interval) {
-    throw std::invalid_argument(
-        "ShadowConfig: staging_steps must be <= checkpoint_interval");
-  }
-  if (keep_last == 0) {
-    throw std::invalid_argument("ShadowConfig: keep_last must be >= 1");
-  }
-  if (dcp_stack_size > 0 &&
-      (staging_steps != 0 || verify_every != 0 || keep_last != 1)) {
-    throw std::invalid_argument(
-        "ShadowConfig: dcp requires staging_steps == 0, verify_every == 0 "
-        "and keep_last == 1");
-  }
-  transfer_retry.validate();
-}
 
 namespace {
 

@@ -19,15 +19,15 @@
 // racks (consecutive row-major node ids), not the application's domain
 // decomposition, so the *same* step/commit/refill machine covers both the
 // 1-D chain Coordinator and the 2-D GridCoordinator. ShadowConfig is the
-// extracted protocol shape; it converts implicitly from either runtime
+// runtimes' CheckpointPolicy, which converts implicitly from either runtime
 // config so existing call sites keep reading naturally.
 //
 // This is deliberately an *independent reimplementation* of the control
-// flow in runtime/coordinator.cpp and runtime/grid.cpp (same
-// step/commit/refill ordering, none of the data movement): the chaos
-// campaign runs both and any divergence -- outcome or counter -- is
-// classified `violated`, i.e. a bug in one of the two. Property tests
-// drive random schedules through the pair.
+// flow in runtime/checkpoint_driver.cpp (same step/commit/refill ordering,
+// none of the data movement): the chaos campaign runs both and any
+// divergence -- outcome or counter -- is classified `violated`, i.e. a bug
+// in one of the two. Property tests drive random schedules through the
+// pair.
 #pragma once
 
 #include <cstdint>
@@ -38,28 +38,11 @@
 
 namespace dckpt::chaos {
 
-/// The protocol shape the oracle steps: everything the step/commit/refill
-/// machine needs, nothing the application layer adds on top. Both runtime
-/// configs convert implicitly, so `predict_outcome(config.runtime, ...)`
-/// and `predict_outcome(grid_config, ...)` both read naturally.
-struct ShadowConfig {
-  std::uint64_t nodes = 4;
-  ckpt::Topology topology = ckpt::Topology::Pairs;
-  std::uint64_t checkpoint_interval = 16;
-  std::uint64_t total_steps = 128;
-  std::uint64_t staging_steps = 0;  ///< 0 = immediate commit (the grid)
-  std::uint64_t rereplication_delay_steps = 0;
-  ckpt::RetryPolicy transfer_retry;  ///< refill retry/backoff policy
-  std::uint64_t verify_every = 0;    ///< verification cadence; 0 = off
-  std::uint64_t keep_last = 1;       ///< retained-set ladder depth (>= 1)
-  std::uint64_t dcp_stack_size = 0;  ///< dcp commits per full exchange; 0 = off
-
-  ShadowConfig() = default;
-  ShadowConfig(const runtime::RuntimeConfig& config);  // NOLINT: implicit
-  ShadowConfig(const runtime::GridConfig& config);     // NOLINT: implicit
-
-  void validate() const;  ///< throws std::invalid_argument
-};
+/// The protocol shape the oracle steps is the runtimes' own
+/// CheckpointPolicy: both runtime configs convert implicitly, so
+/// `predict_outcome(config.runtime, ...)` and `predict_outcome(grid_config,
+/// ...)` both read naturally.
+using ShadowConfig = runtime::CheckpointPolicy;
 
 struct ShadowPrediction {
   bool fatal = false;                    ///< run enters degraded mode

@@ -1,0 +1,578 @@
+#include "runtime/checkpoint_driver.hpp"
+
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
+namespace dckpt::runtime {
+
+void CheckpointPolicy::validate() const {
+  const auto gs =
+      static_cast<std::uint64_t>(topology == ckpt::Topology::Pairs ? 2 : 3);
+  if (nodes == 0 || nodes % gs != 0) {
+    throw std::invalid_argument(
+        "CheckpointPolicy: nodes must be a positive multiple of the group "
+        "size");
+  }
+  if (checkpoint_interval == 0) {
+    throw std::invalid_argument(
+        "CheckpointPolicy: checkpoint_interval must be > 0");
+  }
+  if (total_steps == 0) {
+    throw std::invalid_argument("CheckpointPolicy: total_steps must be > 0");
+  }
+  if (staging_steps > checkpoint_interval) {
+    throw std::invalid_argument(
+        "CheckpointPolicy: staging_steps must be <= checkpoint_interval");
+  }
+  if (keep_last == 0) {
+    throw std::invalid_argument("CheckpointPolicy: keep_last must be >= 1");
+  }
+  if (dcp_stack_size > 0) {
+    if (dcp_block_size == 0) {
+      throw std::invalid_argument(
+          "CheckpointPolicy: dcp_block_size must be > 0 when dcp is enabled");
+    }
+    // Chains hang off the single committed set: a staged exchange, a
+    // rollback ladder deeper than 1, or a verification-triggered rollback
+    // would all need per-set chains the substrate does not model.
+    if (staging_steps != 0 || verify_every != 0 || keep_last != 1) {
+      throw std::invalid_argument(
+          "CheckpointPolicy: dcp requires staging_steps == 0, verify_every "
+          "== 0 and keep_last == 1");
+    }
+  }
+  transfer_retry.validate();
+}
+
+std::uint64_t state_hash(std::span<const double> state) {
+  return ckpt::fnv1a(std::as_bytes(state));
+}
+
+void validate_injections(std::span<const FailureInjection> failures,
+                         std::uint64_t nodes, std::uint64_t total_steps,
+                         ckpt::Topology topology,
+                         std::uint64_t verify_every,
+                         std::uint64_t dcp_stack_size) {
+  const ckpt::GroupAssignment groups(nodes, topology);
+  for (const auto& failure : failures) {
+    if (failure.node >= nodes) {
+      throw std::invalid_argument("FailureInjection: node out of range");
+    }
+    if (failure.step >= total_steps) {
+      throw std::invalid_argument("FailureInjection: step out of range");
+    }
+    if (failure.kind == InjectionKind::SilentError && verify_every == 0) {
+      // With verification off, a silent error can never be observed and
+      // the schedule would pass vacuously.
+      throw std::invalid_argument(
+          "FailureInjection: silent error requires verification enabled "
+          "(verify_every > 0)");
+    }
+    if (failure.kind == InjectionKind::TornDelta) {
+      // A chain never grows past K - 1 layers, so a depth outside
+      // [1, K - 1] (or any TornDelta with dcp off) could never tear
+      // anything and the schedule would pass vacuously.
+      if (dcp_stack_size == 0) {
+        throw std::invalid_argument(
+            "FailureInjection: torn delta requires dcp enabled "
+            "(dcp_stack_size > 0)");
+      }
+      if (failure.window == 0 || failure.window >= dcp_stack_size) {
+        throw std::invalid_argument(
+            "FailureInjection: torn-delta depth must be in [1, "
+            "dcp_stack_size - 1]");
+      }
+    }
+    if (failure.kind == InjectionKind::CorruptReplica) {
+      if (failure.owner >= nodes) {
+        throw std::invalid_argument("FailureInjection: owner out of range");
+      }
+      // The holder must be a node that actually stores the owner's
+      // committed image under this topology, or the injection could never
+      // damage anything and the schedule would pass vacuously.
+      const bool holds =
+          topology == ckpt::Topology::Pairs
+              ? (failure.node == failure.owner ||
+                 failure.node == groups.preferred_buddy(failure.owner))
+              : (failure.node == groups.preferred_buddy(failure.owner) ||
+                 failure.node == groups.secondary_buddy(failure.owner));
+      if (!holds) {
+        throw std::invalid_argument(
+            "FailureInjection: corrupt target does not hold the owner's "
+            "replica");
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Consumes (erases) every Alarm injection scheduled for `step`, returning
+/// how many fired. Alarms fire at the top of the step loop, before the
+/// step's other injections, so the proactive checkpoint they trigger can
+/// land ahead of the loss they predict (and, being erased, each alarm fires
+/// exactly once even across replays).
+std::uint64_t consume_alarms(std::vector<FailureInjection>& pending,
+                             std::uint64_t step) {
+  std::uint64_t fired = 0;
+  for (auto it = pending.begin(); it != pending.end();) {
+    if (it->kind == InjectionKind::Alarm && it->step == step) {
+      ++fired;
+      it = pending.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return fired;
+}
+
+/// Static alarm <-> loss matching for the prediction scoreboard: each alarm
+/// (step s, node v, window w) consumes the earliest unconsumed NodeLoss of
+/// node v with s <= step <= s + w; every unconsumed loss counts as missed.
+/// Valid as an upfront computation because injections fire exactly once --
+/// replays never re-deliver either side. Adds to report.true_predictions
+/// and report.missed_failures (the chaos shadow oracle mirrors it
+/// independently).
+void score_predictions(std::span<const FailureInjection> failures,
+                       RunReport& report) {
+  std::vector<const FailureInjection*> losses;
+  std::vector<const FailureInjection*> alarms;
+  for (const auto& failure : failures) {
+    if (failure.kind == InjectionKind::NodeLoss) losses.push_back(&failure);
+    if (failure.kind == InjectionKind::Alarm) alarms.push_back(&failure);
+  }
+  const auto by_step = [](const FailureInjection* a,
+                          const FailureInjection* b) {
+    return a->step < b->step;
+  };
+  std::stable_sort(losses.begin(), losses.end(), by_step);
+  std::stable_sort(alarms.begin(), alarms.end(), by_step);
+  std::vector<bool> consumed(losses.size(), false);
+  for (const FailureInjection* alarm : alarms) {
+    for (std::size_t i = 0; i < losses.size(); ++i) {
+      if (consumed[i] || losses[i]->node != alarm->node) continue;
+      if (losses[i]->step < alarm->step) continue;
+      if (losses[i]->step > alarm->step + alarm->window) continue;
+      consumed[i] = true;
+      ++report.true_predictions;
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < losses.size(); ++i) {
+    if (!consumed[i]) ++report.missed_failures;
+  }
+}
+
+// Per-node hashing of a checkpoint commit, run on the stepping pool.
+//
+// What a commit costs is reading every node's image: the content hash on a
+// full commit (plus the dcp block hash array when dcp is on), the block
+// diff on a delta commit. The pool that runs the steps sits idle during a
+// commit. Node i's task reads only images[i] and writes only slot i of the
+// outputs, so the result is the same at any thread count; staging,
+// appends, promotion and counters stay with the caller, serial and in node
+// order.
+
+/// Runs work(i) for every node on `pool`, one task per node: nodes with
+/// more dirty blocks take longer, and the pool's queue evens that out.
+void for_each_node(util::ThreadPool& pool, std::size_t nodes,
+                   const std::function<void(std::size_t)>& work) {
+  util::parallel_for_chunked(
+      pool, nodes, nodes,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t node = begin; node < end; ++node) work(node);
+      });
+}
+
+/// Full commit: returns every image's content hash, now cached in the
+/// snapshot so each staged copy carries it. With `block_size` > 0 (dcp on)
+/// the same walk also fills hash_arrays[i] with image i's block hashes;
+/// with 0, hash_arrays is left alone.
+std::vector<std::uint64_t> hash_full_commit(
+    util::ThreadPool& pool, std::span<const ckpt::Snapshot> images,
+    std::size_t block_size,
+    std::vector<std::vector<std::uint64_t>>& hash_arrays) {
+  std::vector<std::uint64_t> digests(images.size());
+  if (block_size > 0) hash_arrays.assign(images.size(), {});
+  for_each_node(pool, images.size(), [&](std::size_t node) {
+    // At the default 4 KiB dcp block (ckpt::kDigestBlockSize) block_hashes
+    // caches the content hash in its own walk, so the content_hash() after
+    // it reads the cache; any other block size costs a second, 4 KiB walk.
+    if (block_size > 0) {
+      hash_arrays[node] = ckpt::block_hashes(images[node], block_size);
+    }
+    digests[node] = images[node].content_hash();
+  });
+  return digests;
+}
+
+/// Delta commit: diffs images[i] against hash_arrays[i], the cached array
+/// of node i's committed image (snapshot version `base_version`, content
+/// hash base_hashes[i]), and replaces the array with image i's own -- one
+/// walk per image. Returns the layers in node order.
+std::vector<ckpt::BlockDelta> diff_delta_commit(
+    util::ThreadPool& pool, std::span<const ckpt::Snapshot> images,
+    std::uint64_t base_version, std::span<const std::uint64_t> base_hashes,
+    std::size_t block_size,
+    std::vector<std::vector<std::uint64_t>>& hash_arrays) {
+  std::vector<ckpt::BlockDelta> layers(images.size());
+  for_each_node(pool, images.size(), [&](std::size_t node) {
+    ckpt::BlockDiff diff =
+        ckpt::diff_blocks(hash_arrays[node], base_version, base_hashes[node],
+                          images[node], block_size);
+    layers[node] = std::move(diff.layer);
+    hash_arrays[node] = std::move(diff.hashes);
+  });
+  return layers;
+}
+
+}  // namespace
+
+CheckpointDriver::CheckpointDriver(const CheckpointPolicy& policy,
+                                   std::size_t cells, std::size_t threads)
+    : policy_(policy), cells_(cells), groups_(policy.nodes, policy.topology),
+      pool_(threads),
+      scratch_(pool_.thread_count(),
+               Scratch{std::vector<double>(cells), std::vector<double>(cells)}),
+      committed_hashes_(policy.nodes, 0),
+      engine_(groups_, policy.rereplication_delay_steps,
+              policy.transfer_retry, policy.keep_last) {
+  memory_.reserve(policy_.nodes);
+  stores_.reserve(policy_.nodes);
+  for (std::uint64_t node = 0; node < policy_.nodes; ++node) {
+    memory_.emplace_back(cells_ * sizeof(double));
+    stores_.emplace_back(node, 2, policy_.keep_last);
+  }
+  for (ckpt::BuddyStore& store : stores_) directory_.push_back(&store);
+}
+
+void CheckpointDriver::initialize_all() {
+  for (std::uint64_t node = 0; node < node_count(); ++node) {
+    reinitialize(node);
+  }
+}
+
+void CheckpointDriver::read_cells(std::uint64_t node, std::size_t first,
+                                  std::span<double> out) const {
+  memory_[node].read(first * sizeof(double), std::as_writable_bytes(out));
+}
+
+void CheckpointDriver::save(std::uint64_t node,
+                            std::span<const double> data) {
+  memory_[node].write(0, std::as_bytes(data));
+}
+
+void CheckpointDriver::reinitialize(std::uint64_t node) {
+  std::vector<double> state(cells_, 0.0);
+  initialize(node, state);
+  save(node, state);
+}
+
+void CheckpointDriver::destroy(std::uint64_t node) {
+  // Poison the memory so any missed recovery is loudly wrong, and hand the
+  // replacement node empty buddy storage.
+  const std::vector<double> poison(cells_,
+                                   std::numeric_limits<double>::quiet_NaN());
+  save(node, poison);
+  stores_[node] = ckpt::BuddyStore(node, 2, policy_.keep_last);
+}
+
+void CheckpointDriver::inject_sdc(std::uint64_t node) {
+  // Low mantissa byte of cell 0, through the COW write path: the value
+  // changes (never to inf/NaN), so the corruption flows through later steps
+  // and content hashes, and rides into every snapshot until a restore.
+  std::byte low{};
+  memory_[node].read(0, std::span(&low, 1));
+  low ^= std::byte{0x5a};
+  memory_[node].write(0, std::span<const std::byte>(&low, 1));
+}
+
+void CheckpointDriver::execute_step() {
+  exchange_halos();
+  util::parallel_for_chunked(
+      pool_, memory_.size(), scratch_.size(),
+      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        Scratch& scratch = scratch_[chunk];
+        for (std::size_t node = begin; node < end; ++node) {
+          read_cells(node, 0, scratch.previous);
+          update(node, scratch.previous, scratch.next);
+          save(node, scratch.next);
+        }
+      });
+}
+
+std::array<std::uint64_t, 2> CheckpointDriver::holders(
+    std::uint64_t node) const {
+  if (policy_.topology == ckpt::Topology::Pairs) {
+    return {node, groups_.preferred_buddy(node)};
+  }
+  return {groups_.preferred_buddy(node), groups_.secondary_buddy(node)};
+}
+
+std::vector<ckpt::Snapshot> CheckpointDriver::snapshot_all() {
+  std::vector<ckpt::Snapshot> images;
+  images.reserve(memory_.size());
+  for (std::uint64_t node = 0; node < memory_.size(); ++node) {
+    images.push_back(memory_[node].snapshot(node));
+  }
+  return images;
+}
+
+void CheckpointDriver::begin_checkpoint(std::uint64_t step) {
+  // Every node snapshots and stages its image on its two holders.
+  // Snapshots are cheap COW captures; the bytes "sent" over the (virtual)
+  // interconnect are the remote stagings -- a pair's local copy is free.
+  const std::vector<ckpt::Snapshot> images = snapshot_all();
+  staging_version_ = images.front().version();
+  staging_snapshot_step_ = step;
+  staged_bytes_ = 0;
+  const auto epochs = engine_.current_epochs();
+  staging_epochs_.assign(epochs.begin(), epochs.end());
+  // Hash before staging, so every filed copy carries the cached digest the
+  // restore paths verify against. With dcp on, the same walk refreshes the
+  // per-node hash arrays for the full base the next deltas chain on. Safe
+  // to overwrite here: dcp forbids staging, so this snapshot set commits
+  // before anything can roll back past it.
+  staging_hashes_ = hash_full_commit(
+      pool_, images, policy_.dcp_stack_size > 0 ? policy_.dcp_block_size : 0,
+      hash_arrays_);
+  const std::uint64_t sent =
+      policy_.topology == ckpt::Topology::Pairs ? 1 : 2;
+  for (std::uint64_t node = 0; node < images.size(); ++node) {
+    for (const std::uint64_t holder : holders(node)) {
+      stores_[holder].stage(images[node]);
+    }
+    staged_bytes_ += sent * images[node].size_bytes();
+  }
+  staging_ = true;
+}
+
+void CheckpointDriver::commit_checkpoint(RunReport& report) {
+  // Integrity gate before promotion: every node's staged image on its
+  // preferred buddy must still hash to its snapshot-time digest. Staging is
+  // process-local here, so a mismatch is a broken invariant, not a chaos
+  // outcome the run could survive.
+  for (std::uint64_t node = 0; node < node_count(); ++node) {
+    const auto staged =
+        stores_[groups_.preferred_buddy(node)].staged_for(node);
+    if (!staged || !staged->verify(staging_hashes_[node])) {
+      throw std::logic_error(
+          "commit_checkpoint: staged image failed verification");
+    }
+  }
+  // Atomic promotion of the completed set on every node.
+  for (ckpt::BuddyStore& store : stores_) store.promote(staging_version_);
+  committed_hashes_ = staging_hashes_;
+  committed_step_ = staging_snapshot_step_;
+  has_commit_ = true;
+  staging_ = false;
+  report.bytes_replicated += staged_bytes_;
+  ++report.checkpoints;
+  ++report.full_commits;
+  // A full exchange restarts every dcp lineage: promote() dropped the old
+  // chains, and the hash arrays captured at begin_checkpoint() describe the
+  // new base the next deltas diff against.
+  dcp_layers_ = 0;
+  dcp_tip_version_ = staging_version_;
+  // A committed exchange re-creates every replica: pending refills are
+  // subsumed, the risk window closes, lost nodes rejoin, and the set joins
+  // the rollback ladder with its snapshot-time corruption epochs.
+  engine_.on_commit(committed_step_, committed_hashes_, staging_epochs_);
+}
+
+void CheckpointDriver::commit_delta_checkpoint(RunReport& report,
+                                               std::uint64_t step) {
+  // Differential commit: every node snapshots, diffs against the cached
+  // hash array of the last committed image, and appends the resulting layer
+  // on the same holders a full image would go to. Blocking (like
+  // staging_steps == 0) and atomic from the run's point of view: the commit
+  // markers advance to the new tip.
+  const std::vector<ckpt::Snapshot> images = snapshot_all();
+  std::vector<ckpt::BlockDelta> layers =
+      diff_delta_commit(pool_, images, dcp_tip_version_, committed_hashes_,
+                        policy_.dcp_block_size, hash_arrays_);
+  const std::uint64_t sent =
+      policy_.topology == ckpt::Topology::Pairs ? 1 : 2;
+  for (std::uint64_t node = 0; node < layers.size(); ++node) {
+    // The second holder takes the layer itself rather than a copy, so the
+    // commit peaks at the layers the stores keep.
+    ckpt::BlockDelta& layer = layers[node];
+    committed_hashes_[node] = layer.result_hash();
+    report.bytes_replicated += sent * layer.delta_bytes();
+    const auto [first, second] = holders(node);
+    stores_[first].append_delta(layer);
+    stores_[second].append_delta(std::move(layer));
+  }
+  committed_step_ = step;
+  dcp_tip_version_ = images.front().version();
+  ++dcp_layers_;
+  ++report.checkpoints;
+  ++report.delta_commits;
+  // Deliberately *not* engine_.on_commit(): a delta exchange moves only
+  // dirty blocks, so it does not re-create every replica -- it neither
+  // closes a pending risk window, clears pending refills, nor readmits
+  // lost nodes. Only a full exchange does.
+}
+
+void CheckpointDriver::proactive_checkpoint(RunReport& report,
+                                            std::uint64_t step) {
+  // Skip-if-just-committed: nothing new to save when the committed set (or
+  // the implicit initial checkpoint at step 0) already captures this state.
+  if (step == 0 || (has_commit_ && committed_step_ == step)) return;
+  // The proactive commit captures a strictly newer state than any staged
+  // set, superseding it; drop the in-flight exchange and run a blocking
+  // snapshot-and-promote, exactly the staging_steps == 0 path.
+  staging_ = false;
+  for (ckpt::BuddyStore& store : stores_) store.discard_staged();
+  begin_checkpoint(step);
+  commit_checkpoint(report);
+  ++report.proactive_ckpts;
+}
+
+void CheckpointDriver::rollback_all(RunReport& report, std::uint64_t step) {
+  ++report.rollbacks;
+  // Any in-flight staging set is lost with its victims; abandon it and fall
+  // back to the last committed set (it will be retaken on replay).
+  staging_ = false;
+  if (!has_commit_) {
+    // The starting configuration is the implicit first checkpoint set.
+    for (std::uint64_t node = 0; node < node_count(); ++node) {
+      stores_[node].discard_staged();
+      reinitialize(node);
+    }
+    // Re-initializing clears any latent corruption too.
+    engine_.reset_to_initial();
+    return;
+  }
+  engine_.rollback_and_refill(
+      step, directory_, committed_hashes_,
+      [&](std::uint64_t node, const ckpt::Snapshot& image) {
+        memory_[node].restore(image);
+      },
+      [&](std::uint64_t node) { reinitialize(node); }, report);
+}
+
+RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
+  validate_injections(failures, policy_.nodes, policy_.total_steps,
+                      policy_.topology, policy_.verify_every,
+                      policy_.dcp_stack_size);
+  RunReport report;
+  std::vector<FailureInjection> pending(failures.begin(), failures.end());
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const FailureInjection& a, const FailureInjection& b) {
+                     return a.step < b.step;
+                   });
+
+  score_predictions(failures, report);
+
+  std::uint64_t step = 0;
+  while (step < policy_.total_steps) {
+    // Predictor alarms fire first: the proactive checkpoint they trigger
+    // commits before this step's loss (if any) lands, which is exactly how
+    // a same-step true prediction saves the work since the last commit.
+    const std::uint64_t alarms = consume_alarms(pending, step);
+    if (alarms > 0) {
+      report.alarms_raised += alarms;
+      proactive_checkpoint(report, step);
+    }
+    // Fire the injections scheduled for this step (each at most once).
+    // NodeLoss wipes the victim's memory and buddy storage; the rollback
+    // then restores every node through its replica ladder -- skipping
+    // corrupt images, failing over to later candidates, and
+    // blank-restarting (degraded mode) any node whose ladder is exhausted.
+    const bool failed = engine_.fire_injections(
+        pending, step, directory_,
+        [&](std::uint64_t node) { destroy(node); },
+        [&](std::uint64_t node) { inject_sdc(node); }, report);
+    if (failed) {
+      rollback_all(report, step);
+      const std::uint64_t resume = has_commit_ ? committed_step_ : 0;
+      report.replayed_steps += step - resume;
+      step = resume;
+      continue;
+    }
+
+    execute_step();
+    ++step;
+    ++report.steps_executed;
+    // Risk-window / refill / degraded-mode bookkeeping: due refills deliver
+    // (consuming any armed transfer faults, retrying with backoff), and
+    // every step some node runs blank-restarted counts as degraded.
+    engine_.tick(directory_, committed_hashes_, report);
+    // Commit an in-flight set before possibly starting the next one (the
+    // two coincide when staging_steps == checkpoint_interval).
+    if (staging_ && step == staging_commit_at_) {
+      commit_checkpoint(report);
+    }
+    const bool boundary = step % policy_.checkpoint_interval == 0 &&
+                          step < policy_.total_steps;
+    if (policy_.verify_every > 0) {
+      // Verification runs every `verify_every` checkpoint periods, after
+      // the period's commit and before the next set stages -- plus one
+      // final audit at the end of the run, so a late silent error cannot
+      // escape into the final answer undetected.
+      if (boundary) ++periods_since_verify_;
+      const bool due =
+          (boundary && periods_since_verify_ >= policy_.verify_every) ||
+          step == policy_.total_steps;
+      if (due) {
+        periods_since_verify_ = 0;
+        const auto action = engine_.verify_checkpoints(
+            step, directory_, committed_hashes_,
+            [&](std::uint64_t node, const ckpt::Snapshot& image) {
+              memory_[node].restore(image);
+            },
+            [&](std::uint64_t node) { reinitialize(node); }, report);
+        if (action.rolled_back) {
+          staging_ = false;
+          committed_step_ = action.resume_step;
+          if (action.to_initial) {
+            has_commit_ = false;
+            std::fill(committed_hashes_.begin(), committed_hashes_.end(),
+                      std::uint64_t{0});
+          }
+          report.replayed_steps += step - action.resume_step;
+          step = action.resume_step;
+          continue;
+        }
+      }
+    }
+    if (boundary && !staging_) {
+      // dcp cadence: between full exchanges, commit block deltas -- but
+      // only while the chain has room (K - 1 layers) and the platform is
+      // whole. A lost node or a pending refill forces a full exchange,
+      // because only a full commit re-creates every replica and closes the
+      // risk window (deltas skip engine_.on_commit()).
+      const bool delta_commit =
+          policy_.dcp_stack_size > 0 && has_commit_ &&
+          dcp_layers_ + 1 < policy_.dcp_stack_size && !engine_.any_lost() &&
+          !engine_.refill_pending();
+      if (delta_commit) {
+        commit_delta_checkpoint(report, step);
+      } else {
+        begin_checkpoint(step);
+        staging_commit_at_ = step + policy_.staging_steps;
+        if (policy_.staging_steps == 0) commit_checkpoint(report);
+      }
+    }
+  }
+
+  for (const ckpt::PageStore& memory : memory_) {
+    report.cow_copies += memory.cow_copies();
+  }
+  report.final_hash = state_hash(global_state());
+  return report;
+}
+
+std::vector<double> CheckpointDriver::global_state() const {
+  std::vector<double> state(memory_.size() * cells_);
+  for (std::uint64_t node = 0; node < memory_.size(); ++node) {
+    read_cells(node, 0, std::span(state).subspan(node * cells_, cells_));
+  }
+  return state;
+}
+
+}  // namespace dckpt::runtime

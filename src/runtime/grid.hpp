@@ -1,13 +1,15 @@
 // 2-D domain-decomposed fault-tolerant runtime.
 //
-// The 1-D Coordinator demonstrates the full protocol feature set (staged
-// commits etc.); this module shows the buddy-checkpointing substrate
-// generalizes to the standard 2-D HPC decomposition: a grid of workers,
-// each owning a block of a global field, exchanging one halo row/column
-// with each of its four neighbours per step (Jacobi-style). Checkpointing,
-// failure injection, coordinated rollback-recovery and the re-replication
-// risk window work exactly as in the 1-D runtime, with one simplification:
-// the grid commits each checkpoint set immediately (no staged exchange).
+// The standard 2-D HPC decomposition: a grid of workers, each owning a
+// block of a global field and exchanging one halo row/column with each of
+// its four neighbours per step (Jacobi-style). GridCoordinator is a thin
+// topology adapter over the CheckpointDriver (runtime/checkpoint_driver.hpp)
+// -- the same driver the 1-D Coordinator runs on -- so checkpointing,
+// failure injection, coordinated rollback-recovery, the re-replication risk
+// window, verification, proactive and dcp commits are the chain's, line for
+// line. It supplies each block's initial condition and the 2-D Jacobi step.
+// One difference stays: the grid commits each checkpoint set immediately
+// (its CheckpointPolicy has staging_steps == 0; GridConfig has no staging).
 //
 // Workers are numbered row-major; the buddy topology (pairs/triples over
 // consecutive ids) is orthogonal to the grid geometry -- as in real
@@ -23,11 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/buddy_store.hpp"
-#include "ckpt/page_store.hpp"
-#include "ckpt/ring.hpp"
-#include "runtime/coordinator.hpp"  // RunReport, FailureInjection
-#include "util/thread_pool.hpp"
+#include "runtime/checkpoint_driver.hpp"
 
 namespace dckpt::runtime {
 
@@ -106,53 +104,31 @@ struct GridConfig {
   std::uint64_t nodes() const noexcept {
     return static_cast<std::uint64_t>(grid_rows) * grid_cols;
   }
+  /// Validates the geometry, then the CheckpointPolicy this converts to.
   void validate() const;
 };
 
-class GridCoordinator {
+class GridCoordinator : public CheckpointDriver {
  public:
   GridCoordinator(GridConfig config, std::unique_ptr<GridKernel> kernel);
-  ~GridCoordinator();  // out of line: Block is incomplete here
 
-  RunReport run(std::span<const FailureInjection> failures = {});
-
-  /// Concatenated blocks, row-major per block, block order row-major.
-  std::vector<double> global_state() const;
+  // run() and global_state() (blocks concatenated, row-major per block,
+  // block order row-major) come from the driver.
 
   const GridConfig& config() const noexcept { return config_; }
 
  private:
-  struct Block;
-
-  void checkpoint_all(RunReport& report);
-  void delta_checkpoint_all(RunReport& report);
-  void proactive_checkpoint(RunReport& report, std::uint64_t step);
-  void rollback_all(RunReport& report, std::uint64_t step);
-  void blank_restart(std::uint64_t node);
-  void execute_step();
-  std::vector<ckpt::BuddyStore*> store_directory();
+  void initialize(std::uint64_t node,
+                  std::span<double> state) const override;
+  void exchange_halos() override;
+  void update(std::uint64_t node, std::span<const double> previous,
+              std::span<double> next) const override;
 
   GridConfig config_;
   std::unique_ptr<GridKernel> kernel_;
-  ckpt::GroupAssignment groups_;
-  std::vector<std::unique_ptr<Block>> blocks_;
-  util::ThreadPool pool_;
-  std::vector<std::uint64_t> committed_hashes_;
-  std::uint64_t committed_step_ = 0;
-  bool has_commit_ = false;
-
-  // Verification cadence: checkpoint periods since the last verification.
-  std::uint64_t periods_since_verify_ = 0;
-
-  // Differential-checkpoint state (see Coordinator): per-node block hash
-  // arrays of the last committed image, chained layers since the last full
-  // exchange, and the snapshot version of the current commit tip.
-  std::vector<std::vector<std::uint64_t>> hash_arrays_;
-  std::uint64_t dcp_layers_ = 0;
-  std::uint64_t dcp_tip_version_ = 0;
-
-  // Refill/retry/degraded-mode machine shared with the 1-D coordinator.
-  RecoveryEngine engine_;
+  // Halo edges per node, block_cols values each for north/south and
+  // block_rows for west/east; the domain boundary stays 0.
+  std::vector<double> north_, south_, west_, east_;
 };
 
 }  // namespace dckpt::runtime

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "ckpt/recovery.hpp"
-#include "runtime/coordinator.hpp"
+#include "runtime/checkpoint_driver.hpp"
 
 namespace dckpt::runtime {
 

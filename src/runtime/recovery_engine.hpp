@@ -1,16 +1,14 @@
-// The corruption-tolerant rollback/refill machine shared by both runtime
-// coordinators (1-D chain and 2-D grid).
+// The corruption-tolerant rollback/refill machine the CheckpointDriver runs
+// for both runtimes (1-D chain and 2-D grid).
 //
-// The two coordinators differ in how they step and checkpoint; everything
-// that happens *after* a failure is identical protocol machinery: walk each
-// node's replica ladder skipping corrupt images, blank-restart nodes whose
-// ladder is exhausted (degraded mode -- the run continues), schedule
-// re-replication refills, deliver them after the configured delay with
-// bounded retry-with-backoff when a transfer fails or arrives torn, and
-// account every step of open risk window. Keeping that machine in one place
-// keeps the two runtimes counter-identical -- the chaos shadow oracle is an
-// independent reimplementation of exactly this logic, and any divergence is
-// classified `violated`.
+// Everything that happens *after* a failure: walk each node's replica
+// ladder skipping corrupt images, blank-restart nodes whose ladder is
+// exhausted (degraded mode -- the run continues), schedule re-replication
+// refills, deliver them after the configured delay with bounded
+// retry-with-backoff when a transfer fails or arrives torn, and account
+// every step of open risk window. The chaos shadow oracle is an independent
+// reimplementation of exactly this logic, and any divergence is classified
+// `violated`.
 //
 // The engine owns no application data: restores and blank restarts go
 // through caller-supplied callbacks, stores through a directory span.
@@ -28,9 +26,9 @@
 
 namespace dckpt::runtime {
 
-struct RunReport;           // coordinator.hpp
-struct FailureInjection;    // coordinator.hpp
-enum class InjectionKind;   // coordinator.hpp
+struct RunReport;           // checkpoint_driver.hpp
+struct FailureInjection;    // checkpoint_driver.hpp
+enum class InjectionKind;   // checkpoint_driver.hpp
 
 class RecoveryEngine {
  public:

@@ -2,7 +2,7 @@
 // checkpointing substrate.
 #pragma once
 
-#include "runtime/coordinator.hpp"  // IWYU pragma: export
-#include "runtime/grid.hpp"         // IWYU pragma: export
-#include "runtime/kernel.hpp"       // IWYU pragma: export
-#include "runtime/worker.hpp"       // IWYU pragma: export
+#include "runtime/checkpoint_driver.hpp"  // IWYU pragma: export
+#include "runtime/coordinator.hpp"        // IWYU pragma: export
+#include "runtime/grid.hpp"               // IWYU pragma: export
+#include "runtime/kernel.hpp"             // IWYU pragma: export

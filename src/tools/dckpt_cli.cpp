@@ -20,6 +20,7 @@
 
 #include <csignal>
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -751,13 +752,13 @@ std::pair<std::size_t, std::size_t> parse_geometry_cli(
     std::exit(2);
   };
   const auto parse_dim = [&](const std::string& part) {
-    if (part.empty() ||
-        part.find_first_not_of("0123456789") != std::string::npos) {
-      fail();
-    }
-    const unsigned long long value = std::stoull(part);
-    if (value == 0) fail();
-    return static_cast<std::size_t>(value);
+    // The whole part must be digits that fit a size_t: from_chars takes no
+    // sign, space or prefix, and reports overflow instead of throwing.
+    std::size_t value = 0;
+    const char* end = part.data() + part.size();
+    const auto [stop, error] = std::from_chars(part.data(), end, value);
+    if (error != std::errc{} || stop != end || value == 0) fail();
+    return value;
   };
   const std::size_t x = text.find('x');
   if (x == std::string::npos) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "chaos/chaos_api.hpp"
 
@@ -113,6 +115,66 @@ TEST(GridCoordinatorTest, ResultIndependentOfThreadCount) {
   EXPECT_EQ(one.final_hash, reference_hash(dcp));
   EXPECT_EQ(one.final_hash, four.final_hash);
   EXPECT_TRUE(one == four) << "RunReport differs between 1 and 4 threads";
+}
+
+TEST(GridCoordinatorTest, AnyLayoutMatchesTheWholeDomainStencil) {
+  // One 12x12 field cut into blocks every way below must step exactly like
+  // the undivided field with zero halos: block origins, halo edges and the
+  // blank restarts a rollback to the initial state runs all line up. Each
+  // layout runs fault-free and with one loss before and one after the
+  // first commit.
+  constexpr std::size_t kSide = 12;
+  const GridConfig base = small_grid();  // commits every 6 steps
+  const HeatKernel2D kernel;
+  std::vector<double> whole(kSide * kSide), next(kSide * kSide);
+  kernel.initialize(0, 0, kSide, kSide, whole);
+  const std::vector<double> zero(kSide, 0.0);
+  for (std::uint64_t step = 0; step < base.total_steps; ++step) {
+    kernel.step(whole, next, kSide, kSide, zero, zero, zero, zero);
+    whole.swap(next);
+  }
+
+  const auto check_layout = [&](std::size_t rows, std::size_t cols,
+                                Topology topology) {
+    GridConfig config = base;
+    config.grid_rows = rows;
+    config.grid_cols = cols;
+    config.topology = topology;
+    config.block_rows = kSide / rows;
+    config.block_cols = kSide / cols;
+    const FailureInjection losses[] = {{4, config.nodes() - 1}, {9, 0}};
+    for (const std::span<const FailureInjection> failures :
+         {std::span<const FailureInjection>(),
+          std::span<const FailureInjection>(losses)}) {
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                   " workers, " + std::to_string(failures.size()) + " losses");
+      GridCoordinator coordinator(config, std::make_unique<HeatKernel2D>());
+      const auto report = coordinator.run(failures);
+      ASSERT_FALSE(report.fatal) << report.fatal_reason;
+      ASSERT_EQ(report.failures, failures.size());
+      // Block (gr, gc)'s cell (r, c) is global cell (gr*br + r, gc*bc + c).
+      const std::vector<double> blocks = coordinator.global_state();
+      const std::size_t br = config.block_rows, bc = config.block_cols;
+      std::vector<double> field(kSide * kSide);
+      for (std::size_t node = 0; node < config.nodes(); ++node) {
+        const std::size_t gr = node / cols, gc = node % cols;
+        for (std::size_t r = 0; r < br; ++r) {
+          for (std::size_t c = 0; c < bc; ++c) {
+            field[(gr * br + r) * kSide + gc * bc + c] =
+                blocks[(node * br + r) * bc + c];
+          }
+        }
+      }
+      const std::size_t bytes = whole.size() * sizeof(double);
+      EXPECT_EQ(std::memcmp(field.data(), whole.data(), bytes), 0);
+    }
+  };
+  check_layout(2, 1, Topology::Pairs);
+  check_layout(1, 2, Topology::Pairs);
+  check_layout(2, 2, Topology::Pairs);
+  check_layout(3, 1, Topology::Triples);
+  check_layout(3, 3, Topology::Triples);
+  check_layout(2, 3, Topology::Triples);
 }
 
 TEST(GridCoordinatorTest, EnergyDiffusesGlobally) {

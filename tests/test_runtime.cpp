@@ -644,4 +644,62 @@ TEST(FaultPredictionTest, ProactiveCommitSupersedesStagedExchange) {
   EXPECT_EQ(report.final_hash, expected);
 }
 
+TEST(CheckpointPolicyTest, BothConfigsConvertEveryProtocolField) {
+  // Every protocol field holds a distinct non-default value, so a
+  // conversion that drops or swaps a field shows.
+  RuntimeConfig chain;
+  chain.nodes = 6;
+  chain.topology = Topology::Triples;
+  chain.checkpoint_interval = 11;
+  chain.total_steps = 97;
+  chain.staging_steps = 5;
+  chain.rereplication_delay_steps = 7;
+  chain.transfer_retry.max_attempts = 9;
+  chain.transfer_retry.base_delay_steps = 13;
+  chain.verify_every = 3;
+  chain.keep_last = 4;
+  chain.dcp_stack_size = 17;
+  chain.dcp_block_size = 192;
+  const CheckpointPolicy from_chain = chain;
+  EXPECT_EQ(from_chain.nodes, 6u);
+  EXPECT_EQ(from_chain.topology, Topology::Triples);
+  EXPECT_EQ(from_chain.checkpoint_interval, 11u);
+  EXPECT_EQ(from_chain.total_steps, 97u);
+  EXPECT_EQ(from_chain.staging_steps, 5u);
+  EXPECT_EQ(from_chain.rereplication_delay_steps, 7u);
+  EXPECT_EQ(from_chain.transfer_retry.max_attempts, 9u);
+  EXPECT_EQ(from_chain.transfer_retry.base_delay_steps, 13u);
+  EXPECT_EQ(from_chain.verify_every, 3u);
+  EXPECT_EQ(from_chain.keep_last, 4u);
+  EXPECT_EQ(from_chain.dcp_stack_size, 17u);
+  EXPECT_EQ(from_chain.dcp_block_size, 192u);
+
+  GridConfig grid;
+  grid.grid_rows = 3;
+  grid.grid_cols = 5;
+  grid.topology = Topology::Triples;
+  grid.checkpoint_interval = 19;
+  grid.total_steps = 83;
+  grid.rereplication_delay_steps = 2;
+  grid.transfer_retry.max_attempts = 8;
+  grid.transfer_retry.base_delay_steps = 14;
+  grid.verify_every = 21;
+  grid.keep_last = 6;
+  grid.dcp_stack_size = 23;
+  grid.dcp_block_size = 320;
+  const CheckpointPolicy from_grid = grid;
+  EXPECT_EQ(from_grid.nodes, 15u);
+  EXPECT_EQ(from_grid.topology, Topology::Triples);
+  EXPECT_EQ(from_grid.checkpoint_interval, 19u);
+  EXPECT_EQ(from_grid.total_steps, 83u);
+  EXPECT_EQ(from_grid.staging_steps, 0u);  // the grid commits immediately
+  EXPECT_EQ(from_grid.rereplication_delay_steps, 2u);
+  EXPECT_EQ(from_grid.transfer_retry.max_attempts, 8u);
+  EXPECT_EQ(from_grid.transfer_retry.base_delay_steps, 14u);
+  EXPECT_EQ(from_grid.verify_every, 21u);
+  EXPECT_EQ(from_grid.keep_last, 6u);
+  EXPECT_EQ(from_grid.dcp_stack_size, 23u);
+  EXPECT_EQ(from_grid.dcp_block_size, 320u);
+}
+
 }  // namespace
