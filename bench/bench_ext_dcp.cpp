@@ -11,10 +11,13 @@
 // table and instead times a full commit's hashing of one 1 MiB image
 // (block_hashes at 4 KiB blocks, then content_hash, on a fresh Snapshot
 // over the same pages each repetition, so no cached digest is timed)
-// against flat fnv1a over a copy of the same bytes, best of N each. It
-// writes {commit_hash_gb_per_s, flat_fnv1a_gb_per_s, speedup, ...} to PATH;
-// scripts/check_bench_regression.py compares that file against the
-// committed BENCH_hash.json baseline.
+// against flat fnv1a over a copy of the same bytes, best of N each; and a
+// delta commit's diff of that image with 8 of its 256 pages rewritten,
+// with the original image as the hash reference (only the rewritten pages
+// are read) against the full walk. It writes {commit_hash_gb_per_s,
+// flat_fnv1a_gb_per_s, speedup, diff_reference_per_sec, diff_walk_per_sec,
+// diff_speedup, ...} to PATH; scripts/check_bench_regression.py compares
+// that file against the committed BENCH_hash.json baseline.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -70,6 +73,39 @@ int run_hash_comparison(const std::string& json_path) {
     commit_best = std::max(commit_best, bytes / commit_s * 1e-9);
     flat_best = std::max(flat_best, bytes / flat_s * 1e-9);
   }
+
+  // The delta commit: 8 pages spread over the image rewritten, diffed
+  // against the image's hash array with and without the image itself as
+  // the hash reference.
+  constexpr int kRewritten = 8;
+  const std::size_t pages = kImageBytes / ckpt::kDefaultPageSize;
+  const std::vector<std::uint64_t> base_hashes =
+      ckpt::block_hashes(image, ckpt::kDigestBlockSize);
+  std::vector<std::byte> payload(ckpt::kDefaultPageSize);
+  for (int k = 0; k < kRewritten; ++k) {
+    for (auto& byte : payload) byte = static_cast<std::byte>(rng());
+    const std::size_t page = (2 * k + 1) * pages / (2 * kRewritten);
+    store.write(page * ckpt::kDefaultPageSize, payload);
+  }
+  const ckpt::Snapshot rewritten = store.snapshot(0);
+  const auto diff_once = [&](ckpt::HashReference reference) {
+    const ckpt::Snapshot fresh(rewritten.pages(), rewritten.size_bytes(),
+                               rewritten.version(), rewritten.owner());
+    return time_once([&] {
+      const ckpt::BlockDiff diff = ckpt::diff_blocks(
+          base_hashes, image.version(), image.content_hash(), fresh,
+          ckpt::kDigestBlockSize, reference);
+      sink = sink ^ diff.layer.result_hash() ^ diff.hashes.front();
+    });
+  };
+  double reference_best = 0.0;
+  double walk_best = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    reference_best =
+        std::max(reference_best, 1.0 / diff_once({&image, base_hashes}));
+    walk_best = std::max(walk_best, 1.0 / diff_once({}));
+  }
+
   auto v = util::JsonValue::object();
   v.set("record", "bench_hash");
   v.set("image_bytes", kImageBytes);
@@ -78,6 +114,10 @@ int run_hash_comparison(const std::string& json_path) {
   v.set("commit_hash_gb_per_s", commit_best);
   v.set("flat_fnv1a_gb_per_s", flat_best);
   v.set("speedup", commit_best / flat_best);
+  v.set("diff_pages_rewritten", kRewritten);
+  v.set("diff_reference_per_sec", reference_best);
+  v.set("diff_walk_per_sec", walk_best);
+  v.set("diff_speedup", reference_best / walk_best);
   const std::string text = v.dump();
   std::FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {

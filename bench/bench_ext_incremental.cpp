@@ -1,13 +1,14 @@
 // Extension: incremental (delta) checkpoints. Measures, on the real
 // runtime substrate, how many bytes a buddy exchange actually needs when
-// only COW-dirty pages are shipped, as a function of the checkpoint
-// interval -- and what that does to the model's R (= theta_min) and hence
-// the optimal waste.
+// only dirty pages are shipped, as a function of the checkpoint interval --
+// and what that does to the model's R (= theta_min) and hence the optimal
+// waste. Each delta is a content-hash dcp diff at block = page size.
 #include "bench_common.hpp"
 
+#include <cstring>
 #include <memory>
 
-#include "ckpt/delta.hpp"
+#include "ckpt/dcp.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -20,12 +21,13 @@ int main(int argc, char** argv) {
   print_header(
       "Incremental checkpoints -- dirty fraction of a sparse-writer app",
       "1 MiB state, app touches a 16 KiB working set per step (4 random\n"
-      "pages of 256). Snapshot every k steps; the delta carries only pages\n"
-      "touched since the previous snapshot (COW identity = dirty bit). The\n"
-      "model effect: R scales with the dirty fraction, and the Base\n"
-      "optimal waste (M = 7 h, phi = R/4) shrinks accordingly. Note a\n"
-      "dense stencil rewrites everything -- incremental checkpointing pays\n"
-      "off exactly when working sets are sparse.");
+      "pages of 256, each write stamped with its step). Snapshot every k\n"
+      "steps; the delta carries only pages whose content changed since the\n"
+      "previous snapshot (dcp blocks of one page): the pages touched in\n"
+      "between. The model effect: R scales with the dirty fraction, and\n"
+      "the Base optimal waste (M = 7 h, phi = R/4) shrinks accordingly.\n"
+      "Note a dense stencil rewrites everything -- incremental\n"
+      "checkpointing pays off exactly when working sets are sparse.");
 
   auto csv = context->csv("ext_incremental",
                           {"interval", "dirty_ratio", "delta_mib",
@@ -47,20 +49,30 @@ int main(int argc, char** argv) {
     util::Xoshiro256ss rng(0xd1f7 + interval);
     std::vector<std::byte> payload(kPage, std::byte{0x5A});
     ckpt::Snapshot previous = store.snapshot(0);
+    std::vector<std::uint64_t> previous_hashes =
+        ckpt::block_hashes(previous, kPage);
     double dirty_ratio_sum = 0.0;
     double delta_bytes_sum = 0.0;
     int samples = 0;
-    for (int step = 1; step <= 960; ++step) {
+    for (std::uint64_t step = 1; step <= 960; ++step) {
+      // The step stamp makes every write change its page's bytes: a page
+      // rewritten with the bytes it holds would not be content-dirty.
+      std::memcpy(payload.data(), &step, sizeof step);
       for (int touch = 0; touch < kPagesPerStep; ++touch) {
         const std::size_t page = rng.next_below(kStateBytes / kPage);
         store.write(page * kPage, payload);
       }
-      if (step % static_cast<int>(interval) == 0) {
+      if (step % interval == 0) {
         const ckpt::Snapshot current = store.snapshot(0);
-        const auto delta = ckpt::make_delta(previous, current);
-        dirty_ratio_sum += delta.dirty_ratio();
-        delta_bytes_sum += static_cast<double>(delta.delta_bytes());
+        // Untouched pages are still the previous snapshot's: their hashes
+        // are reused, only the touched pages are read.
+        ckpt::BlockDiff diff = ckpt::diff_blocks(
+            previous_hashes, previous.version(), previous.content_hash(),
+            current, kPage, {&previous, previous_hashes});
+        dirty_ratio_sum += diff.layer.dirty_ratio();
+        delta_bytes_sum += static_cast<double>(diff.layer.delta_bytes());
         previous = current;
+        previous_hashes = std::move(diff.hashes);
         ++samples;
       }
     }

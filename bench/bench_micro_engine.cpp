@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/delta.hpp"
+#include "ckpt/dcp.hpp"
 #include "ckpt/page_store.hpp"
 #include "model/model_api.hpp"
 #include "net/network.hpp"
@@ -156,8 +156,12 @@ void BM_PageStoreCowWrite(benchmark::State& state) {
   ckpt::PageStore store(1 << 20);
   std::vector<std::byte> data(4096, std::byte{0xAB});
   std::size_t offset = 0;
+  std::uint64_t stamp = 0;
   ckpt::Snapshot snap = store.snapshot(1);
   for (auto _ : state) {
+    // New bytes every write: a write of the bytes a page holds is skipped.
+    ++stamp;
+    std::memcpy(data.data(), &stamp, sizeof stamp);
     store.write(offset, data);
     offset = (offset + 4096) % ((1 << 20) - 4096);
     if (offset == 0) snap = store.snapshot(1);  // re-arm COW
@@ -166,27 +170,40 @@ void BM_PageStoreCowWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_PageStoreCowWrite);
 
-void BM_SnapshotDelta(benchmark::State& state) {
+/// A dcp diff of a 1 MiB image after 16 random stamped 4 KiB page writes,
+/// against the previous snapshot's hash array. Arg 0 hashes every block;
+/// arg 1 passes the previous snapshot as the hash reference, so only the
+/// rewritten pages are read.
+void BM_BlockDiff(benchmark::State& state) {
   const std::size_t bytes = 1 << 20;
   ckpt::PageStore store(bytes);
   util::Xoshiro256ss rng(3);
   std::vector<std::byte> payload(4096, std::byte{0x7});
   ckpt::Snapshot base = store.snapshot(1);
+  std::vector<std::uint64_t> hashes = ckpt::block_hashes(base, 4096);
+  std::uint64_t stamp = 0;
   for (auto _ : state) {
     state.PauseTiming();
     for (int i = 0; i < 16; ++i) {
+      ++stamp;
+      std::memcpy(payload.data(), &stamp, sizeof stamp);
       store.write(rng.next_below(bytes / 4096) * 4096, payload);
     }
     const ckpt::Snapshot current = store.snapshot(1);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(ckpt::make_delta(base, current));
+    ckpt::BlockDiff diff = ckpt::diff_blocks(
+        hashes, base.version(), base.content_hash(), current, 4096,
+        state.range(0) ? ckpt::HashReference{&base, hashes}
+                       : ckpt::HashReference{});
+    benchmark::DoNotOptimize(diff);
     state.PauseTiming();
     base = current;
+    hashes = std::move(diff.hashes);
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SnapshotDelta);
+BENCHMARK(BM_BlockDiff)->Arg(0)->Arg(1);
 
 void BM_MaxMinFairRates(benchmark::State& state) {
   const auto flows_count = static_cast<std::size_t>(state.range(0));

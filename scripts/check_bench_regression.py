@@ -14,7 +14,11 @@ machine in the same run, so host speed cancels out:
 * `bench_hash` (`bench_ext_dcp --hash-json=PATH`, baseline
   `BENCH_hash.json`): a full commit's hashing of a 1 MiB image against flat
   FNV-1a over the same bytes (`speedup`). It only moves when the
-  four-chain block walk itself gets slower.
+  four-chain block walk itself gets slower. When the baseline carries it,
+  also a delta commit's diff of that image with 8 of 256 pages rewritten,
+  with the original image as the hash reference against the full walk
+  (`diff_speedup`, which measures how much of the image a diff skips by
+  page identity). The fresh record must then carry it too.
 
 Exit 1 when a fresh speedup drops below --min-ratio (default 0.8, i.e. a
 >20% regression) of the baseline's.
@@ -52,6 +56,8 @@ RECORDS = {
         "gates": [
             ("hash", "speedup", "commit_hash_gb_per_s",
              "flat_fnv1a_gb_per_s", "GB/s"),
+            ("diff", "diff_speedup", "diff_reference_per_sec",
+             "diff_walk_per_sec", "diffs/s"),
         ],
     },
 }

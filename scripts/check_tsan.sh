@@ -5,8 +5,9 @@
 # Those suites cover every pool user: the pool itself, the Monte-Carlo
 # runner and batched kernel, the evaluation service and its TCP server,
 # both checkpointing runtimes (whose per-node commit hashing runs on the
-# stepping pool), the dcp layer, and the chaos campaigns that drive the
-# runtimes at scale. A data race between pool tasks fails the run.
+# stepping pool), the checkpoint driver's page-identity paths, the dcp
+# layer, and the chaos campaigns that drive the runtimes at scale. A data
+# race between pool tasks fails the run.
 #
 # Usage:
 #   scripts/check_tsan.sh                          # build + run the suites
@@ -23,6 +24,7 @@ SUITES=(
   test_thread_pool
   test_runtime
   test_grid
+  test_checkpoint_driver
   test_dcp
   test_chaos
   test_chaos_grid

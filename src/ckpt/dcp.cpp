@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -101,7 +102,8 @@ std::vector<std::uint64_t> block_hashes(const Snapshot& image,
 
 BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
                       std::uint64_t base_version, std::uint64_t base_hash,
-                      const Snapshot& current, std::size_t block_size) {
+                      const Snapshot& current, std::size_t block_size,
+                      HashReference reference) {
   if (block_size == 0) {
     throw std::invalid_argument("make_block_delta: block_size must be > 0");
   }
@@ -132,7 +134,8 @@ BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
           block.payload.insert(block.payload.end(), piece.begin(),
                                piece.end());
         }
-      });
+      },
+      reference);
   return {BlockDelta(current.owner(), base_version, current.version(),
                      current.size_bytes(), block_size, base_hash,
                      current.content_hash(), std::move(blocks)),
@@ -181,33 +184,53 @@ Snapshot apply_block_delta(const Snapshot& base, const BlockDelta& delta) {
         std::to_string(delta.base_version()) + ", base is v" +
         std::to_string(base.version()));
   }
-  std::vector<std::byte> bytes = base.to_bytes();
+  // Byte offset of every page's first meaningful byte, plus the end.
+  const std::vector<Snapshot::Page>& originals = base.pages();
+  std::vector<std::size_t> page_start{0};
+  for (const Snapshot::Page& page : originals) {
+    page_start.push_back(page_start.back() +
+                         std::min(page->size(),
+                                  base.size_bytes() - page_start.back()));
+  }
+  const std::size_t size = page_start.back();
+  std::vector<Snapshot::Page> pages = originals;
+  std::vector<std::shared_ptr<std::vector<std::byte>>> fresh(pages.size());
   for (const DcpBlock& block : delta.blocks()) {
-    const std::size_t offset = block.index * delta.block_size();
-    if (offset > bytes.size() ||
-        block.payload.size() > bytes.size() - offset) {
+    // index <= size / block_size keeps index * block_size from wrapping.
+    if (block.index > size / delta.block_size() ||
+        block.payload.size() > size - block.index * delta.block_size()) {
       throw std::invalid_argument(
           "apply_block_delta: block " + std::to_string(block.index) +
           " exceeds the image");
     }
-    std::memcpy(bytes.data() + offset, block.payload.data(),
-                block.payload.size());
+    // Copy the payload into each page it covers. A page's first touch
+    // makes it fresh: built from the payload when that covers all of it,
+    // else a copy of the base page.
+    std::size_t at = block.index * delta.block_size();
+    std::span<const std::byte> rest = block.payload;
+    for (auto k = static_cast<std::size_t>(
+             std::upper_bound(page_start.begin(), page_start.end(), at) -
+             page_start.begin() - 1);
+         !rest.empty(); ++k) {
+      const std::size_t in_page = at - page_start[k];
+      const auto piece = rest.first(
+          std::min(rest.size(), page_start[k + 1] - page_start[k] - in_page));
+      if (piece.empty()) continue;
+      if (!fresh[k] && piece.size() == originals[k]->size()) {
+        fresh[k] = std::make_shared<std::vector<std::byte>>(piece.begin(),
+                                                            piece.end());
+      } else {
+        if (!fresh[k]) {
+          fresh[k] = std::make_shared<std::vector<std::byte>>(*originals[k]);
+        }
+        std::memcpy(fresh[k]->data() + in_page, piece.data(), piece.size());
+      }
+      pages[k] = fresh[k];
+      rest = rest.subspan(piece.size());
+      at += piece.size();
+    }
   }
-  // Repage on the base's exact per-page layout (pages may be allocated
-  // larger than their meaningful tail), so the tip restores anywhere the
-  // base would.
-  std::vector<Snapshot::Page> pages;
-  pages.reserve(base.page_count());
-  std::size_t offset = 0;
-  for (const Snapshot::Page& original : base.pages()) {
-    auto page = std::make_shared<std::vector<std::byte>>(original->size(),
-                                                         std::byte{0});
-    const std::size_t take = std::min(page->size(), bytes.size() - offset);
-    std::memcpy(page->data(), bytes.data() + offset, take);
-    offset += take;
-    pages.push_back(std::move(page));
-  }
-  return Snapshot(std::move(pages), bytes.size(), delta.version(),
+  return Snapshot(std::move(pages), base.size_bytes(), delta.version(),
                   delta.owner());
 }
 

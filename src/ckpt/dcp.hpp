@@ -3,11 +3,17 @@
 // A full checkpoint moves the whole image; a differential checkpoint moves
 // only the blocks whose content changed since the last commit. Dirty blocks
 // are detected by comparing per-block FNV-1a hashes against the hash array
-// recorded at the previous commit -- no caller-supplied dirty set and no
-// dependence on COW pointer identity, so a page rewritten with identical
-// bytes does *not* count as dirty (unlike delta.hpp's mprotect-style
-// tracking). The block size is independent of the page size: coarser blocks
-// cut hash-array memory at the cost of amplifying small writes.
+// recorded at the previous commit -- no caller-supplied dirty set, so a
+// block rewritten with identical bytes does *not* count as dirty. The block
+// size is independent of the page size: coarser blocks cut hash-array
+// memory at the cost of amplifying small writes.
+//
+// COW page identity enters only as a shortcut to a block's *hash*, never to
+// its dirtiness: a diff given a reference image (the last full commit) and
+// its hash array reuses the hash of every block whose pages are all still
+// that image's, and reads only the pages written since. Replaying a layer
+// shares every base page no dirty block touches, so a replayed tip keeps
+// page identity with its base.
 //
 // Restores replay a chain: one full base image plus up to K - 1 differential
 // layers, where K is the dcp stack size (a full checkpoint every K commits
@@ -112,10 +118,15 @@ struct BlockDiff {
 /// cover current's layout exactly. One walk over current's pages compares
 /// every block hash, copies the dirty blocks straight from the pages and
 /// returns current's hash array; at kDigestBlockSize it also caches
-/// current's digest, which becomes the layer's result_hash.
+/// current's digest, which becomes the layer's result_hash. With a
+/// `reference` (an image of current's layout and its block_hashes() at
+/// `block_size`), blocks whose pages are all the reference's take their
+/// hash from it unread (Snapshot::walk_blocks); dirtiness is still decided
+/// against base_hashes.
 BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
                       std::uint64_t base_version, std::uint64_t base_hash,
-                      const Snapshot& current, std::size_t block_size);
+                      const Snapshot& current, std::size_t block_size,
+                      HashReference reference = {});
 
 /// diff_blocks() without the next hash array.
 BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
@@ -136,10 +147,13 @@ BlockDelta make_block_delta(const Snapshot& base, const Snapshot& current,
                             std::size_t block_size);
 
 /// Replays one layer: base + delta = the image `delta` was diffed from.
-/// Verifies owner, layout and version chaining (base.version() must equal
-/// delta.base_version()); content verification against base_hash() /
-/// result_hash() is the *caller's* job (the recovery ladder decides how to
-/// react). Throws std::invalid_argument on a structural mismatch.
+/// The result shares every base page no dirty block touches; a touched page
+/// is a fresh copy. Verifies owner, layout and version chaining
+/// (base.version() must equal delta.base_version()); content verification
+/// against base_hash() / result_hash() is the *caller's* job (the recovery
+/// ladder decides how to react), and the result carries no cached digest,
+/// so that check reads every byte. Throws std::invalid_argument on a
+/// structural mismatch.
 Snapshot apply_block_delta(const Snapshot& base, const BlockDelta& delta);
 
 /// Fault injection (chaos harness): a copy of `layer` whose last dirty

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 namespace dckpt::ckpt {
@@ -10,56 +11,44 @@ namespace {
 
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-/// Reads an image's meaningful bytes front to back, one page slice at a
-/// time: each page holds min(its size, bytes not yet read) of them.
-class PageCursor {
- public:
-  PageCursor(const std::vector<Snapshot::Page>& pages, std::size_t size_bytes)
-      : page_(pages.data()),
-        end_(pages.data() + pages.size()),
-        remaining_(size_bytes) {}
-
-  /// The next at most `limit` unread bytes, all from one page; empty at
-  /// the end of the image or when `limit` is 0.
-  std::span<const std::byte> next(std::size_t limit) {
-    while (rest_.empty() && page_ != end_) {
-      const std::size_t take = std::min(remaining_, (*page_)->size());
-      rest_ = {(*page_)->data(), take};
-      remaining_ -= take;
-      ++page_;
+/// FNV-1a of up to four blocks, each given as its page slices, on four
+/// chains that advance together up to the nearest slice end of any lane
+/// still holding bytes. A lane with no block hashes nothing.
+std::array<std::uint64_t, 4> hash_blocks_x4(
+    const std::array<Snapshot::BlockPieces, 4>& blocks) {
+  std::array<std::uint64_t, 4> hashes{kFnvOffsetBasis, kFnvOffsetBasis,
+                                      kFnvOffsetBasis, kFnvOffsetBasis};
+  std::array<std::size_t, 4> next{};
+  std::array<std::span<const std::byte>, 4> unread;
+  while (true) {
+    std::size_t step = std::numeric_limits<std::size_t>::max();
+    for (std::size_t k = 0; k < 4; ++k) {
+      while (unread[k].empty() && next[k] < blocks[k].size()) {
+        unread[k] = blocks[k][next[k]++];
+      }
+      if (!unread[k].empty()) step = std::min(step, unread[k].size());
     }
-    const auto piece = rest_.first(std::min(rest_.size(), limit));
-    rest_ = rest_.subspan(piece.size());
-    return piece;
-  }
-
-  /// Moves past `count` bytes without reading them.
-  void skip(std::size_t count) {
-    while (count > 0) {
-      const std::size_t moved = next(count).size();
-      if (moved == 0) return;
-      count -= moved;
+    if (step == std::numeric_limits<std::size_t>::max()) return hashes;
+    std::array<std::span<const std::byte>, 4> chunk;
+    for (std::size_t k = 0; k < 4; ++k) {
+      chunk[k] = unread[k].first(std::min(step, unread[k].size()));
+      unread[k] = unread[k].subspan(chunk[k].size());
     }
+    hashes = fnv1a_x4(chunk, hashes);
   }
+}
 
-  /// Bytes left to read.
-  std::size_t unread() const {
-    std::size_t total = rest_.size();
-    std::size_t remaining = remaining_;
-    for (const Snapshot::Page* page = page_; page != end_; ++page) {
-      const std::size_t take = std::min(remaining, (*page)->size());
-      total += take;
-      remaining -= take;
-    }
-    return total;
+/// Same byte count, page count and page sizes: every page starts at the
+/// same offset in both images.
+bool same_layout(const Snapshot& a, const Snapshot& b) {
+  if (a.size_bytes() != b.size_bytes() || a.page_count() != b.page_count()) {
+    return false;
   }
-
- private:
-  const Snapshot::Page* page_;
-  const Snapshot::Page* end_;
-  std::span<const std::byte> rest_;  ///< unread bytes of the last page read
-  std::size_t remaining_;            ///< bytes the pages from page_ on hold
-};
+  for (std::size_t i = 0; i < a.page_count(); ++i) {
+    if (a.pages()[i]->size() != b.pages()[i]->size()) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -133,69 +122,77 @@ std::vector<std::byte> Snapshot::to_bytes() const {
 }
 
 void Snapshot::walk_blocks(std::size_t block_size,
-                           const BlockVisitor& on_block) const {
+                           const BlockVisitor& on_block,
+                           HashReference reference) const {
   if (block_size == 0) {
     throw std::invalid_argument(
         "Snapshot::walk_blocks: block_size must be > 0");
   }
+  const Snapshot* known = reference.image;
+  // Counted as (size - 1) / block + 1: size + block - 1 wraps near 2^64.
+  const std::size_t count =
+      size_bytes_ == 0 ? 0 : (size_bytes_ - 1) / block_size + 1;
+  if (known != nullptr &&
+      (!same_layout(*this, *known) || reference.hashes.size() != count)) {
+    throw std::invalid_argument(
+        "Snapshot::walk_blocks: reference layout or hash count differs");
+  }
+  // Cut the content into blocks: block b's page slices are
+  // pieces[starts[b] .. starts[b + 1]). A block whose pages are all the
+  // reference's takes its known hash; the others queue for hashing.
+  std::vector<std::span<const std::byte>> pieces;
+  std::vector<std::size_t> starts{0};
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::size_t> unknown;
+  pieces.reserve(pages_.size() + 1);
+  hashes.reserve(count);
+  bool same = known != nullptr;
+  std::size_t left = block_size;
+  const auto close_block = [&] {
+    if (same) {
+      hashes.push_back(reference.hashes[hashes.size()]);
+    } else {
+      unknown.push_back(hashes.size());
+      hashes.push_back(0);
+    }
+    starts.push_back(pieces.size());
+    same = known != nullptr;
+    left = block_size;
+  };
+  std::size_t remaining = size_bytes_;
+  for (std::size_t k = 0; k < pages_.size() && remaining > 0; ++k) {
+    std::span<const std::byte> page(pages_[k]->data(),
+                                    std::min(remaining, pages_[k]->size()));
+    remaining -= page.size();
+    const bool identical = known != nullptr && known->pages_[k] == pages_[k];
+    while (!page.empty()) {
+      const std::size_t take = std::min(left, page.size());
+      pieces.push_back(page.first(take));
+      page = page.subspan(take);
+      same = same && identical;
+      left -= take;
+      if (left == 0) close_block();
+    }
+  }
+  if (pieces.size() > starts.back()) close_block();  // the short tail
+  const auto block = [&](std::size_t b) {
+    return BlockPieces(pieces.data() + starts[b], starts[b + 1] - starts[b]);
+  };
+  for (std::size_t i = 0; i < unknown.size(); i += 4) {
+    std::array<BlockPieces, 4> group;
+    for (std::size_t k = 0; k < 4 && i + k < unknown.size(); ++k) {
+      group[k] = block(unknown[i + k]);
+    }
+    const auto group_hashes = hash_blocks_x4(group);
+    for (std::size_t k = 0; k < 4 && i + k < unknown.size(); ++k) {
+      hashes[unknown[i + k]] = group_hashes[k];
+    }
+  }
   const bool fold = block_size == kDigestBlockSize && !hash_valid_;
   std::uint64_t digest = kFnvOffsetBasis;
-  std::size_t index = 0;
-  const auto visit = [&](std::uint64_t hash, BlockPieces pieces) {
-    if (fold) digest = fnv1a_u64(hash, digest);
-    on_block(index++, hash, pieces);
-  };
-  std::array<std::vector<std::span<const std::byte>>, 4> pieces;
-  PageCursor cursor(pages_, size_bytes_);
-  // Four full blocks at a time, one chain each. A lane cursor per block
-  // reads its block's page slices; the chains advance together up to the
-  // nearest page boundary of any lane.
-  for (std::size_t full = cursor.unread() / block_size; full >= 4;
-       full -= 4) {
-    std::array<PageCursor, 4> lanes{cursor, cursor, cursor, cursor};
-    for (std::size_t k = 1; k < 4; ++k) {
-      lanes[k] = lanes[k - 1];
-      lanes[k].skip(block_size);
-    }
-    std::array<std::uint64_t, 4> hashes{kFnvOffsetBasis, kFnvOffsetBasis,
-                                        kFnvOffsetBasis, kFnvOffsetBasis};
-    std::array<std::span<const std::byte>, 4> unread;
-    for (std::size_t left = block_size; left > 0;) {
-      for (std::size_t k = 0; k < 4; ++k) {
-        if (!unread[k].empty()) continue;
-        unread[k] = lanes[k].next(left);
-        pieces[k].push_back(unread[k]);
-      }
-      const std::size_t step =
-          std::min({unread[0].size(), unread[1].size(), unread[2].size(),
-                    unread[3].size()});
-      hashes = fnv1a_x4({unread[0].first(step), unread[1].first(step),
-                         unread[2].first(step), unread[3].first(step)},
-                        hashes);
-      for (auto& span : unread) span = span.subspan(step);
-      left -= step;
-    }
-    for (std::size_t k = 0; k < 4; ++k) {
-      visit(hashes[k], pieces[k]);
-      pieces[k].clear();
-    }
-    cursor = lanes[3];
-  }
-  // The rest -- up to three full blocks and the short tail -- one chain.
-  // Counted down, so a block size near 2^64 cannot wrap an end offset.
-  auto& rest = pieces[0];
-  while (true) {
-    std::uint64_t hash = kFnvOffsetBasis;
-    std::size_t left = block_size;
-    for (auto piece = cursor.next(left); !piece.empty();
-         piece = cursor.next(left)) {
-      hash = fnv1a(piece, hash);
-      rest.push_back(piece);
-      left -= piece.size();
-    }
-    if (rest.empty()) break;
-    visit(hash, rest);
-    rest.clear();
+  for (std::size_t b = 0; b < hashes.size(); ++b) {
+    if (fold) digest = fnv1a_u64(hashes[b], digest);
+    on_block(b, hashes[b], block(b));
   }
   if (fold) {  // a cached digest is kept, never rewritten
     cached_hash_ = digest;
@@ -280,16 +277,6 @@ void PageStore::read(std::size_t offset, std::span<std::byte> out) const {
   }
 }
 
-std::vector<std::byte>& PageStore::writable_page(std::size_t index) {
-  MutablePage& page = pages_[index];
-  if (page.use_count() > 1) {
-    // A snapshot still references this page: clone before mutating.
-    page = std::make_shared<std::vector<std::byte>>(*page);
-    ++cow_copies_;
-  }
-  return *page;
-}
-
 void PageStore::write(std::size_t offset, std::span<const std::byte> data) {
   // Subtraction-safe for the same wrap hazard as read().
   if (offset > size_bytes_ || data.size() > size_bytes_ - offset) {
@@ -298,13 +285,28 @@ void PageStore::write(std::size_t offset, std::span<const std::byte> data) {
   std::size_t cursor = 0;
   while (cursor < data.size()) {
     const std::size_t pos = offset + cursor;
-    const std::size_t page = pos / page_size_;
     const std::size_t in_page = pos % page_size_;
-    const std::size_t take =
-        std::min(data.size() - cursor, page_size_ - in_page);
-    std::memcpy(writable_page(page).data() + in_page, data.data() + cursor,
-                take);
-    cursor += take;
+    const auto piece =
+        data.subspan(cursor, std::min(data.size() - cursor,
+                                      page_size_ - in_page));
+    cursor += piece.size();
+    MutablePage& page = pages_[pos / page_size_];
+    std::byte* const at = page->data() + in_page;
+    if (std::memcmp(at, piece.data(), piece.size()) == 0) continue;
+    if (page.use_count() == 1) {
+      std::memcpy(at, piece.data(), piece.size());
+      continue;
+    }
+    // A snapshot still shares this page: replace it with a private copy.
+    if (piece.size() == page->size()) {
+      page = std::make_shared<std::vector<std::byte>>(piece.begin(),
+                                                      piece.end());
+    } else {
+      auto copy = std::make_shared<std::vector<std::byte>>(*page);
+      std::memcpy(copy->data() + in_page, piece.data(), piece.size());
+      page = std::move(copy);
+    }
+    ++cow_copies_;
   }
 }
 
@@ -326,8 +328,8 @@ void PageStore::restore(const Snapshot& snapshot_image) {
         snapshot_image.pages()[i]);
   }
   // A snapshot taken after restoring a higher-versioned image must still
-  // order after it, or make_delta rejects a legitimate post-failover delta
-  // with "base must precede current".
+  // order after it, or diff_blocks rejects a legitimate post-failover delta
+  // with "base must predate current".
   version_ = std::max(version_, snapshot_image.version());
 }
 

@@ -4,8 +4,10 @@
 // of the process, and pages are physically copied only when the application
 // writes them before the upload finishes (Sec. IV). PageStore reproduces
 // that mechanism in-process: memory is a vector of shared, immutable pages;
-// snapshot() is O(#pages) pointer copies; writing a page that a live
-// snapshot still references clones just that page.
+// snapshot() is O(#pages) pointer copies; writing new bytes into a page that
+// a live snapshot still references clones just that page, and writing the
+// bytes a page already holds touches nothing. So two images that hold the
+// same page pointer hold the same bytes.
 //
 // The copied-page count is exposed so benches can measure the COW pressure
 // that the paper's phi parameter abstracts.
@@ -30,6 +32,17 @@ inline constexpr std::size_t kDigestBlockSize = 4096;
 
 /// FNV-1a 64-bit offset basis: the seed of every chain.
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+class Snapshot;
+
+/// An image whose block hashes at one block size are known: a walk at that
+/// size over an image of the same layout takes the hash of every block
+/// whose pages are all `image`'s own from `hashes` instead of reading it
+/// (see Snapshot::walk_blocks). A null image means hash every block.
+struct HashReference {
+  const Snapshot* image = nullptr;
+  std::span<const std::uint64_t> hashes;  ///< image's block hashes
+};
 
 /// Immutable checkpoint image: shared pages + integrity metadata.
 class Snapshot {
@@ -73,11 +86,19 @@ class Snapshot {
   /// One walk over the pages, with no flat copy: cuts the content into
   /// `block_size`-byte blocks (the tail block may be shorter; a block may
   /// span pages) and hands each block's FNV-1a hash and page slices to
-  /// `on_block`, in block order. Four full blocks are hashed at a time, on
-  /// four independent chains. A walk at kDigestBlockSize also caches the
-  /// digest unless it is cached already; no walk rewrites a cached digest.
-  /// Throws std::invalid_argument when block_size == 0.
-  void walk_blocks(std::size_t block_size, const BlockVisitor& on_block) const;
+  /// `on_block`, in block order. Blocks are hashed four at a time, on four
+  /// independent chains. A walk at kDigestBlockSize also caches the digest
+  /// unless it is cached already; no walk rewrites a cached digest.
+  ///
+  /// With a `reference` -- an image of the same layout and its hashes at
+  /// `block_size` -- a block whose pages are all pointer-identical to the
+  /// reference's pages at the same positions takes its hash from
+  /// reference.hashes unread: a shared page is never written again (the
+  /// PageStore clones it first), so the same page holds the same bytes.
+  /// Throws std::invalid_argument when block_size == 0 or the reference's
+  /// page layout or hash count does not match.
+  void walk_blocks(std::size_t block_size, const BlockVisitor& on_block,
+                   HashReference reference = {}) const;
 
   const std::vector<Page>& pages() const noexcept { return pages_; }
 
@@ -102,8 +123,10 @@ class PageStore {
   /// Reads `out.size()` bytes starting at `offset`.
   void read(std::size_t offset, std::span<std::byte> out) const;
 
-  /// Writes `data` at `offset`, cloning any page still shared with a
-  /// snapshot (copy-on-write).
+  /// Writes `data` at `offset`. A page slice whose bytes already match is
+  /// skipped, so the page keeps its identity; a changed page still shared
+  /// with a snapshot is replaced by a private copy (copy-on-write), built
+  /// straight from `data` when the write covers the whole page.
   void write(std::size_t offset, std::span<const std::byte> data);
 
   /// Captures the current content as an immutable snapshot (cheap: shares
@@ -121,9 +144,6 @@ class PageStore {
 
  private:
   using MutablePage = std::shared_ptr<std::vector<std::byte>>;
-
-  /// Ensures pages_[index] is uniquely owned before mutation.
-  std::vector<std::byte>& writable_page(std::size_t index);
 
   std::size_t size_bytes_;
   std::size_t page_size_;

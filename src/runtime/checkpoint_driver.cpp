@@ -212,17 +212,20 @@ std::vector<std::uint64_t> hash_full_commit(
 /// Delta commit: diffs images[i] against hash_arrays[i], the cached array
 /// of node i's committed image (snapshot version `base_version`, content
 /// hash base_hashes[i]), and replaces the array with image i's own -- one
-/// walk per image. Returns the layers in node order.
+/// walk per image. Blocks still on the pages of full_images[i] take their
+/// hash from full_hashes[i] unread. Returns the layers in node order.
 std::vector<ckpt::BlockDelta> diff_delta_commit(
     util::ThreadPool& pool, std::span<const ckpt::Snapshot> images,
     std::uint64_t base_version, std::span<const std::uint64_t> base_hashes,
     std::size_t block_size,
-    std::vector<std::vector<std::uint64_t>>& hash_arrays) {
+    std::vector<std::vector<std::uint64_t>>& hash_arrays,
+    std::span<const ckpt::Snapshot> full_images,
+    std::span<const std::vector<std::uint64_t>> full_hashes) {
   std::vector<ckpt::BlockDelta> layers(images.size());
   for_each_node(pool, images.size(), [&](std::size_t node) {
-    ckpt::BlockDiff diff =
-        ckpt::diff_blocks(hash_arrays[node], base_version, base_hashes[node],
-                          images[node], block_size);
+    ckpt::BlockDiff diff = ckpt::diff_blocks(
+        hash_arrays[node], base_version, base_hashes[node], images[node],
+        block_size, {&full_images[node], full_hashes[node]});
     layers[node] = std::move(diff.layer);
     hash_arrays[node] = std::move(diff.hashes);
   });
@@ -234,9 +237,8 @@ std::vector<ckpt::BlockDelta> diff_delta_commit(
 CheckpointDriver::CheckpointDriver(const CheckpointPolicy& policy,
                                    std::size_t cells, std::size_t threads)
     : policy_(policy), cells_(cells), groups_(policy.nodes, policy.topology),
-      pool_(threads),
-      scratch_(pool_.thread_count(),
-               Scratch{std::vector<double>(cells), std::vector<double>(cells)}),
+      pool_(threads), next_(pool_.thread_count(), std::vector<double>(cells)),
+      live_(policy.nodes, std::vector<double>(cells)),
       committed_hashes_(policy.nodes, 0),
       engine_(groups_, policy.rereplication_delay_steps,
               policy.transfer_retry, policy.keep_last) {
@@ -257,26 +259,35 @@ void CheckpointDriver::initialize_all() {
 
 void CheckpointDriver::read_cells(std::uint64_t node, std::size_t first,
                                   std::span<double> out) const {
-  memory_[node].read(first * sizeof(double), std::as_writable_bytes(out));
+  const std::span<const double> cells = live_[node];
+  if (first > cells.size() || out.size() > cells.size() - first) {
+    throw std::out_of_range("CheckpointDriver::read_cells past end");
+  }
+  std::copy_n(cells.subspan(first).begin(), out.size(), out.begin());
 }
 
-void CheckpointDriver::save(std::uint64_t node,
-                            std::span<const double> data) {
-  memory_[node].write(0, std::as_bytes(data));
+void CheckpointDriver::write_back(std::uint64_t node) {
+  memory_[node].write(0, std::as_bytes(std::span(live_[node])));
+}
+
+void CheckpointDriver::restore(std::uint64_t node,
+                               const ckpt::Snapshot& image) {
+  memory_[node].restore(image);
+  memory_[node].read(0, std::as_writable_bytes(std::span(live_[node])));
 }
 
 void CheckpointDriver::reinitialize(std::uint64_t node) {
-  std::vector<double> state(cells_, 0.0);
-  initialize(node, state);
-  save(node, state);
+  std::fill(live_[node].begin(), live_[node].end(), 0.0);
+  initialize(node, live_[node]);
+  write_back(node);
 }
 
 void CheckpointDriver::destroy(std::uint64_t node) {
   // Poison the memory so any missed recovery is loudly wrong, and hand the
   // replacement node empty buddy storage.
-  const std::vector<double> poison(cells_,
-                                   std::numeric_limits<double>::quiet_NaN());
-  save(node, poison);
+  std::fill(live_[node].begin(), live_[node].end(),
+            std::numeric_limits<double>::quiet_NaN());
+  write_back(node);
   stores_[node] = ckpt::BuddyStore(node, 2, policy_.keep_last);
 }
 
@@ -284,22 +295,21 @@ void CheckpointDriver::inject_sdc(std::uint64_t node) {
   // Low mantissa byte of cell 0, through the COW write path: the value
   // changes (never to inf/NaN), so the corruption flows through later steps
   // and content hashes, and rides into every snapshot until a restore.
-  std::byte low{};
-  memory_[node].read(0, std::span(&low, 1));
-  low ^= std::byte{0x5a};
-  memory_[node].write(0, std::span<const std::byte>(&low, 1));
+  const auto low = std::as_writable_bytes(std::span(live_[node])).first(1);
+  low[0] ^= std::byte{0x5a};
+  memory_[node].write(0, low);
 }
 
 void CheckpointDriver::execute_step() {
   exchange_halos();
   util::parallel_for_chunked(
-      pool_, memory_.size(), scratch_.size(),
+      pool_, live_.size(), next_.size(),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        Scratch& scratch = scratch_[chunk];
+        std::vector<double>& next = next_[chunk];
         for (std::size_t node = begin; node < end; ++node) {
-          read_cells(node, 0, scratch.previous);
-          update(node, scratch.previous, scratch.next);
-          save(node, scratch.next);
+          update(node, live_[node], next);
+          live_[node].swap(next);
+          write_back(node);
         }
       });
 }
@@ -325,7 +335,7 @@ void CheckpointDriver::begin_checkpoint(std::uint64_t step) {
   // Every node snapshots and stages its image on its two holders.
   // Snapshots are cheap COW captures; the bytes "sent" over the (virtual)
   // interconnect are the remote stagings -- a pair's local copy is free.
-  const std::vector<ckpt::Snapshot> images = snapshot_all();
+  std::vector<ckpt::Snapshot> images = snapshot_all();
   staging_version_ = images.front().version();
   staging_snapshot_step_ = step;
   staged_bytes_ = 0;
@@ -348,6 +358,10 @@ void CheckpointDriver::begin_checkpoint(std::uint64_t step) {
     staged_bytes_ += sent * images[node].size_bytes();
   }
   staging_ = true;
+  if (policy_.dcp_stack_size > 0) {
+    full_hashes_ = hash_arrays_;
+    full_images_ = std::move(images);
+  }
 }
 
 void CheckpointDriver::commit_checkpoint(RunReport& report) {
@@ -393,7 +407,8 @@ void CheckpointDriver::commit_delta_checkpoint(RunReport& report,
   const std::vector<ckpt::Snapshot> images = snapshot_all();
   std::vector<ckpt::BlockDelta> layers =
       diff_delta_commit(pool_, images, dcp_tip_version_, committed_hashes_,
-                        policy_.dcp_block_size, hash_arrays_);
+                        policy_.dcp_block_size, hash_arrays_, full_images_,
+                        full_hashes_);
   const std::uint64_t sent =
       policy_.topology == ckpt::Topology::Pairs ? 1 : 2;
   for (std::uint64_t node = 0; node < layers.size(); ++node) {
@@ -450,7 +465,7 @@ void CheckpointDriver::rollback_all(RunReport& report, std::uint64_t step) {
   engine_.rollback_and_refill(
       step, directory_, committed_hashes_,
       [&](std::uint64_t node, const ckpt::Snapshot& image) {
-        memory_[node].restore(image);
+        restore(node, image);
       },
       [&](std::uint64_t node) { reinitialize(node); }, report);
 }
@@ -523,7 +538,7 @@ RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
         const auto action = engine_.verify_checkpoints(
             step, directory_, committed_hashes_,
             [&](std::uint64_t node, const ckpt::Snapshot& image) {
-              memory_[node].restore(image);
+              restore(node, image);
             },
             [&](std::uint64_t node) { reinitialize(node); }, report);
         if (action.rolled_back) {
@@ -563,14 +578,21 @@ RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
   for (const ckpt::PageStore& memory : memory_) {
     report.cow_copies += memory.cow_copies();
   }
-  report.final_hash = state_hash(global_state());
+  // state_hash(global_state()), one node after the other: FNV-1a chains
+  // across the node boundaries, so no concatenated copy is needed.
+  report.final_hash = ckpt::kFnvOffsetBasis;
+  for (const std::vector<double>& cells : live_) {
+    report.final_hash =
+        ckpt::fnv1a(std::as_bytes(std::span(cells)), report.final_hash);
+  }
   return report;
 }
 
 std::vector<double> CheckpointDriver::global_state() const {
-  std::vector<double> state(memory_.size() * cells_);
-  for (std::uint64_t node = 0; node < memory_.size(); ++node) {
-    read_cells(node, 0, std::span(state).subspan(node * cells_, cells_));
+  std::vector<double> state;
+  state.reserve(live_.size() * cells_);
+  for (const std::vector<double>& cells : live_) {
+    state.insert(state.end(), cells.begin(), cells.end());
   }
   return state;
 }

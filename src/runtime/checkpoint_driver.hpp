@@ -26,6 +26,14 @@
 // exchange that reads the pre-step state, then a per-node update the driver
 // runs on its stepping pool. Buddy placement follows consecutive node ids
 // (racks), not the domain decomposition.
+//
+// Each node's state lives twice. Its PageStore is the authority for
+// snapshots, COW and the cow_copies count; a contiguous live copy is what
+// the update reads and the halos come from. A step writes back only the
+// pages whose bytes changed, then swaps the step's output in as the live
+// copy, so untouched pages stay shared with the last commit's images; every
+// other path that changes a node's pages (restores, re-initialization,
+// node loss, silent errors) refreshes the live copy.
 #pragma once
 
 #include <array>
@@ -209,6 +217,12 @@ class CheckpointDriver {
   void read_cells(std::uint64_t node, std::size_t first,
                   std::span<double> out) const;
 
+  /// `node`'s paged memory: what its snapshots capture. Between steps it
+  /// holds the same bytes as the live copy read_cells() reads.
+  const ckpt::PageStore& memory(std::uint64_t node) const {
+    return memory_[node];
+  }
+
   /// Writes `node`'s initial condition into `state` (zero-filled, `cells`
   /// long). Also the blank restart of a node with no replica left.
   virtual void initialize(std::uint64_t node,
@@ -223,11 +237,11 @@ class CheckpointDriver {
                       std::span<double> next) const = 0;
 
  private:
-  struct Scratch {
-    std::vector<double> previous, next;
-  };
-
-  void save(std::uint64_t node, std::span<const double> data);
+  /// Writes `node`'s live copy into its pages. Only the pages whose bytes
+  /// changed are written, so the others stay shared with the snapshots.
+  void write_back(std::uint64_t node);
+  /// Restores `node`'s pages from `image` and refreshes its live copy.
+  void restore(std::uint64_t node, const ckpt::Snapshot& image);
   void reinitialize(std::uint64_t node);
   void destroy(std::uint64_t node);
   void inject_sdc(std::uint64_t node);
@@ -246,10 +260,11 @@ class CheckpointDriver {
   std::size_t cells_;
   ckpt::GroupAssignment groups_;
   util::ThreadPool pool_;
-  std::vector<Scratch> scratch_;  ///< one per stepping chunk
-  // Per node: the application state, the buddy storage, and the view of
-  // the stores the engine takes (&stores_[i]).
+  std::vector<std::vector<double>> next_;  ///< step output, per chunk
+  // Per node: the application state (paged, and the live copy), the buddy
+  // storage, and the view of the stores the engine takes (&stores_[i]).
   std::vector<ckpt::PageStore> memory_;
+  std::vector<std::vector<double>> live_;
   std::vector<ckpt::BuddyStore> stores_;
   std::vector<ckpt::BuddyStore*> directory_;
   std::vector<std::uint64_t> committed_hashes_;  ///< per node
@@ -275,6 +290,11 @@ class CheckpointDriver {
   // arrays of the last committed image (the dcpScalable hashArray) and the
   // number of delta layers chained since the last full commit.
   std::vector<std::vector<std::uint64_t>> hash_arrays_;
+  // The last full commit's images and their block hash arrays: a delta
+  // commit takes the hash of every block still on those pages from here.
+  // The stores hold the same pages, so keeping them shares nothing more.
+  std::vector<ckpt::Snapshot> full_images_;
+  std::vector<std::vector<std::uint64_t>> full_hashes_;
   std::uint64_t dcp_layers_ = 0;
   std::uint64_t dcp_tip_version_ = 0;  ///< snapshot version of the last commit
 

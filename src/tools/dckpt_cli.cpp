@@ -830,36 +830,26 @@ int cmd_chaos(int argc, const char* const* argv) {
                  "'%s'\n", topology.c_str());
     std::exit(2);
   }
-  config.runtime.nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
-  config.runtime.cells_per_node =
-      static_cast<std::size_t>(cli.get_int("cells"));
-  config.runtime.total_steps =
-      static_cast<std::uint64_t>(cli.get_int("steps"));
-  config.runtime.checkpoint_interval =
-      static_cast<std::uint64_t>(cli.get_int("interval"));
-  config.runtime.staging_steps =
-      static_cast<std::uint64_t>(cli.get_int("staging"));
-  config.runtime.rereplication_delay_steps =
-      static_cast<std::uint64_t>(cli.get_int("rerepl-delay"));
-  config.runtime.transfer_retry.max_attempts =
-      static_cast<std::uint64_t>(cli.get_int("retry-max"));
-  config.runtime.transfer_retry.base_delay_steps =
-      static_cast<std::uint64_t>(cli.get_int("retry-base"));
-  config.runtime.verify_every =
-      static_cast<std::uint64_t>(cli.get_int("verify-every"));
-  config.runtime.keep_last =
-      static_cast<std::size_t>(cli.get_int("keep-last"));
-  config.runtime.dcp_stack_size =
-      static_cast<std::uint64_t>(cli.get_int("dcp-stack"));
-  config.runtime.dcp_block_size =
-      static_cast<std::size_t>(cli.get_int("dcp-block"));
+  // Every integer flag is a count: a negative value exits 2 naming the
+  // flag instead of wrapping to a huge count.
+  config.runtime.nodes = cli.get_count("nodes");
+  config.runtime.cells_per_node = cli.get_count("cells");
+  config.runtime.total_steps = cli.get_count("steps");
+  config.runtime.checkpoint_interval = cli.get_count("interval");
+  config.runtime.staging_steps = cli.get_count("staging");
+  config.runtime.rereplication_delay_steps = cli.get_count("rerepl-delay");
+  config.runtime.transfer_retry.max_attempts = cli.get_count("retry-max");
+  config.runtime.transfer_retry.base_delay_steps = cli.get_count("retry-base");
+  config.runtime.verify_every = cli.get_count("verify-every");
+  config.runtime.keep_last = cli.get_count("keep-last");
+  config.runtime.dcp_stack_size = cli.get_count("dcp-stack");
+  config.runtime.dcp_block_size = cli.get_count("dcp-block");
   config.kernel = cli.get("kernel");
-  config.random_runs = static_cast<std::uint64_t>(cli.get_int("runs"));
-  config.campaign_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.max_failures =
-      static_cast<std::uint64_t>(cli.get_int("max-failures"));
+  config.random_runs = cli.get_count("runs");
+  config.campaign_seed = cli.get_count("seed");
+  config.max_failures = cli.get_count("max-failures");
   config.include_scripted = !cli.get_flag("random-only");
-  config.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  config.threads = cli.get_count("threads");
 
   if (!cli.get("grid").empty()) {
     if (config.runtime.staging_steps > 0) {
@@ -888,10 +878,10 @@ int cmd_chaos(int argc, const char* const* argv) {
     config.grid = gc;
   }
 
-  if (const auto spares = cli.get_int("spares"); spares > 0) {
+  if (const auto spares = cli.get_count("spares"); spares > 0) {
     // Bridge from the spare-pool model: expected allocation wait -> steps.
     model::SparePoolSpec spec;
-    spec.spares = static_cast<std::uint64_t>(spares);
+    spec.spares = spares;
     spec.repair_time = cli.get_double("repair");
     spec.detection = cli.get_double("detection");
     config.runtime.rereplication_delay_steps = chaos::spare_pool_delay_steps(

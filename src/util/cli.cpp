@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -117,6 +118,17 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   } catch (const std::logic_error&) {
     exit_invalid_value(program_, name, text);
   }
+}
+
+std::uint64_t CliParser::get_count(const std::string& name) const {
+  const std::string text = get(name);
+  const char* const end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    exit_invalid_value(program_, name, text);
+  }
+  return value;
 }
 
 bool CliParser::get_flag(const std::string& name) const {

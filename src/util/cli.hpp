@@ -32,6 +32,10 @@ class CliParser {
   /// instead of leaking a raw std::stod exception out of the tool.
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// A count, size or seed: the whole token read as an unsigned 64-bit
+  /// decimal. A sign (so any negative value) is an invalid value, never a
+  /// wrapped one; every value up to 2^64 - 1 is accepted.
+  std::uint64_t get_count(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 
   /// Positional arguments left after options.

@@ -142,6 +142,41 @@ TEST(CliParserDeathTest, FractionalIntReportsAndExits) {
               "invalid value '12.5'");
 }
 
+TEST(CliParserTest, CountTakesTheWholeUnsignedRange) {
+  CliParser parser("prog", "test program");
+  parser.add_option("threads", "0", "workers");
+  parser.add_option("block", "4096", "block size");
+  const std::array argv = {"prog", "--threads", "3", "--block",
+                           "18446744073709551615"};
+  ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(parser.get_count("threads"), 3u);
+  EXPECT_EQ(parser.get_count("block"), 18446744073709551615ULL);
+}
+
+TEST(CliParserDeathTest, NegativeCountReportsAndExits) {
+  // `dckpt chaos --threads` goes through this conversion; a negative value
+  // must never wrap into a request for 2^64 - 1 threads.
+  CliParser parser("prog", "test program");
+  parser.add_option("threads", "0", "workers");
+  const std::array argv = {"prog", "--threads", "-1"};
+  ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EXIT(parser.get_count("threads"), testing::ExitedWithCode(2),
+              "prog: option --threads: invalid value '-1'");
+}
+
+TEST(CliParserDeathTest, MalformedCountReportsAndExits) {
+  for (const char* value :
+       {"+3", " 3", "3x", "1.5", "", "18446744073709551616"}) {
+    CliParser parser("prog", "test program");
+    parser.add_option("runs", "0", "runs");
+    const std::array argv = {"prog", "--runs", value};
+    ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+    EXPECT_EXIT(parser.get_count("runs"), testing::ExitedWithCode(2),
+                "option --runs: invalid value")
+        << "value '" << value << "'";
+  }
+}
+
 TEST(CliParserTest, UsageListsOptions) {
   auto parser = make_parser();
   const std::string usage = parser.usage();

@@ -166,7 +166,7 @@ TEST(BlockDeltaTest, TornLayerCopyFailsSelfVerification) {
 }
 
 TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
-  // The CLI turns --dcp-block=-1 into SIZE_MAX. Counting blocks as
+  // --dcp-block=18446744073709551615 is SIZE_MAX. Counting blocks as
   // (size + block - 1) / block wrapped to 0 there, and every delta shipped
   // nothing.
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
@@ -378,6 +378,242 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
   }
   EXPECT_GT(grouped_short_tails, 0u)
       << "no walk past a four-block group ended in a short tail block";
+}
+
+TEST(BlockDeltaTest, DiffRejectsAForeignOwnerLayoutOrLineageOrder) {
+  PageStore a(kBytes, kPage), b(kBytes, kPage), wide(2 * kBytes, kPage),
+      coarse(kBytes, 2 * kPage);
+  const auto a1 = a.snapshot(1);
+  const auto a2 = a.snapshot(1);
+  EXPECT_THROW(make_block_delta(a1, b.snapshot(2), kPage),
+               std::invalid_argument);  // owner
+  EXPECT_THROW(make_block_delta(a1, wide.snapshot(1), kPage),
+               std::invalid_argument);  // size
+  EXPECT_THROW(make_block_delta(a1, coarse.snapshot(1), kPage),
+               std::invalid_argument);  // page count
+  EXPECT_THROW(make_block_delta(a2, a1, kPage),
+               std::invalid_argument);  // base newer than current
+  EXPECT_THROW(make_block_delta(a1, a1, kPage),
+               std::invalid_argument);  // same version
+}
+
+TEST(BlockDeltaTest, DiffsOrderAfterARestore) {
+  // A replacement node adopts a buddy's newer image and ships a delta
+  // against it (PageStore::restore advances the version past the image);
+  // a node rolled back to its base diffs only what it wrote afterwards.
+  PageStore source(kBytes, kPage);
+  source.write(0, fill(kBytes, 1));
+  Snapshot committed;
+  for (int i = 0; i < 3; ++i) committed = source.snapshot(1);
+  PageStore replacement(kBytes, kPage);
+  replacement.restore(committed);
+  replacement.write(kPage, fill(1, 9));
+  const auto next = replacement.snapshot(1);
+  const auto after_failover = make_block_delta(committed, next, kPage);
+  ASSERT_EQ(after_failover.dirty_blocks(), 1u);
+  EXPECT_EQ(after_failover.blocks().front().index, 1u);
+  EXPECT_TRUE(apply_block_delta(committed, after_failover)
+                  .verify(next.content_hash()));
+
+  const auto base = source.snapshot(1);
+  source.write(0, fill(1, 7));  // work lost to the rollback
+  source.restore(base);
+  source.write(3 * kPage, fill(1, 8));
+  const auto current = source.snapshot(1);
+  const auto after_rollback = make_block_delta(base, current, kPage);
+  ASSERT_EQ(after_rollback.dirty_blocks(), 1u);
+  EXPECT_EQ(after_rollback.blocks().front().index, 3u);
+  EXPECT_TRUE(apply_block_delta(base, after_rollback)
+                  .verify(current.content_hash()));
+}
+
+TEST(BlockDeltaTest, ReplaySharesEveryUntouchedPage) {
+  auto memory = make_memory();
+  const auto base = memory.snapshot(0);
+  memory.write(2 * kPage, fill(kPage, 5));   // a whole page
+  memory.write(5 * kPage + 3, fill(2, 6));   // two bytes of another
+  memory.write(7 * kPage, fill(kPage, 7));   // the last page
+  const auto current = memory.snapshot(0);
+  for (const std::size_t block : {kPage / 2, kPage, 2 * kPage}) {
+    const auto delta = make_block_delta(base, current, block);
+    const auto tip = apply_block_delta(base, delta);
+    EXPECT_EQ(tip.to_bytes(), current.to_bytes()) << "block " << block;
+    EXPECT_TRUE(tip.verify(delta.result_hash())) << "block " << block;
+    for (std::size_t i = 0; i < base.page_count(); ++i) {
+      // A dirty two-page block ships both its pages, so pages 3, 4 and 6
+      // are rewritten (with their old bytes) too; pages 0 and 1 are not.
+      const bool touched =
+          block == 2 * kPage ? i >= 2 : i == 2 || i == 5 || i == 7;
+      EXPECT_EQ(tip.pages()[i] == base.pages()[i], !touched)
+          << "block " << block << " page " << i;
+    }
+  }
+  EXPECT_EQ(base.to_bytes(), fill(kBytes, 1));  // the base is untouched
+}
+
+TEST(HashReuseTest, OnlyPagesStillTheReferencesReuseItsHashes) {
+  auto memory = make_memory();
+  const auto reference = memory.snapshot(0);
+  const auto truth = block_hashes(reference, kPage);
+  constexpr std::uint64_t kMarker = 0x5eed5eed5eed5eedULL;
+  auto marked = truth;
+  marked[1] = kMarker;
+  marked[3] = kMarker;
+  // Page 3 is a fresh page holding the same bytes: equal content, new
+  // identity, so its block is read again.
+  std::vector<Snapshot::Page> pages = reference.pages();
+  pages[3] = std::make_shared<const std::vector<std::byte>>(*pages[3]);
+  const Snapshot current(pages, reference.size_bytes(),
+                         reference.version() + 1, reference.owner());
+  const BlockDiff diff =
+      diff_blocks(truth, reference.version(), reference.content_hash(),
+                  current, kPage, {&reference, marked});
+  EXPECT_EQ(diff.hashes[1], kMarker);  // pointer-identical: taken unread
+  EXPECT_EQ(diff.hashes[3], truth[3]);
+  // Dirtiness compares against the base array, so the marker reads dirty:
+  // a reference must carry its own image's hashes.
+  ASSERT_EQ(diff.layer.dirty_blocks(), 1u);
+  EXPECT_EQ(diff.layer.blocks().front().index, 1u);
+  // A reference of another layout or hash count is refused.
+  PageStore coarse(kBytes, 2 * kPage);
+  const auto other = coarse.snapshot(0);
+  EXPECT_THROW(diff_blocks(truth, 0, 0, current, kPage,
+                           {&other, block_hashes(other, kPage)}),
+               std::invalid_argument);
+  EXPECT_THROW(diff_blocks(truth, 0, 0, current, kPage,
+                           {&reference, block_hashes(reference, 2 * kPage)}),
+               std::invalid_argument);
+}
+
+TEST(HashReuseTest, PropertyReuseMatchesTheFullWalk) {
+  // forall page sizes 64..4096 (dividing the image or not), block sizes
+  // (part of a page, one page, spanning pages, 4 KiB, one block with no
+  // tail), write patterns that include rewrites of identical bytes and a
+  // rollback, and references that are the last full image or a corrupt or
+  // torn copy of it (whose fresh pages must be read): the diff that reuses
+  // the reference's hashes equals the full walk in every layer field (so
+  // in the self hash that folds them), the next hash array, the cached
+  // digest and the replay.
+  struct Case {
+    std::uint64_t size = 1;
+    std::uint64_t page = 64;
+    std::uint64_t block = 1;
+    std::uint64_t seed = 0;
+    std::uint64_t reference = 0;  ///< 0 the image, 1 corrupt, 2 torn copy
+    bool via_restore = false;
+  };
+  std::array<std::size_t, 3> by_reference{};
+  std::size_t reused_pages = 0;
+  proptest::ForallConfig config;
+  config.seed = 0x1de7;
+  config.iterations = 150;
+  proptest::forall<Case>(
+      config,
+      [](proptest::Gen& gen) {
+        Case c;
+        c.size = gen.integer(1, 24000);
+        c.page = gen.boolean() ? gen.element<std::uint64_t>(
+                                     {64, 256, 1000, 4096})
+                               : gen.integer(64, 4096);
+        c.block = gen.element<std::uint64_t>(
+            {96, c.page / 2 + 1, c.page, 2 * c.page, 3 * c.page / 2,
+             kDigestBlockSize, c.size});
+        c.seed = gen.integer(0, 1u << 30);
+        c.reference = gen.integer(0, 2);
+        c.via_restore = gen.boolean();
+        return c;
+      },
+      [&](const Case& c) -> std::optional<std::string> {
+        proptest::Gen gen(c.seed);
+        PageStore store(c.size, c.page);
+        // Random writes; one in three rewrites the bytes already there.
+        const auto scribble = [&](std::uint64_t count) {
+          for (std::uint64_t i = 0; i < count; ++i) {
+            const auto offset =
+                static_cast<std::size_t>(gen.integer(0, c.size - 1));
+            const auto len = static_cast<std::size_t>(gen.integer(
+                1, std::min<std::uint64_t>(c.size - offset, 2 * c.page)));
+            std::vector<std::byte> data(len);
+            if (gen.integer(0, 2) == 0) {
+              store.read(offset, data);
+            } else {
+              for (auto& b : data) {
+                b = static_cast<std::byte>(gen.integer(0, 255));
+              }
+            }
+            store.write(offset, data);
+          }
+        };
+        scribble(12);
+        const Snapshot full = store.snapshot(5);
+        scribble(gen.integer(0, 4));
+        const Snapshot tip = store.snapshot(5);  // the last delta's tip
+        if (c.via_restore) {
+          scribble(3);  // lost to a rollback
+          store.restore(tip);
+        }
+        scribble(gen.integer(0, 6));
+        const Snapshot current = store.snapshot(5);
+        const Snapshot reference = c.reference == 0   ? full
+                                   : c.reference == 1 ? corrupt_copy(full)
+                                                      : torn_copy(full);
+        ++by_reference[c.reference];
+        for (std::size_t i = 0; i < current.page_count(); ++i) {
+          if (current.pages()[i] == reference.pages()[i]) ++reused_pages;
+        }
+        const auto tip_hashes = block_hashes(tip, c.block);
+        const auto uncached = [&] {
+          return Snapshot(current.pages(), current.size_bytes(),
+                          current.version(), current.owner());
+        };
+        const Snapshot reusing = uncached();
+        const Snapshot walked = uncached();
+        const BlockDiff reuse =
+            diff_blocks(tip_hashes, tip.version(), tip.content_hash(),
+                        reusing, c.block,
+                        {&reference, block_hashes(reference, c.block)});
+        const BlockDiff walk =
+            diff_blocks(tip_hashes, tip.version(), tip.content_hash(),
+                        walked, c.block);
+        if (reuse.hashes != walk.hashes) return "next hash array differs";
+        const BlockDelta& a = reuse.layer;
+        const BlockDelta& b = walk.layer;
+        if (a.owner() != b.owner() || a.base_version() != b.base_version() ||
+            a.version() != b.version() || a.size_bytes() != b.size_bytes() ||
+            a.block_size() != b.block_size() ||
+            a.base_hash() != b.base_hash() ||
+            a.result_hash() != b.result_hash()) {
+          return "layer metadata differs";
+        }
+        if (a.dirty_blocks() != b.dirty_blocks()) return "dirty set differs";
+        for (std::size_t i = 0; i < a.dirty_blocks(); ++i) {
+          if (a.blocks()[i].index != b.blocks()[i].index ||
+              a.blocks()[i].payload != b.blocks()[i].payload) {
+            return "dirty block " + std::to_string(i) + " differs";
+          }
+        }
+        if (!a.verify_self()) return "self hash does not verify";
+        // A walk at 4 KiB caches the digest from the reused hashes.
+        if (reusing.content_hash() != uncached().content_hash()) {
+          return "cached digest differs";
+        }
+        const Snapshot replayed = apply_block_delta(tip, a);
+        if (replayed.to_bytes() != current.to_bytes()) return "replay differs";
+        if (!replayed.verify(a.result_hash())) return "replay does not verify";
+        return std::nullopt;
+      },
+      nullptr,
+      [](const Case& c) {
+        std::ostringstream out;
+        out << "size=" << c.size << " page=" << c.page << " block=" << c.block
+            << " seed=" << c.seed << " reference=" << c.reference
+            << " via_restore=" << (c.via_restore ? "yes" : "no");
+        return out.str();
+      });
+  for (std::size_t r = 0; r < by_reference.size(); ++r) {
+    EXPECT_GT(by_reference[r], 0u) << "no case drew reference kind " << r;
+  }
+  EXPECT_GT(reused_pages, 0u) << "no page was shared with a reference";
 }
 
 TEST(BuddyStoreChainTest, ChainNeedsABaseAndClearsOnPromote) {

@@ -111,8 +111,8 @@ TEST(PageStoreTest, HugeOffsetWrapIsRejected) {
 TEST(PageStoreTest, RestoreAdvancesVersionPastRestoredImage) {
   // Regression: restoring a higher-versioned image (the failover path: a
   // replacement node adopts a buddy's snapshot) left version_ behind, so
-  // the next snapshot ordered *before* the restored one and make_delta
-  // rejected a legitimate post-failover delta.
+  // the next snapshot ordered *before* the restored one and a diff against
+  // the restored image rejected a legitimate post-failover delta.
   PageStore source(512, 256);
   Snapshot committed;
   for (int i = 0; i < 5; ++i) committed = source.snapshot(9);
@@ -147,6 +147,40 @@ TEST(PageStoreTest, CowCopiesOnlyTouchedPages) {
   store.write(3 * 256, bytes_of("z"));  // page 3 cloned
   EXPECT_EQ(store.cow_copies(), 2u);
   (void)snap;
+}
+
+TEST(PageStoreTest, IdenticalRewriteOfASharedPageClonesNothing) {
+  PageStore store(1000, 256);  // three whole pages and a 232-byte tail
+  store.write(0, std::vector<std::byte>(1000, std::byte{3}));
+  const Snapshot snap = store.snapshot(1);
+  // Whole pages, a slice inside a page and a range across three pages and
+  // into the tail, all holding the bytes already there.
+  store.write(0, std::vector<std::byte>(512, std::byte{3}));
+  store.write(300, std::vector<std::byte>(10, std::byte{3}));
+  store.write(250, std::vector<std::byte>(750, std::byte{3}));
+  EXPECT_EQ(store.cow_copies(), 0u);
+  const Snapshot same = store.snapshot(1);
+  for (std::size_t i = 0; i < snap.page_count(); ++i) {
+    EXPECT_EQ(same.pages()[i], snap.pages()[i]) << "page " << i;
+  }
+  // One changed byte in a range of equal ones clones only its page; a
+  // whole-page write of new bytes replaces its page outright.
+  std::vector<std::byte> mixed(512, std::byte{3});
+  mixed[300] = std::byte{4};
+  store.write(0, mixed);
+  store.write(512, std::vector<std::byte>(256, std::byte{5}));
+  EXPECT_EQ(store.cow_copies(), 2u);
+  const Snapshot after = store.snapshot(1);
+  EXPECT_EQ(after.pages()[0], snap.pages()[0]);
+  EXPECT_NE(after.pages()[1], snap.pages()[1]);
+  EXPECT_NE(after.pages()[2], snap.pages()[2]);
+  EXPECT_EQ(after.pages()[3], snap.pages()[3]);
+  EXPECT_EQ(snap.to_bytes(), std::vector<std::byte>(1000, std::byte{3}));
+  const auto bytes = after.to_bytes();
+  EXPECT_EQ(bytes[300], std::byte{4});
+  EXPECT_EQ(bytes[299], std::byte{3});
+  EXPECT_EQ(bytes[600], std::byte{5});
+  EXPECT_EQ(after.pages()[2]->size(), 256u);
 }
 
 TEST(PageStoreTest, NoCowAfterSnapshotDropped) {
