@@ -100,9 +100,7 @@ inline std::optional<BenchContext> parse_bench_args(int argc,
   if (!dir.empty()) context.csv_dir = dir;
   const std::string jsonl_dir = parser.get("jsonl");
   if (!jsonl_dir.empty()) context.jsonl_dir = jsonl_dir;
-  if (const std::int64_t trials = parser.get_int("trials"); trials > 0) {
-    context.trials_override = static_cast<std::uint64_t>(trials);
-  }
+  context.trials_override = parser.get_count("trials");
   return context;
 }
 

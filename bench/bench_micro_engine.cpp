@@ -29,6 +29,7 @@
 #include "sim/runner.hpp"
 #include "util/distributions.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -318,7 +319,13 @@ int main(int argc, char** argv) {
       engine_json = *it + 14;
       it = passthrough.erase(it);
     } else if (std::strncmp(*it, "--trials=", 9) == 0) {
-      trials = std::strtoull(*it + 9, nullptr, 10);
+      const auto parsed = dckpt::util::parse_number<std::uint64_t>(*it + 9);
+      if (!parsed) {
+        std::fprintf(stderr, "%s: option --trials: invalid value '%s'\n",
+                     argv[0], *it + 9);
+        return 2;
+      }
+      trials = parsed.value;
       it = passthrough.erase(it);
     } else {
       ++it;

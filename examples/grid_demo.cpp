@@ -5,33 +5,12 @@
 //   ./grid_demo --rows 3 --cols 3 --topology triples --kill 21:4
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <vector>
 
+#include "chaos/schedule.hpp"
 #include "runtime/runtime_api.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
-
-namespace {
-
-std::vector<dckpt::runtime::FailureInjection> parse_kills(
-    const std::string& spec) {
-  std::vector<dckpt::runtime::FailureInjection> kills;
-  if (spec.empty()) return kills;
-  std::istringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("--kill expects step:node[,step:node...]");
-    }
-    kills.push_back({std::stoull(item.substr(0, colon)),
-                     std::stoull(item.substr(colon + 1))});
-  }
-  return kills;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dckpt;
@@ -47,17 +26,20 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   runtime::GridConfig config;
-  config.grid_rows = static_cast<std::size_t>(cli.get_int("rows"));
-  config.grid_cols = static_cast<std::size_t>(cli.get_int("cols"));
+  config.grid_rows = cli.get_count("rows");
+  config.grid_cols = cli.get_count("cols");
   config.topology = cli.get("topology") == "triples"
                         ? ckpt::Topology::Triples
                         : ckpt::Topology::Pairs;
-  config.block_rows = static_cast<std::size_t>(cli.get_int("block"));
+  config.block_rows = cli.get_count("block");
   config.block_cols = config.block_rows;
-  config.total_steps = static_cast<std::uint64_t>(cli.get_int("steps"));
-  config.checkpoint_interval =
-      static_cast<std::uint64_t>(cli.get_int("interval"));
-  const auto kills = parse_kills(cli.get("kill"));
+  config.total_steps = cli.get_count("steps");
+  config.checkpoint_interval = cli.get_count("interval");
+  // The chaos schedule grammar; '' injects nothing.
+  const auto kills =
+      cli.get("kill").empty()
+          ? std::vector<runtime::FailureInjection>{}
+          : cli.get_parsed("kill", chaos::ChaosSchedule::parse).failures;
 
   runtime::GridCoordinator reference(config,
                                      std::make_unique<runtime::HeatKernel2D>());

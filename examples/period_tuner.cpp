@@ -14,10 +14,6 @@
 #include "util/math.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace dckpt;
 
@@ -53,7 +49,7 @@ int main(int argc, char** argv) {
   const double hi = closed.period * 6.0;
   util::TextTable table({"Period", "WASTE_ff", "WASTE_fail", "Total",
                          "vs optimum"});
-  const int points = static_cast<int>(cli.get_int("points"));
+  const int points = cli.get_number<int>("points", 1);
   for (double period : util::log_space(lo, hi, points)) {
     const double ff = model::waste_fault_free(protocol, params, period);
     const double fail = model::waste_failure(protocol, params, period);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   model::HardwareSpec spec;
-  spec.nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
+  spec.nodes = cli.get_count("nodes");
   spec.node_mtbf_years = cli.get_double("mtbf-node-years");
   spec.checkpoint_bytes = cli.get_double("image-mb") * 1024 * 1024;
   spec.network_bandwidth = cli.get_double("net-mbps") * 1024 * 1024;

@@ -14,10 +14,6 @@
 #include "util/histogram.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace dckpt;
 
@@ -35,7 +31,7 @@ int main(int argc, char** argv) {
   sim::SimConfig config;
   config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
   config.params = model::base_scenario().params;
-  config.params.nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
+  config.params.nodes = cli.get_count("nodes");
   config.params.mtbf = cli.get_double("mtbf");
   config.params.overhead =
       cli.get_double("phi-ratio") * config.params.remote_blocking;
@@ -47,8 +43,8 @@ int main(int argc, char** argv) {
   config.period = opt.period;
 
   sim::MonteCarloOptions options;
-  options.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.trials = cli.get_count("trials");
+  options.seed = cli.get_count("seed");
 
   std::printf("Simulating %s on %s\n",
               std::string(model::protocol_name(config.protocol)).c_str(),

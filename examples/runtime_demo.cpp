@@ -5,34 +5,13 @@
 //   ./runtime_demo --topology triples --nodes 9 --steps 200 --kill 57:2,130:5
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/schedule.hpp"
 #include "runtime/runtime_api.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
-
-namespace {
-
-std::vector<dckpt::runtime::FailureInjection> parse_kills(
-    const std::string& spec) {
-  std::vector<dckpt::runtime::FailureInjection> kills;
-  if (spec.empty()) return kills;
-  std::istringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("--kill expects step:node[,step:node...]");
-    }
-    kills.push_back({std::stoull(item.substr(0, colon)),
-                     std::stoull(item.substr(colon + 1))});
-  }
-  return kills;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dckpt;
@@ -52,12 +31,15 @@ int main(int argc, char** argv) {
   config.topology = cli.get("topology") == "triples"
                         ? ckpt::Topology::Triples
                         : ckpt::Topology::Pairs;
-  config.nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
-  config.cells_per_node = static_cast<std::size_t>(cli.get_int("cells"));
-  config.total_steps = static_cast<std::uint64_t>(cli.get_int("steps"));
-  config.checkpoint_interval =
-      static_cast<std::uint64_t>(cli.get_int("interval"));
-  const auto kills = parse_kills(cli.get("kill"));
+  config.nodes = cli.get_count("nodes");
+  config.cells_per_node = cli.get_count("cells");
+  config.total_steps = cli.get_count("steps");
+  config.checkpoint_interval = cli.get_count("interval");
+  // The chaos schedule grammar; '' injects nothing.
+  const auto kills =
+      cli.get("kill").empty()
+          ? std::vector<runtime::FailureInjection>{}
+          : cli.get_parsed("kill", chaos::ChaosSchedule::parse).failures;
 
   // Reference: the failure-free execution.
   runtime::Coordinator reference(config,

@@ -12,10 +12,6 @@
 #include "util/cli.hpp"
 #include "util/format.hpp"
 
-namespace {
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace dckpt;
 
@@ -32,7 +28,7 @@ int main(int argc, char** argv) {
   sim::SimConfig config;
   config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
   config.params = model::base_scenario().params;
-  config.params.nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
+  config.params.nodes = cli.get_count("nodes");
   config.params.mtbf = cli.get_double("mtbf");
   config.params.overhead =
       cli.get_double("phi-ratio") * config.params.remote_blocking;
@@ -47,8 +43,8 @@ int main(int argc, char** argv) {
               util::format_duration(config.t_base).c_str());
 
   sim::Trace trace(true);
-  const auto result = sim::simulate_exponential(
-      config, static_cast<std::uint64_t>(cli.get_int("seed")), &trace);
+  const auto result =
+      sim::simulate_exponential(config, cli.get_count("seed"), &trace);
   std::printf("%s", trace.render().c_str());
 
   std::printf("\nmakespan %s, waste %s, %llu failure(s)%s\n",

@@ -1,35 +1,29 @@
 #include "chaos/schedule.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "ckpt/ring.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace dckpt::chaos {
 
 namespace {
 
-[[noreturn]] void bad_entry(const std::string& entry) {
+[[noreturn]] void bad_entry(std::string_view entry) {
   throw std::invalid_argument(
-      "ChaosSchedule: bad entry '" + entry +
+      "ChaosSchedule: bad entry '" + std::string(entry) +
       "' (want step:node, step:corrupt:holder:owner, step:torn:node, "
       "step:failxfer:node, step:sdc:node, step:alarm:node[:window] or "
       "step:torndelta:node:depth)");
 }
 
-std::uint64_t parse_number(std::string_view text, const std::string& entry) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size() || text.empty()) {
-    bad_entry(entry);
-  }
-  return value;
+std::uint64_t parse_field(std::string_view text, std::string_view entry) {
+  const auto parsed = util::parse_number<std::uint64_t>(text);
+  if (!parsed) bad_entry(entry);
+  return parsed.value;
 }
 
 }  // namespace
@@ -76,31 +70,19 @@ ChaosSchedule ChaosSchedule::parse(const std::string& spec) {
   }
   ChaosSchedule schedule;
   schedule.name = "scripted";
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const auto comma = spec.find(',', pos);
-    const std::string entry =
-        spec.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    std::vector<std::string_view> fields;
-    const std::string_view view(entry);
-    std::size_t start = 0;
-    while (true) {
-      const auto colon = view.find(':', start);
-      fields.push_back(view.substr(
-          start, colon == std::string_view::npos ? std::string_view::npos
-                                                 : colon - start));
-      if (colon == std::string_view::npos) break;
-      start = colon + 1;
-    }
+  for (const std::string_view entry : util::split(spec, ',')) {
+    const auto fields = util::split(entry, ':');
+    const auto number = [&](std::size_t i) {
+      return parse_field(fields[i], entry);
+    };
     runtime::FailureInjection injection;
     if (fields.size() == 2) {
-      injection.step = parse_number(fields[0], entry);
-      injection.node = parse_number(fields[1], entry);
+      injection.step = number(0);
+      injection.node = number(1);
     } else if (fields.size() == 3 &&
                (fields[1] == "torn" || fields[1] == "failxfer" ||
                 fields[1] == "sdc" || fields[1] == "alarm")) {
-      injection.step = parse_number(fields[0], entry);
+      injection.step = number(0);
       injection.kind = fields[1] == "torn"
                            ? runtime::InjectionKind::TornTransfer
                        : fields[1] == "failxfer"
@@ -108,41 +90,25 @@ ChaosSchedule ChaosSchedule::parse(const std::string& spec) {
                        : fields[1] == "sdc"
                            ? runtime::InjectionKind::SilentError
                            : runtime::InjectionKind::Alarm;
-      injection.node = parse_number(fields[2], entry);
-    } else if (fields.size() == 4 && fields[1] == "alarm") {
-      injection.step = parse_number(fields[0], entry);
-      injection.kind = runtime::InjectionKind::Alarm;
-      injection.node = parse_number(fields[2], entry);
-      injection.window = parse_number(fields[3], entry);
-    } else if (fields.size() == 4 && fields[1] == "torndelta") {
-      injection.step = parse_number(fields[0], entry);
-      injection.kind = runtime::InjectionKind::TornDelta;
-      injection.node = parse_number(fields[2], entry);
-      injection.window = parse_number(fields[3], entry);
+      injection.node = number(2);
+    } else if (fields.size() == 4 &&
+               (fields[1] == "alarm" || fields[1] == "torndelta")) {
+      injection.step = number(0);
+      injection.kind = fields[1] == "alarm" ? runtime::InjectionKind::Alarm
+                                            : runtime::InjectionKind::TornDelta;
+      injection.node = number(2);
+      injection.window = number(3);
     } else if (fields.size() == 4 && fields[1] == "corrupt") {
-      injection.step = parse_number(fields[0], entry);
+      injection.step = number(0);
       injection.kind = runtime::InjectionKind::CorruptReplica;
-      injection.node = parse_number(fields[2], entry);
-      injection.owner = parse_number(fields[3], entry);
+      injection.node = number(2);
+      injection.owner = number(3);
     } else {
       bad_entry(entry);
     }
     schedule.failures.push_back(injection);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
   }
   return schedule;
-}
-
-ChaosSchedule parse_schedule_cli(const std::string& program,
-                                 const std::string& spec) {
-  try {
-    return ChaosSchedule::parse(spec);
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "%s: option --schedule: invalid value '%s'\n",
-                 program.c_str(), spec.c_str());
-    std::exit(2);
-  }
 }
 
 void validate_schedule(const ChaosSchedule& schedule,

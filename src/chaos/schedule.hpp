@@ -60,17 +60,13 @@ struct ChaosSchedule {
   /// "step:corrupt:holder:owner" / "step:torn:node" / "step:failxfer:node".
   std::string spec() const;
 
-  /// Parses the textual form. Throws std::invalid_argument naming the bad
+  /// Parses the textual form; every number is a whole unsigned decimal
+  /// (util::parse_number). Throws std::invalid_argument naming the bad
   /// entry on malformed input (missing colon, non-numeric, unknown kind,
-  /// trailing junk).
+  /// trailing junk). CLI tools read it through CliParser::get_parsed, which
+  /// turns that into the usual exit-2 `invalid value` report.
   static ChaosSchedule parse(const std::string& spec);
 };
-
-/// CLI front door for `--schedule`: parse() with the PR 1 error convention --
-/// on malformed input prints "<program>: option --schedule: invalid value
-/// '<spec>'" to stderr and exits(2).
-ChaosSchedule parse_schedule_cli(const std::string& program,
-                                 const std::string& spec);
 
 /// Validates every injection against `config` (node in range, step below
 /// total_steps, corrupt target a store that actually holds the owner's

@@ -71,7 +71,7 @@ std::uint64_t size_spare_pool(const SparePoolSpec& spec, double platform_mtbf,
     throw std::invalid_argument("size_spare_pool: max_wait must be > 0");
   }
   SparePoolSpec candidate = spec;
-  for (candidate.spares = 1; candidate.spares <= 1000000;
+  for (candidate.spares = 1; candidate.spares <= kMaxSpares;
        ++candidate.spares) {
     const double lambda = 1.0 / platform_mtbf;
     const double mu = 1.0 / candidate.repair_time;

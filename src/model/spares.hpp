@@ -21,6 +21,10 @@
 
 namespace dckpt::model {
 
+/// Largest pool the model evaluates: erlang_c costs one step per spare, and
+/// size_spare_pool searches up to here.
+inline constexpr std::uint64_t kMaxSpares = 1000000;
+
 struct SparePoolSpec {
   std::uint64_t spares = 4;      ///< c: warm spare nodes
   double repair_time = 3600.0;   ///< 1/mu: mean time to repair & return one
@@ -46,7 +50,7 @@ Parameters with_spare_pool(const Parameters& params,
                            const SparePoolSpec& spec);
 
 /// Smallest spare count keeping the expected wait below `max_wait`.
-/// Throws if even 10^6 spares cannot achieve it (repair too slow).
+/// Throws if even kMaxSpares spares cannot achieve it (repair too slow).
 std::uint64_t size_spare_pool(const SparePoolSpec& spec, double platform_mtbf,
                               double max_wait);
 

@@ -6,9 +6,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "model/model_api.hpp"
 #include "sim/batch_kernel.hpp"
+#include "util/parse.hpp"
 
 namespace dckpt::sim {
 
@@ -50,35 +52,54 @@ struct Request {
 /// worries: every integer up to 2^53 is exactly representable.
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
 
-double parse_number(const std::string& key, const std::string& text) {
-  double value = 0.0;
-  try {
-    std::size_t used = 0;
-    value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    throw EvalError("parse",
-                    "bad numeric value for '" + key + "': " + text);
+/// The numeric request keys. Counts stay doubles (so cache keys quantize
+/// them like every other value) but are cast to integers later: a
+/// negative or over-2^53 double makes that cast undefined behavior, and a
+/// fractional count would be truncated silently (trials=0.5 ran zero
+/// trials), so both are rejected.
+struct NumericKey {
+  std::string_view name;
+  double Request::*field;
+  bool count;
+};
+
+constexpr NumericKey kNumericKeys[] = {
+    {"mtbf", &Request::mtbf, false},
+    {"phi-ratio", &Request::phi_ratio, false},
+    {"nodes", &Request::nodes, true},
+    {"period", &Request::period, false},
+    {"tbase", &Request::tbase, false},
+    {"trials", &Request::trials, true},
+    {"seed", &Request::seed, true},
+    {"weibull-shape", &Request::weibull_shape, false},
+    {"mission-hours", &Request::mission_hours, false},
+};
+
+/// Every request parameter is a physical quantity or a count: the value
+/// must be one finite number (util::parse_number), never nan or inf, which
+/// would flow into casts and comparisons as poison.
+double parse_value(const NumericKey& key, const std::string& text) {
+  const auto parsed = util::parse_number<double>(text);
+  const double value = parsed.value;
+  const bool castable = value >= 0.0 && value <= kMaxExactInteger &&
+                        value == std::trunc(value);
+  if (parsed && (castable || !key.count)) return value;
+  const std::string name(key.name);
+  if (parsed.error == util::ParseError::kNonFinite) {
+    throw EvalError("parse", "non-finite value for '" + name + "': " + text);
   }
-  // std::stod happily accepts "nan" and "inf"; every request parameter is
-  // a physical quantity, so non-finite values are always client errors
-  // (and would otherwise flow into casts and comparisons as poison).
-  if (!std::isfinite(value)) {
-    throw EvalError("parse",
-                    "non-finite value for '" + key + "': " + text);
+  if (!parsed) {
+    throw EvalError("parse", "bad numeric value for '" + name + "': " + text);
   }
-  return value;
+  throw EvalError("parse",
+                  "'" + name + "' must be a non-negative integer <= 2^53");
 }
 
-/// Guards the double -> uint64 casts: a negative or over-2^53 double makes
-/// the cast undefined behavior, so reject the request instead. A fractional
-/// count would be truncated silently (trials=0.5 ran zero trials), so it is
-/// rejected too.
-void require_castable_count(const std::string& key, double value) {
-  if (value < 0.0 || value > kMaxExactInteger || value != std::trunc(value)) {
-    throw EvalError("parse", "'" + key +
-                                 "' must be a non-negative integer <= 2^53");
+const NumericKey* numeric_key(std::string_view name) {
+  for (const auto& key : kNumericKeys) {
+    if (key.name == name) return &key;
   }
+  return nullptr;
 }
 
 Request parse_request(const std::string& line) {
@@ -99,24 +120,8 @@ Request parse_request(const std::string& line) {
       req.protocol = value;
     } else if (key == "scenario") {
       req.scenario = value;
-    } else if (key == "mtbf") {
-      req.mtbf = parse_number(key, value);
-    } else if (key == "phi-ratio") {
-      req.phi_ratio = parse_number(key, value);
-    } else if (key == "nodes") {
-      req.nodes = parse_number(key, value);
-    } else if (key == "period") {
-      req.period = parse_number(key, value);
-    } else if (key == "tbase") {
-      req.tbase = parse_number(key, value);
-    } else if (key == "trials") {
-      req.trials = parse_number(key, value);
-    } else if (key == "seed") {
-      req.seed = parse_number(key, value);
-    } else if (key == "weibull-shape") {
-      req.weibull_shape = parse_number(key, value);
-    } else if (key == "mission-hours") {
-      req.mission_hours = parse_number(key, value);
+    } else if (const NumericKey* numeric = numeric_key(key)) {
+      req.*(numeric->field) = parse_value(*numeric, value);
     } else {
       throw std::invalid_argument("unknown key '" + key + "'");
     }
@@ -127,9 +132,6 @@ Request parse_request(const std::string& line) {
   if (req.scenario != "base" && req.scenario != "exa") {
     throw std::invalid_argument("scenario must be base or exa");
   }
-  require_castable_count("seed", req.seed);
-  require_castable_count("trials", req.trials);
-  require_castable_count("nodes", req.nodes);
   if (req.period < 0.0) {
     throw EvalError("parse", "'period' must be >= 0 (0 = closed-form)");
   }

@@ -42,12 +42,13 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     spec.progress(progress);
   };
 
+  const SimConfig& base = spec.config;  // the per-point template
   for (auto protocol : spec.protocols) {
     for (double mtbf : spec.mtbfs) {
       for (double ratio : spec.phi_ratios) {
         const auto point_start = Clock::now();
-        auto params = spec.base.with_mtbf(mtbf).with_overhead(
-            ratio * spec.base.remote_blocking);
+        auto params = base.params.with_mtbf(mtbf).with_overhead(
+            ratio * base.params.remote_blocking);
         SweepPoint point;
         point.protocol = protocol;
         point.mtbf = mtbf;
@@ -85,42 +86,33 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
               model::waste(protocol, params, point.period, failures);
         }
         point.model_waste_sdc = point.model_waste;
-        if (spec.verify_every > 0) {
-          const model::SdcSpec sdc{spec.sdc_rate, spec.verify_cost,
-                                   spec.verify_every};
+        if (base.verify_every > 0) {
+          const model::SdcSpec sdc{base.sdc_rate, base.verify_cost,
+                                   base.verify_every};
           point.model_waste_sdc =
               model::waste_with_sdc(protocol, params, point.period, sdc);
         }
         point.model_waste_pred = point.model_waste;
-        if (spec.pred_recall > 0.0) {
-          const model::PredictorSpec pred{spec.pred_precision,
-                                          spec.pred_recall, spec.pred_window,
-                                          spec.proactive_cost};
+        if (base.pred_recall > 0.0) {
+          const model::PredictorSpec pred{base.pred_precision,
+                                          base.pred_recall, base.pred_window,
+                                          base.proactive_cost};
           point.model_waste_pred =
               model::waste_with_predictor(protocol, params, point.period,
                                           pred);
         }
         point.model_waste_dcp = point.model_waste;
-        if (spec.dcp.enabled()) {
+        if (base.dcp.enabled()) {
           point.model_waste_dcp =
-              model::waste_with_dcp(protocol, params, point.period, spec.dcp);
+              model::waste_with_dcp(protocol, params, point.period, base.dcp);
         }
 
-        SimConfig config;
+        SimConfig config = base;
         config.protocol = protocol;
         config.params = params;
         config.period = point.period;
         config.t_base = t_base;
         config.stop_on_fatal = false;
-        config.sdc_rate = spec.sdc_rate;
-        config.verify_cost = spec.verify_cost;
-        config.verify_every = spec.verify_every;
-        config.keep_last = spec.keep_last;
-        config.pred_precision = spec.pred_precision;
-        config.pred_recall = spec.pred_recall;
-        config.pred_window = spec.pred_window;
-        config.proactive_cost = spec.proactive_cost;
-        config.dcp = spec.dcp;
         MonteCarloOptions options;
         options.trials = spec.trials;
         options.seed = spec.seed;

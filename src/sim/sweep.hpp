@@ -8,8 +8,8 @@
 #include <optional>
 #include <vector>
 
-#include "model/dcp.hpp"
 #include "model/protocol.hpp"
+#include "sim/protocol_sim.hpp"
 #include "sim/runner.hpp"
 
 namespace dckpt::sim {
@@ -55,7 +55,16 @@ struct SweepSpec {
   std::vector<model::Protocol> protocols;
   std::vector<double> mtbfs;
   std::vector<double> phi_ratios;   ///< phi / R
-  model::Parameters base;           ///< template; mtbf/overhead overridden
+  /// Per-point template. Each point simulates a copy with the protocol,
+  /// params.mtbf / params.overhead, period and t_base of the grid point and
+  /// stop_on_fatal = false. The extension axes apply to every point as
+  /// given here, and each enabled one adds its model waste to the row:
+  /// silent errors (verify_every > 0: the (V, k, P) model), prediction
+  /// (pred_recall > 0: the predictor model) and dcp (dcp.stack_size > 0:
+  /// the dirty-fraction model). The default period stays the full-image
+  /// closed form, so model_waste_dcp and the simulation read the *same*
+  /// period -- pass `period` to study the dcp optimum instead.
+  SimConfig config;
   double t_base_in_mtbfs = 25.0;    ///< t_base = factor * M
   std::uint64_t trials = 60;
   std::uint64_t seed = 0x5eed;
@@ -64,28 +73,6 @@ struct SweepSpec {
   /// point simulates Weibull inter-failure times of matched per-node mean
   /// and the row additionally carries the clustered-model waste.
   double weibull_shape = 0.0;
-  /// Silent-error axis (verify_every == 0 disables it, matching SimConfig).
-  /// When enabled every point simulates verified checkpoints and the row
-  /// additionally carries the (V, k, P) model waste.
-  double sdc_rate = 0.0;           ///< platform strike rate, 1/s
-  double verify_cost = 0.0;        ///< V: blocking verification time, s
-  std::uint64_t verify_every = 0;  ///< k: periods per verification (0 = off)
-  std::uint64_t keep_last = 1;     ///< l: retained committed checkpoint sets
-  /// Fault-prediction axis (pred_recall == 0 disables it, matching
-  /// SimConfig). When enabled every point simulates a (p, r, w) predictor
-  /// with proactive checkpoints and the row additionally carries the
-  /// predictor-model waste.
-  double pred_precision = 1.0;  ///< p: fraction of alarms that are true
-  double pred_recall = 0.0;     ///< r: fraction of failures predicted
-  double pred_window = 0.0;     ///< w: alarm lead-time window width, s
-  double proactive_cost = 0.0;  ///< C_p: blocking proactive checkpoint, s
-  /// Differential-checkpoint axis (dcp.stack_size == 0 disables it,
-  /// matching SimConfig). When enabled every point simulates dcp-scaled
-  /// exchange/recovery geometry and the row additionally carries the
-  /// dirty-fraction model waste. The default period stays the full-image
-  /// closed form, so model_waste_dcp and the simulation read the *same*
-  /// period -- pass `period` to study the dcp optimum instead.
-  model::DcpSpec dcp;
   /// Optional period override; default: closed-form optimum per point.
   std::function<double(model::Protocol, const model::Parameters&)> period;
   /// Forwarded to MonteCarloOptions::metrics for every point.

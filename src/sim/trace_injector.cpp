@@ -1,11 +1,12 @@
 #include "sim/trace_injector.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace dckpt::sim {
 
@@ -51,14 +52,17 @@ std::vector<FailureEvent> load_failure_trace(const std::string& path) {
     ++line_number;
     const auto first = line.find_first_not_of(" \t");
     if (first == std::string::npos || line[first] == '#') continue;
+    // Exactly two whitespace-separated fields, each parsed whole.
     std::istringstream fields(line);
-    FailureEvent event;
-    if (!(fields >> event.time >> event.node) || event.time < 0.0 ||
-        !std::isfinite(event.time)) {
+    std::string time_text, node_text, extra;
+    fields >> time_text >> node_text;
+    const auto time = util::parse_number<double>(time_text, 0.0);
+    const auto node = util::parse_number<std::uint64_t>(node_text);
+    if (!time || !node || fields >> extra) {
       throw std::runtime_error("load_failure_trace: bad line " +
                                std::to_string(line_number) + " in " + path);
     }
-    events.push_back(event);
+    events.push_back({time.value, node.value});
   }
   if (!std::is_sorted(events.begin(), events.end(),
                       [](const FailureEvent& a, const FailureEvent& b) {

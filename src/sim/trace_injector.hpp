@@ -37,7 +37,10 @@ class TraceInjector final : public FailureInjector {
   std::uint64_t nodes_;
 };
 
-/// Parses a failure-log file. Throws std::runtime_error on I/O or format
+/// Parses a failure-log file: one `<time_seconds> <node_id>` event per line
+/// (a finite time >= 0 and an unsigned node id, each a whole number in the
+/// util::parse_number grammar, nothing after them); blank lines and lines
+/// starting with '#' are skipped. Throws std::runtime_error on I/O or format
 /// errors (with line numbers).
 std::vector<FailureEvent> load_failure_trace(const std::string& path);
 

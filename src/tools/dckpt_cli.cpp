@@ -20,7 +20,6 @@
 
 #include <csignal>
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +27,8 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos_api.hpp"
@@ -36,6 +37,7 @@
 #include "sim/sim_api.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -54,30 +56,24 @@ model::Parameters platform_from(const util::CliParser& cli) {
                                                      : model::base_scenario();
   auto params = scenario.at_phi_ratio(cli.get_double("phi-ratio"))
                     .with_mtbf(cli.get_double("mtbf"));
-  if (const auto nodes = cli.get_int("nodes"); nodes > 0) {
-    params.nodes = static_cast<std::uint64_t>(nodes);
+  if (const auto nodes = cli.get_count("nodes"); nodes > 0) {
+    params.nodes = nodes;
   }
   params.validate();
   return params;
 }
 
-void add_sdc_options(util::CliParser& cli) {
+/// The failure-model flags of simulate, sweep and optimize: the Weibull
+/// shape plus the silent-error, predictor and dcp axes.
+void add_failure_model_options(util::CliParser& cli) {
+  cli.add_option("weibull-shape", "0",
+                 "use per-node Weibull streams with this shape (0 = exp)");
   cli.add_option("sdc-rate", "0",
                  "platform silent-error rate, strikes/s (0 = off)");
   cli.add_option("verify-cost", "0", "blocking verification time V, seconds");
   cli.add_option("verify-every", "0",
                  "periods between verifications k (0 = verification off)");
   cli.add_option("keep-last", "1", "retained committed checkpoint sets l");
-}
-
-void apply_sdc_options(const util::CliParser& cli, sim::SimConfig& config) {
-  config.sdc_rate = cli.get_double("sdc-rate");
-  config.verify_cost = cli.get_double("verify-cost");
-  config.verify_every = static_cast<std::uint64_t>(cli.get_int("verify-every"));
-  config.keep_last = static_cast<std::uint64_t>(cli.get_int("keep-last"));
-}
-
-void add_predictor_options(util::CliParser& cli) {
   cli.add_option("pred-recall", "0",
                  "fault-predictor recall r in [0,1] (0 = predictor off)");
   cli.add_option("pred-precision", "1",
@@ -86,22 +82,6 @@ void add_predictor_options(util::CliParser& cli) {
                  "prediction-window width w, seconds (0 = just-in-time)");
   cli.add_option("proactive-cost", "0",
                  "proactive checkpoint cost C_p, seconds");
-}
-
-void apply_predictor_options(const util::CliParser& cli,
-                             sim::SimConfig& config) {
-  config.pred_recall = cli.get_double("pred-recall");
-  config.pred_precision = cli.get_double("pred-precision");
-  config.pred_window = cli.get_double("pred-window");
-  config.proactive_cost = cli.get_double("proactive-cost");
-}
-
-model::PredictorSpec predictor_from(const sim::SimConfig& config) {
-  return model::PredictorSpec{config.pred_precision, config.pred_recall,
-                              config.pred_window, config.proactive_cost};
-}
-
-void add_dcp_options(util::CliParser& cli) {
   cli.add_option("dirty-fraction", "1",
                  "per-page dirty fraction per period d in [0,1]");
   cli.add_option("dcp-block", "4096", "differential block size B, bytes");
@@ -111,29 +91,28 @@ void add_dcp_options(util::CliParser& cli) {
                  "content-hash scan cost h, fraction of a full image");
 }
 
-model::DcpSpec dcp_from(const util::CliParser& cli) {
-  model::DcpSpec dcp;
-  dcp.dirty_fraction = cli.get_double("dirty-fraction");
-  dcp.block_size = static_cast<std::size_t>(cli.get_int("dcp-block"));
-  dcp.stack_size = static_cast<std::uint64_t>(cli.get_int("dcp-stack"));
-  dcp.hash_overhead = cli.get_double("hash-overhead");
-  return dcp;
+/// Reads the flags add_failure_model_options declared: the silent-error,
+/// predictor and dcp axes into `config`. Returns the Weibull shape (0 =
+/// exponential), which becomes an injector once the node MTBF is known.
+double read_failure_model(const util::CliParser& cli, sim::SimConfig& config) {
+  config.sdc_rate = cli.get_double("sdc-rate");
+  config.verify_cost = cli.get_double("verify-cost");
+  config.verify_every = cli.get_count("verify-every");
+  config.keep_last = cli.get_count("keep-last");
+  config.pred_recall = cli.get_double("pred-recall");
+  config.pred_precision = cli.get_double("pred-precision");
+  config.pred_window = cli.get_double("pred-window");
+  config.proactive_cost = cli.get_double("proactive-cost");
+  config.dcp.dirty_fraction = cli.get_double("dirty-fraction");
+  config.dcp.block_size = cli.get_count("dcp-block");
+  config.dcp.stack_size = cli.get_count("dcp-stack");
+  config.dcp.hash_overhead = cli.get_double("hash-overhead");
+  return cli.get_double("weibull-shape");
 }
 
-/// Splits a comma-separated list ("60,3600,86400") into doubles.
-std::vector<double> parse_double_list(const std::string& text) {
-  std::vector<double> values;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto comma = text.find(',', pos);
-    const std::string item =
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    if (!item.empty()) values.push_back(std::stod(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return values;
+model::PredictorSpec predictor_from(const sim::SimConfig& config) {
+  return model::PredictorSpec{config.pred_precision, config.pred_recall,
+                              config.pred_window, config.proactive_cost};
 }
 
 // ---------------------------------------------------------------- plan
@@ -186,13 +165,9 @@ int cmd_simulate(int argc, const char* const* argv) {
   cli.add_option("trials", "500", "Monte-Carlo trials");
   cli.add_option("seed", "42", "master seed");
   cli.add_option("period", "0", "checkpoint period (0 = model optimum)");
-  cli.add_option("weibull-shape", "0",
-                 "use per-node Weibull streams with this shape (0 = exp)");
   cli.add_option("engine", "batched",
                  "batched | scalar trial engine (bit-identical results)");
-  add_sdc_options(cli);
-  add_predictor_options(cli);
-  add_dcp_options(cli);
+  add_failure_model_options(cli);
   cli.add_option("metrics-out", "",
                  "write a JSONL metrics record (with per-trial histograms)");
   cli.add_option("trace-out", "",
@@ -211,9 +186,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   }
   config.t_base = cli.get_double("tbase");
   config.stop_on_fatal = false;
-  apply_sdc_options(cli, config);
-  apply_predictor_options(cli, config);
-  config.dcp = dcp_from(cli);
+  const double shape = read_failure_model(cli, config);
   const double period = cli.get_double("period");
   config.period =
       period > 0.0
@@ -222,22 +195,23 @@ int cmd_simulate(int argc, const char* const* argv) {
                 .period;
 
   sim::MonteCarloOptions options;
-  options.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.trials = cli.get_count("trials");
+  options.seed = cli.get_count("seed");
   if (const auto engine = cli.get("engine"); engine == "scalar") {
     options.engine = sim::SimEngine::kScalar;
   } else if (engine != "batched") {
     throw std::invalid_argument("option --engine: invalid value '" + engine +
                                 "' (expected batched or scalar)");
   }
-  const double shape = cli.get_double("weibull-shape");
   if (shape > 0.0) {
     options.weibull =
         util::Weibull::from_mean(shape, config.params.node_mtbf());
   }
+  // Read even when unused, so a malformed value always exits 2.
+  const std::size_t bins = cli.get_count("metrics-bins");
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec spec;
-    spec.bins = static_cast<std::size_t>(cli.get_int("metrics-bins"));
+    spec.bins = bins;
     options.metrics = spec;
   }
   const auto mc = sim::run_monte_carlo(config, options);
@@ -348,11 +322,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   cli.add_option("tbase-mtbfs", "25", "t_base as a multiple of each MTBF");
   cli.add_option("trials", "60", "Monte-Carlo trials per grid point");
   cli.add_option("seed", "42", "master seed");
-  cli.add_option("weibull-shape", "0",
-                 "use per-node Weibull streams with this shape (0 = exp)");
-  add_sdc_options(cli);
-  add_predictor_options(cli);
-  add_dcp_options(cli);
+  add_failure_model_options(cli);
   cli.add_option("metrics-out", "", "write one JSONL sweep row per point");
   cli.add_option("metrics-bins", "64", "histogram bins for --metrics-out");
   cli.add_flag("progress", "print per-point progress and throughput");
@@ -369,44 +339,28 @@ int cmd_sweep(int argc, const char* const* argv) {
     spec.protocols.assign(model::kPaperProtocols.begin(),
                           model::kPaperProtocols.end());
   } else {
-    std::size_t pos = 0;
-    while (pos <= protocols.size()) {
-      const auto comma = protocols.find(',', pos);
-      const std::string item =
-          protocols.substr(pos, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - pos);
-      if (!item.empty()) {
-        spec.protocols.push_back(model::parse_protocol_name(item));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
+    for (const std::string_view item : util::split(protocols, ',')) {
+      if (item.empty()) continue;
+      spec.protocols.push_back(model::parse_protocol_name(std::string(item)));
     }
   }
-  spec.mtbfs = parse_double_list(cli.get("mtbfs"));
-  spec.phi_ratios = parse_double_list(cli.get("phi-ratios"));
-  spec.base = scenario.params;
-  if (const auto nodes = cli.get_int("nodes"); nodes > 0) {
-    spec.base.nodes = static_cast<std::uint64_t>(nodes);
-  } else if (spec.base.nodes > 100000) {
-    spec.base.nodes = 99996;  // keep per-node bookkeeping tractable
+  spec.mtbfs = cli.get_doubles("mtbfs");
+  spec.phi_ratios = cli.get_doubles("phi-ratios");
+  spec.config.params = scenario.params;
+  if (const auto nodes = cli.get_count("nodes"); nodes > 0) {
+    spec.config.params.nodes = nodes;
+  } else if (spec.config.params.nodes > 100000) {
+    spec.config.params.nodes = 99996;  // keep per-node bookkeeping tractable
   }
   spec.t_base_in_mtbfs = cli.get_double("tbase-mtbfs");
-  spec.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  spec.weibull_shape = cli.get_double("weibull-shape");
-  spec.sdc_rate = cli.get_double("sdc-rate");
-  spec.verify_cost = cli.get_double("verify-cost");
-  spec.verify_every = static_cast<std::uint64_t>(cli.get_int("verify-every"));
-  spec.keep_last = static_cast<std::uint64_t>(cli.get_int("keep-last"));
-  spec.pred_recall = cli.get_double("pred-recall");
-  spec.pred_precision = cli.get_double("pred-precision");
-  spec.pred_window = cli.get_double("pred-window");
-  spec.proactive_cost = cli.get_double("proactive-cost");
-  spec.dcp = dcp_from(cli);
+  spec.trials = cli.get_count("trials");
+  spec.seed = cli.get_count("seed");
+  spec.weibull_shape = read_failure_model(cli, spec.config);
+  // Read even when unused, so a malformed value always exits 2.
+  const std::size_t bins = cli.get_count("metrics-bins");
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec metrics;
-    metrics.bins = static_cast<std::size_t>(cli.get_int("metrics-bins"));
+    metrics.bins = bins;
     spec.metrics = metrics;
   }
   if (cli.get_flag("progress")) {
@@ -421,9 +375,9 @@ int cmd_sweep(int argc, const char* const* argv) {
 
   const auto rows = sim::run_sweep(spec);
   const bool weibull = spec.weibull_shape > 0.0;
-  const bool sdc = spec.verify_every > 0;
-  const bool pred = spec.pred_recall > 0.0;
-  const bool dcp = spec.dcp.enabled();
+  const bool sdc = spec.config.verify_every > 0;
+  const bool pred = spec.config.pred_recall > 0.0;
+  const bool dcp = spec.config.dcp.enabled();
   std::vector<std::string> headers = {"protocol", "M", "phi", "P",
                                       "model waste", "sim waste",
                                       "mean risk time", "survival"};
@@ -486,11 +440,7 @@ int cmd_optimize(int argc, const char* const* argv) {
   cli.add_option("protocol", "doublenbl", "protocol to optimize");
   cli.add_option("tbase", "50000", "application work per trial, seconds");
   cli.add_option("trials", "40", "trials per candidate period");
-  cli.add_option("weibull-shape", "0",
-                 "use per-node Weibull streams with this shape (0 = exp)");
-  add_sdc_options(cli);
-  add_predictor_options(cli);
-  add_dcp_options(cli);
+  add_failure_model_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   sim::SimConfig config;
@@ -498,13 +448,10 @@ int cmd_optimize(int argc, const char* const* argv) {
   config.params = platform_from(cli);
   if (config.params.nodes > 100000) config.params.nodes = 99996;
   config.t_base = cli.get_double("tbase");
-  apply_sdc_options(cli, config);
-  apply_predictor_options(cli, config);
-  config.dcp = dcp_from(cli);
+  const double shape = read_failure_model(cli, config);
 
   sim::OptimizeOptions options;
-  options.trials_per_eval = static_cast<std::uint64_t>(cli.get_int("trials"));
-  const double shape = cli.get_double("weibull-shape");
+  options.trials_per_eval = cli.get_count("trials");
   if (shape > 0.0) {
     options.weibull =
         util::Weibull::from_mean(shape, config.params.node_mtbf());
@@ -579,19 +526,18 @@ int cmd_trace_gen(int argc, const char* const* argv) {
   cli.add_option("seed", "1", "random seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
+  const auto nodes = cli.get_count("nodes");
   const double mean = cli.get_double("node-mtbf");
+  const double horizon = cli.get_double("horizon");
   const double shape = cli.get_double("weibull-shape");
-  util::Xoshiro256ss rng(static_cast<std::uint64_t>(cli.get_int("seed")));
+  util::Xoshiro256ss rng(cli.get_count("seed"));
   std::vector<sim::FailureEvent> events;
   if (shape > 0.0) {
     events = sim::generate_failure_trace(util::Weibull::from_mean(shape, mean),
-                                         nodes, cli.get_double("horizon"),
-                                         rng);
+                                         nodes, horizon, rng);
   } else {
     events = sim::generate_failure_trace(util::Exponential::from_mean(mean),
-                                         nodes, cli.get_double("horizon"),
-                                         rng);
+                                         nodes, horizon, rng);
   }
   sim::save_failure_trace(cli.get("out"), events);
   std::printf("wrote %zu events to %s\n", events.size(),
@@ -718,9 +664,10 @@ int cmd_spares(int argc, const char* const* argv) {
   spec.repair_time = cli.get_double("repair");
   spec.detection = cli.get_double("detection");
 
+  // Bounded: `c` doubles past the maximum, which must stay below 2^63 or
+  // `c` wraps to 0, and each row's Erlang-C wait costs one step per spare.
+  const auto max_spares = cli.get_count("max-spares", model::kMaxSpares);
   util::TextTable table({"spares", "E[wait]", "D_eff", "Waste@P*"});
-  const auto max_spares =
-      static_cast<std::uint64_t>(cli.get_int("max-spares"));
   for (std::uint64_t c = 1; c <= max_spares; c *= 2) {
     spec.spares = c;
     std::string wait = "unstable", downtime = "-", waste = "-";
@@ -742,30 +689,16 @@ int cmd_spares(int argc, const char* const* argv) {
 
 // --------------------------------------------------------------- chaos
 
-/// Parses "RxC" (or a bare "N", meaning NxN) for --grid / --block. On
-/// malformed input prints the PR 1 error convention and exits(2).
-std::pair<std::size_t, std::size_t> parse_geometry_cli(
-    const char* program, const char* option, const std::string& text) {
-  const auto fail = [&]() -> std::pair<std::size_t, std::size_t> {
-    std::fprintf(stderr, "%s: option --%s: invalid value '%s'\n", program,
-                 option, text.c_str());
-    std::exit(2);
+/// Parses "RxC", or a bare "N" meaning NxN, for --grid / --block: each
+/// dimension a positive count. Throws std::invalid_argument otherwise.
+std::pair<std::size_t, std::size_t> parse_geometry(const std::string& text) {
+  const auto dims = util::split(text, 'x');
+  const auto dim = [&](std::string_view part) {
+    const auto parsed = util::parse_number<std::size_t>(part, 1);
+    if (!parsed || dims.size() > 2) throw std::invalid_argument(text);
+    return parsed.value;
   };
-  const auto parse_dim = [&](const std::string& part) {
-    // The whole part must be digits that fit a size_t: from_chars takes no
-    // sign, space or prefix, and reports overflow instead of throwing.
-    std::size_t value = 0;
-    const char* end = part.data() + part.size();
-    const auto [stop, error] = std::from_chars(part.data(), end, value);
-    if (error != std::errc{} || stop != end || value == 0) fail();
-    return value;
-  };
-  const std::size_t x = text.find('x');
-  if (x == std::string::npos) {
-    const std::size_t n = parse_dim(text);
-    return {n, n};
-  }
-  return {parse_dim(text.substr(0, x)), parse_dim(text.substr(x + 1))};
+  return {dim(dims.front()), dim(dims.back())};
 }
 
 int cmd_chaos(int argc, const char* const* argv) {
@@ -826,9 +759,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   } else if (topology == "triples") {
     config.runtime.topology = ckpt::Topology::Triples;
   } else {
-    std::fprintf(stderr, "dckpt chaos: option --topology: invalid value "
-                 "'%s'\n", topology.c_str());
-    std::exit(2);
+    cli.invalid_value("topology");
   }
   // Every integer flag is a count: a negative value exits 2 naming the
   // flag instead of wrapping to a huge count.
@@ -849,7 +780,8 @@ int cmd_chaos(int argc, const char* const* argv) {
   config.campaign_seed = cli.get_count("seed");
   config.max_failures = cli.get_count("max-failures");
   config.include_scripted = !cli.get_flag("random-only");
-  config.threads = cli.get_count("threads");
+  config.threads = cli.get_count("threads", util::kMaxThreads);
+  const auto spares = cli.get_count("spares", model::kMaxSpares);
 
   if (!cli.get("grid").empty()) {
     if (config.runtime.staging_steps > 0) {
@@ -857,10 +789,8 @@ int cmd_chaos(int argc, const char* const* argv) {
                    "--grid (the grid commits immediately)\n");
       std::exit(2);
     }
-    const auto [rows, cols] =
-        parse_geometry_cli("dckpt chaos", "grid", cli.get("grid"));
-    const auto [brows, bcols] =
-        parse_geometry_cli("dckpt chaos", "block", cli.get("block"));
+    const auto [rows, cols] = cli.get_parsed("grid", parse_geometry);
+    const auto [brows, bcols] = cli.get_parsed("block", parse_geometry);
     runtime::GridConfig gc;
     gc.topology = config.runtime.topology;
     gc.grid_rows = rows;
@@ -878,7 +808,7 @@ int cmd_chaos(int argc, const char* const* argv) {
     config.grid = gc;
   }
 
-  if (const auto spares = cli.get_count("spares"); spares > 0) {
+  if (spares > 0) {
     // Bridge from the spare-pool model: expected allocation wait -> steps.
     model::SparePoolSpec spec;
     spec.spares = spares;
@@ -906,8 +836,7 @@ int cmd_chaos(int argc, const char* const* argv) {
 
   if (!cli.get("schedule").empty()) {
     // Single-schedule mode: the repro path for campaign failures.
-    chaos::ChaosSchedule schedule =
-        chaos::parse_schedule_cli("dckpt chaos", cli.get("schedule"));
+    auto schedule = cli.get_parsed("schedule", chaos::ChaosSchedule::parse);
     schedule.seed = config.campaign_seed;
     const std::uint64_t reference =
         chaos::reference_run(config).final_hash;
@@ -1097,33 +1026,27 @@ int cmd_serve(int argc, const char* const* argv) {
                  "TCP: queued reply bytes before a client's reads pause");
   if (!cli.parse(argc, argv)) return 0;
 
+  // Every flag is read up front, the TCP ones in stdin mode too, so a
+  // malformed value exits 2 in either mode.
   sim::EvalServiceOptions options;
-  options.default_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  options.max_trials = static_cast<std::uint64_t>(cli.get_int("max-trials"));
-  options.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  options.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache-capacity"));
+  options.default_trials = cli.get_count("trials");
+  options.max_trials = cli.get_count("max-trials");
+  options.threads = cli.get_count("threads", util::kMaxThreads);
+  options.cache_capacity = cli.get_count("cache-capacity");
+  const auto stats_every = cli.get_count("stats-every");
+  sim::ServerOptions server_options;
+  server_options.port = cli.get_number<int>("port", -1, 65535);
+  server_options.once = cli.get_flag("once");
+  server_options.max_conns = cli.get_count("max-conns");
+  server_options.max_line = cli.get_count("max-line");
+  server_options.read_idle_ms = cli.get_number<int>("read-timeout");
+  server_options.write_stall_ms = cli.get_number<int>("write-timeout");
+  server_options.queue_depth = cli.get_count("queue-depth");
+  server_options.high_water = cli.get_count("high-water");
   sim::EvalService service(options);
-
-  const int port = static_cast<int>(cli.get_int("port"));
-  const auto stats_every =
-      static_cast<std::uint64_t>(cli.get_int("stats-every"));
-  if (port < 0) {
+  if (server_options.port < 0) {
     return serve_stdin(service, stats_every, cli.get("stats-out"));
   }
-  sim::ServerOptions server_options;
-  server_options.port = port;
-  server_options.once = cli.get_flag("once");
-  server_options.max_conns =
-      static_cast<std::size_t>(cli.get_int("max-conns"));
-  server_options.max_line = static_cast<std::size_t>(cli.get_int("max-line"));
-  server_options.read_idle_ms = static_cast<int>(cli.get_int("read-timeout"));
-  server_options.write_stall_ms =
-      static_cast<int>(cli.get_int("write-timeout"));
-  server_options.queue_depth =
-      static_cast<std::size_t>(cli.get_int("queue-depth"));
-  server_options.high_water =
-      static_cast<std::size_t>(cli.get_int("high-water"));
   return serve_tcp(service, server_options, stats_every, cli.get("stats-out"));
 }
 

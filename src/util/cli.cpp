@@ -1,23 +1,9 @@
 #include "util/cli.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace dckpt::util {
-
-namespace {
-
-[[noreturn]] void exit_invalid_value(const std::string& program,
-                                     const std::string& name,
-                                     const std::string& value) {
-  std::fprintf(stderr, "%s: option --%s: invalid value '%s'\n",
-               program.c_str(), name.c_str(), value.c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -53,13 +39,13 @@ bool CliParser::parse(int argc, const char* const* argv) {
     if (it == options_.end()) {
       std::fprintf(stderr, "%s: unknown option --%s\n%s", program_.c_str(),
                    name.c_str(), usage().c_str());
-      return false;
+      std::exit(2);
     }
     if (it->second.is_flag) {
       if (inline_value) {
         std::fprintf(stderr, "%s: flag --%s takes no value\n", program_.c_str(),
                      name.c_str());
-        return false;
+        std::exit(2);
       }
       values_[name] = std::string("1");
       continue;
@@ -76,11 +62,11 @@ bool CliParser::parse(int argc, const char* const* argv) {
                    "--%s=%s if that is really the value)\n",
                    program_.c_str(), name.c_str(), argv[i + 1], name.c_str(),
                    argv[i + 1]);
-      return false;
+      std::exit(2);
     } else {
       std::fprintf(stderr, "%s: option --%s needs a value\n", program_.c_str(),
                    name.c_str());
-      return false;
+      std::exit(2);
     }
   }
   return true;
@@ -96,44 +82,27 @@ std::string CliParser::get(const std::string& name) const {
   return oit->second.default_value;
 }
 
-double CliParser::get_double(const std::string& name) const {
+std::vector<double> CliParser::get_doubles(const std::string& name) const {
   const std::string text = get(name);
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) exit_invalid_value(program_, name, text);
-    return value;
-  } catch (const std::logic_error&) {  // invalid_argument / out_of_range
-    exit_invalid_value(program_, name, text);
+  std::vector<double> values;
+  for (const std::string_view item : split(text, ',')) {
+    if (item.empty()) continue;
+    const auto parsed = parse_number<double>(item);
+    if (!parsed) invalid_value(name);
+    values.push_back(parsed.value);
   }
-}
-
-std::int64_t CliParser::get_int(const std::string& name) const {
-  const std::string text = get(name);
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != text.size()) exit_invalid_value(program_, name, text);
-    return value;
-  } catch (const std::logic_error&) {
-    exit_invalid_value(program_, name, text);
-  }
-}
-
-std::uint64_t CliParser::get_count(const std::string& name) const {
-  const std::string text = get(name);
-  const char* const end = text.data() + text.size();
-  std::uint64_t value = 0;
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end) {
-    exit_invalid_value(program_, name, text);
-  }
-  return value;
+  return values;
 }
 
 bool CliParser::get_flag(const std::string& name) const {
   auto vit = values_.find(name);
   return vit != values_.end() && vit->second == "1";
+}
+
+void CliParser::invalid_value(const std::string& name) const {
+  std::fprintf(stderr, "%s: option --%s: invalid value '%s'\n",
+               program_.c_str(), name.c_str(), get(name).c_str());
+  std::exit(2);
 }
 
 std::string CliParser::usage() const {

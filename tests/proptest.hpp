@@ -167,4 +167,39 @@ inline std::vector<std::uint64_t> halve_toward(std::uint64_t value,
   return candidates;
 }
 
+/// The hostile-number corpus every input boundary is tested against: CLI
+/// getters, serve requests, chaos schedules and failure traces.
+inline const std::vector<std::string>& hostile_number_tokens() {
+  static const std::vector<std::string> tokens = {
+      "nan",                        // non-finite
+      "inf",                        // non-finite
+      "-inf",                       // non-finite
+      "-1",                         // a sign on a count
+      "1e400",                      // past every floating type
+      "900x",                       // trailing junk
+      "",                           // empty
+      "+5",                         // a leading plus
+      " 5",                         // a leading blank
+      "0x10",                       // hex
+      "1,5",                        // a list where one number is due
+      "1234567890123456789012345",  // past every integer type
+  };
+  return tokens;
+}
+
+/// forall over a fixed corpus: every token exactly once, in order (the
+/// draw ignores its generator). A failure reports the token.
+inline bool forall_tokens(const std::vector<std::string>& tokens,
+                          const Property<std::string>& property) {
+  std::size_t next = 0;
+  const std::function<std::string(Gen&)> draw = [&](Gen&) {
+    return tokens[next++];
+  };
+  const Show<std::string> show = [](const std::string& token) {
+    return "'" + token + "'";
+  };
+  return forall<std::string>(ForallConfig{0, tokens.size()}, draw, property,
+                             nullptr, show);
+}
+
 }  // namespace proptest

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -12,6 +13,7 @@
 
 #include "chaos/chaos_api.hpp"
 #include "proptest.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -153,9 +155,36 @@ TEST(ChaosOracle, AlarmScheduleMatchesRuntimeCounterForCounter) {
 TEST(ChaosScheduleDeathTest, CliParserExitsWithConvention) {
   // Same contract as CliParser's numeric getters: message to stderr,
   // exit(2).
-  EXPECT_EXIT(chaos::parse_schedule_cli("dckpt chaos", "banana"),
+  util::CliParser cli("dckpt chaos", "test");
+  cli.add_option("schedule", "", "schedule");
+  const std::array argv = {"dckpt chaos", "--schedule=banana"};
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EXIT(cli.get_parsed("schedule", chaos::ChaosSchedule::parse),
               testing::ExitedWithCode(2),
               "dckpt chaos: option --schedule: invalid value 'banana'");
+}
+
+TEST(ChaosSchedule, ParseRejectsTheHostileCorpusInEveryField) {
+  // Every field is a whole unsigned decimal: each hostile token, put in
+  // place of T, throws as a step, a node or the last field of an entry.
+  const auto rejected = [](const std::string& spec) {
+    try {
+      chaos::ChaosSchedule::parse(spec);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  };
+  const proptest::Property<std::string> property =
+      [&](const std::string& token) -> std::optional<std::string> {
+    for (const char* form : {"T:0", "5:T", "5:sdc:T", "5:corrupt:1:T"}) {
+      std::string spec = form;
+      spec.replace(spec.find('T'), 1, token);
+      if (!rejected(spec)) return "accepted '" + spec + "'";
+    }
+    return std::nullopt;
+  };
+  proptest::forall_tokens(proptest::hostile_number_tokens(), property);
 }
 
 TEST(ChaosSchedule, ValidateChecksRanges) {

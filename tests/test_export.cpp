@@ -155,8 +155,8 @@ TEST(ExportTest, SweepTableRoundTrip) {
   spec.protocols = {model::Protocol::DoubleNbl, model::Protocol::Triple};
   spec.mtbfs = {1200.0};
   spec.phi_ratios = {0.25};
-  spec.base = model::base_scenario().params;
-  spec.base.nodes = 12;
+  spec.config.params = model::base_scenario().params;
+  spec.config.params.nodes = 12;
   spec.t_base_in_mtbfs = 10.0;
   spec.trials = 15;
   spec.threads = 2;

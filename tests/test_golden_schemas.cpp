@@ -111,15 +111,15 @@ sim::SweepPoint golden_sweep_point() {
   spec.protocols = {model::Protocol::DoubleNbl};
   spec.mtbfs = {2000.0};
   spec.phi_ratios = {0.25};
-  spec.base = model::base_scenario().params;
+  spec.config.params = model::base_scenario().params;
   spec.t_base_in_mtbfs = 5.0;
   spec.trials = 8;
   spec.seed = 0x90a;
   spec.threads = 1;
-  spec.sdc_rate = 2e-4;
-  spec.verify_cost = 10.0;
-  spec.verify_every = 2;
-  spec.keep_last = 3;
+  spec.config.sdc_rate = 2e-4;
+  spec.config.verify_cost = 10.0;
+  spec.config.verify_every = 2;
+  spec.config.keep_last = 3;
   auto rows = sim::run_sweep(spec);
   EXPECT_EQ(rows.size(), 1u);
   return rows.empty() ? sim::SweepPoint{} : rows.front();
@@ -148,14 +148,14 @@ sim::SweepPoint golden_dcp_sweep_point() {
   spec.protocols = {model::Protocol::DoubleNbl};
   spec.mtbfs = {2000.0};
   spec.phi_ratios = {0.25};
-  spec.base = model::base_scenario().params;
+  spec.config.params = model::base_scenario().params;
   spec.t_base_in_mtbfs = 5.0;
   spec.trials = 8;
   spec.seed = 0x9dc;
   spec.threads = 1;
-  spec.dcp.stack_size = 6;
-  spec.dcp.dirty_fraction = 0.1;
-  spec.dcp.hash_overhead = 0.02;
+  spec.config.dcp.stack_size = 6;
+  spec.config.dcp.dirty_fraction = 0.1;
+  spec.config.dcp.hash_overhead = 0.02;
   auto rows = sim::run_sweep(spec);
   EXPECT_EQ(rows.size(), 1u);
   return rows.empty() ? sim::SweepPoint{} : rows.front();

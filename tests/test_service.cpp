@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "model/model_api.hpp"
+#include "proptest.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -182,6 +184,27 @@ TEST(EvalService, RejectsNonFiniteAndNonCastableNumerics) {
     EXPECT_EQ(v.at("record").as_string(), "eval_error") << line;
     EXPECT_EQ(v.at("code").as_string(), "parse") << line;
   }
+}
+
+TEST(EvalService, HostileCorpusAnswersParseErrors) {
+  sim::EvalService service;
+  const auto parse_error = [&](const std::string& line) {
+    const auto v = respond(service, line);
+    return v.at("record").as_string() == "eval_error" &&
+           v.at("code").as_string() == "parse";
+  };
+  // A count key rejects every token; a real key takes the 25-digit integer
+  // (a finite MTBF). "+5" and "0x10" used to be read as 5 and 16.
+  const proptest::Property<std::string> property =
+      [&](const std::string& token) -> std::optional<std::string> {
+    if (!parse_error("EVAL kind=period seed=" + token)) return "as seed";
+    const bool real = token.size() != 25;
+    if (real && !parse_error("EVAL kind=period mtbf=" + token)) {
+      return "as mtbf";
+    }
+    return std::nullopt;
+  };
+  proptest::forall_tokens(proptest::hostile_number_tokens(), property);
 }
 
 TEST(EvalService, ClassifiesRequestsForAdmissionControl) {

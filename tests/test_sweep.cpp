@@ -14,8 +14,8 @@ SweepSpec small_spec() {
   spec.protocols = {model::Protocol::DoubleNbl, model::Protocol::Triple};
   spec.mtbfs = {1200.0, 4800.0};
   spec.phi_ratios = {0.25, 1.0};
-  spec.base = model::base_scenario().params;
-  spec.base.nodes = 12;
+  spec.config.params = model::base_scenario().params;
+  spec.config.params.nodes = 12;
   spec.t_base_in_mtbfs = 10.0;
   spec.trials = 20;
   spec.threads = 2;

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "sim/protocol_sim.hpp"
 #include "model/scenario.hpp"
+#include "proptest.hpp"
 
 namespace {
 
@@ -75,16 +78,60 @@ TEST_F(TraceFileTest, CommentsAndBlanksIgnored) {
 }
 
 TEST_F(TraceFileTest, BadLinesRejectedWithLineNumber) {
-  {
-    std::ofstream out(path_);
-    out << "1.0 0\nnot-a-number 3\n";
+  // Each field is parsed whole, with nothing after the two: a node "-1"
+  // wrapped to 2^64 - 1, "3x" was read as 3 and a third field was ignored,
+  // so `dckpt trace-fit` reported such a file as 3 distinct nodes.
+  const char* const bad_lines[] = {
+      "not-a-number 3",  // not a number
+      "1.0 -1",          // a negative node
+      "1.0 3x",          // a node with trailing junk
+      "1.0 3 7",         // a third field
+      "1.0 3 # note",    // a trailing comment
+      "1.0",             // no node
+      "1.0x 3",          // a time with trailing junk
+      "inf 3",           // a non-finite time
+      "-2 3",            // a negative time
+  };
+  for (const char* line : bad_lines) {
+    {
+      std::ofstream out(path_);
+      out << "1.0 0\n" << line << "\n";
+    }
+    try {
+      load_failure_trace(path_);
+      ADD_FAILURE() << "accepted '" << line << "'";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)
+          << line;
+    }
   }
-  try {
-    load_failure_trace(path_);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos);
-  }
+}
+
+TEST_F(TraceFileTest, HostileCorpusIsRejectedInEitherField) {
+  // The format is whitespace-separated, so " 5" is one more blank before a
+  // valid field; a time also takes the 25-digit integer (finite, >= 0).
+  const auto rejected = [&](const std::string& line) {
+    {
+      std::ofstream out(path_);
+      out << line << "\n";
+    }
+    try {
+      load_failure_trace(path_);
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  };
+  const proptest::Property<std::string> property =
+      [&](const std::string& token) -> std::optional<std::string> {
+    if (token == " 5") return std::nullopt;
+    if (!rejected("10 " + token)) return "accepted it as a node";
+    if (token.size() != 25 && !rejected(token + " 3")) {
+      return "accepted it as a time";
+    }
+    return std::nullopt;
+  };
+  proptest::forall_tokens(proptest::hostile_number_tokens(), property);
 }
 
 TEST_F(TraceFileTest, UnsortedFileRejected) {
