@@ -62,10 +62,12 @@ int main(int argc, char** argv) {
       const double horizon = model::expected_makespan(protocol, params,
                                                       opt.period,
                                                       config.t_base);
-      const double m07 = model::waste(protocol, params, opt.period,
-                                      model::WeibullFailures{0.7, horizon});
-      const double m05 = model::waste(protocol, params, opt.period,
-                                      model::WeibullFailures{0.5, horizon});
+      const auto clustered = [&](double shape) {
+        return model::waste(protocol, params, opt.period,
+                            model::Extensions{}.with_weibull({shape, horizon}));
+      };
+      const double m07 = clustered(0.7);
+      const double m05 = clustered(0.5);
 
       table.add_row({std::string(model::protocol_name(protocol)),
                      util::format_duration(mtbf),

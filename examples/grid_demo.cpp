@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
   runtime::GridConfig config;
   config.grid_rows = cli.get_count("rows");
   config.grid_cols = cli.get_count("cols");
-  config.topology = cli.get("topology") == "triples"
-                        ? ckpt::Topology::Triples
-                        : ckpt::Topology::Pairs;
+  config.topology = cli.get_parsed("topology", ckpt::parse_topology);
   config.block_rows = cli.get_count("block");
   config.block_cols = config.block_rows;
   config.total_steps = cli.get_count("steps");

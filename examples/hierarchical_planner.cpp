@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
                  "global recovery cost from stable storage, seconds");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto scenario = cli.get("scenario") == "exa" ? model::exa_scenario()
-                                                     : model::base_scenario();
+  const auto scenario = cli.get_parsed("scenario", model::scenario_by_name);
   model::HierarchicalParams params;
   params.level1 = scenario.at_phi_ratio(cli.get_double("phi-ratio"))
                       .with_mtbf(cli.get_double("mtbf"));

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   cli.add_option("points", "15", "curve resolution");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
-  auto scenario = cli.get("scenario") == "exa" ? model::exa_scenario()
-                                               : model::base_scenario();
+  const auto protocol =
+      cli.get_parsed("protocol", dckpt::model::parse_protocol_name);
+  const auto scenario = cli.get_parsed("scenario", model::scenario_by_name);
   const auto params = scenario.at_phi_ratio(cli.get_double("phi-ratio"))
                           .with_mtbf(cli.get_double("mtbf"));
 

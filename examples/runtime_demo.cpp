@@ -28,9 +28,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   runtime::RuntimeConfig config;
-  config.topology = cli.get("topology") == "triples"
-                        ? ckpt::Topology::Triples
-                        : ckpt::Topology::Pairs;
+  config.topology = cli.get_parsed("topology", ckpt::parse_topology);
   config.nodes = cli.get_count("nodes");
   config.cells_per_node = cli.get_count("cells");
   config.total_steps = cli.get_count("steps");

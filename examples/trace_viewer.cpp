@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::SimConfig config;
-  config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
+  config.protocol =
+      cli.get_parsed("protocol", dckpt::model::parse_protocol_name);
   config.params = model::base_scenario().params;
   config.params.nodes = cli.get_count("nodes");
   config.params.mtbf = cli.get_double("mtbf");

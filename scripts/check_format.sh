@@ -4,9 +4,9 @@
 #   1. Portable lint rules that need no tooling: no tab characters, no
 #      trailing whitespace, no CRLF line endings, every file ends with a
 #      newline; and one text-to-number path, so no std::sto*, strto*,
-#      ato* or CliParser::get_int call in src/, examples/ or bench/
-#      (numbers go through util::parse_number, flags through CliParser's
-#      getters). These always run and fail the gate on the first offender.
+#      ato* or CliParser::get_int call in src/, examples/, bench/ or
+#      tests/ (numbers go through util::parse_number, flags through
+#      CliParser's getters). These always run and fail the gate on the first offender.
 #   2. clang-format --dry-run --Werror against the repo's .clang-format.
 #      Runs when a clang-format binary is available (CI installs one); a
 #      box without the tool skips this layer with a notice instead of
@@ -56,7 +56,7 @@ done
 # one strict path. examples/ is linted here but not clang-formatted.
 if offenders=$(grep -rnE --include='*.cpp' --include='*.hpp' \
     'std::sto(d|f|i|l|ld|ll|ul|ull)\(|\bstrto(d|f|l|ld|ll|ul|ull)\(|\bato(f|i|l|ll)\(|get_int\(' \
-    src examples bench); then
+    src examples bench tests); then
   echo "check_format: number parsed outside util::parse_number:" >&2
   echo "${offenders}" >&2
   status=1

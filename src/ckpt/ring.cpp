@@ -2,7 +2,14 @@
 
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace dckpt::ckpt {
+
+Topology parse_topology(std::string_view name) {
+  return util::NamedValues<Topology>{{"pairs", Topology::Pairs},
+                                     {"triples", Topology::Triples}}(name);
+}
 
 GroupAssignment::GroupAssignment(std::uint64_t nodes, Topology topology)
     : nodes_(nodes), topology_(topology) {

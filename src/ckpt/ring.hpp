@@ -8,11 +8,17 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace dckpt::ckpt {
 
 enum class Topology { Pairs, Triples };
+
+/// The topology a --topology value names: "pairs" or "triples". Throws
+/// std::invalid_argument on any other name (a CliParser::get_parsed
+/// converter).
+Topology parse_topology(std::string_view name);
 
 class GroupAssignment {
  public:

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "model/waste.hpp"
 
 namespace dckpt::model {
 
@@ -49,61 +46,6 @@ double recovery_multiplier(const DcpSpec& spec) {
   if (!spec.enabled()) return 1.0;
   const double k = static_cast<double>(spec.stack_size);
   return 1.0 + block_dirty_fraction(spec) * (k - 1.0) / 2.0;
-}
-
-double waste_with_dcp(Protocol protocol, const Parameters& params,
-                      double period, const DcpSpec& spec) {
-  spec.validate();
-  if (!spec.enabled()) return waste(protocol, params, period);
-  params.validate();
-  const double m = checkpoint_volume_multiplier(spec);
-  const double g = recovery_multiplier(spec);
-  const auto transfer = effective_transfer(protocol, params);
-  const double theta = transfer.theta;
-  const double phi = transfer.phi;
-  const double d = params.downtime;
-  const double r = params.recovery();
-
-  // WASTE_ff with the checkpoint parts scaled by m (the overlap overhead
-  // phi rides inside part 2, so it scales with the transfer it paces).
-  const double ff =
-      (is_triple(protocol) ? 2.0 * phi : params.local_ckpt + phi) * m / period;
-
-  // F closed forms (waste.cpp) with the part-length terms scaled by m and
-  // the protocol's recovery transfers scaled by g; downtime and the P/2
-  // positional term are volume-independent.
-  double fail_cost = std::numeric_limits<double>::quiet_NaN();
-  switch (protocol) {
-    case Protocol::DoubleNbl:
-      fail_cost = d + g * r + m * theta + period / 2.0;
-      break;
-    case Protocol::DoubleBof:
-    case Protocol::DoubleBlocking:
-      fail_cost = d + 2.0 * g * r + m * (theta - phi) + period / 2.0;
-      break;
-    case Protocol::Triple:
-      fail_cost = d + g * r + m * theta + period / 2.0;
-      break;
-    case Protocol::TripleBof:
-      fail_cost = d + 3.0 * g * r +
-                  m * (theta - 2.0 * phi + phi * theta / period) +
-                  period / 2.0;
-      break;
-  }
-  const double fail = fail_cost / params.mtbf;
-  if (ff >= 1.0 || fail >= 1.0) return 1.0;
-  const double total = 1.0 - (1.0 - fail) * (1.0 - ff);
-  return std::clamp(total, 0.0, 1.0);
-}
-
-OptimalPeriod optimal_period_with_dcp(Protocol protocol,
-                                      const Parameters& params,
-                                      const DcpSpec& spec) {
-  spec.validate();
-  return optimal_period_numeric_objective(
-      protocol, params, [&](double period) {
-        return waste_with_dcp(protocol, params, period, spec);
-      });
 }
 
 }  // namespace dckpt::model

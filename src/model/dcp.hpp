@@ -1,4 +1,4 @@
-// Differential-checkpoint (dcp) extension of the waste model.
+// Differential-checkpoint (dcp) axis of the waste model.
 //
 // With a dcp stack of size K, only every K-th commit exchanges full images;
 // the K - 1 commits in between move content-hash block deltas. For a
@@ -20,24 +20,22 @@
 //
 //   g = 1 + d_b (K - 1) / 2                   (recovery multiplier)
 //
-// Composition with waste.hpp mirrors the simulator geometry exactly: the
-// theta/phi/delta terms of WASTE_ff and of the F closed forms scale by m,
-// the protocol's recovery transfers (R, 2R, 3R) scale by g, and the
-// downtime and P/2 terms are untouched. stack_size == 0 disables the axis
-// and reduces everything to the fail-stop model verbatim.
+// model::waste (waste.hpp) composes it the way the simulator geometry
+// does: the theta/phi/delta terms of WASTE_ff and of the F closed forms
+// scale by m, the protocol's recovery transfers (R, 2R, 3R) scale by g, and
+// the downtime and P/2 terms are untouched. stack_size == 0 disables the
+// axis and reduces everything to the fail-stop model verbatim.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "model/parameters.hpp"
-#include "model/period.hpp"
-#include "model/protocol.hpp"
 
 namespace dckpt::model {
 
-/// Differential-checkpoint configuration (the analytic mirror of the
-/// runtime's dcp_stack_size/dcp_block_size knobs plus the workload's dirty
-/// fraction and the hash-scan overhead).
+/// Differential-checkpoint configuration, shared by the waste model and the
+/// simulator (sim::SimConfig::dcp): the analytic mirror of the runtime's
+/// dcp_stack_size/dcp_block_size knobs plus the workload's dirty fraction
+/// and the hash-scan overhead.
 struct DcpSpec {
   double dirty_fraction = 1.0;    ///< d: per-page dirty probability / period
   std::size_t block_size = 4096;  ///< B: differential block size, bytes
@@ -63,17 +61,5 @@ double checkpoint_volume_multiplier(const DcpSpec& spec);
 /// g: expected recovery-transfer multiplier for replaying base + chain.
 /// 1 when the axis is disabled.
 double recovery_multiplier(const DcpSpec& spec);
-
-/// Total waste with differential checkpointing, clamped to [0, 1]. Reduces
-/// to waste() when the axis is disabled.
-double waste_with_dcp(Protocol protocol, const Parameters& params,
-                      double period, const DcpSpec& spec);
-
-/// Numeric optimum of waste_with_dcp over the admissible period domain:
-/// cheaper commits pull the optimal period down, costlier recovery pushes
-/// it back up -- no closed form, so the period is certified numerically.
-OptimalPeriod optimal_period_with_dcp(Protocol protocol,
-                                      const Parameters& params,
-                                      const DcpSpec& spec);
 
 }  // namespace dckpt::model

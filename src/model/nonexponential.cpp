@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "model/waste.hpp"
 
 namespace dckpt::model {
 
@@ -122,82 +121,6 @@ ClusterCorrection cluster_correction(const Parameters& params,
   corr.loss_coefficient = (1.0 - corr.excess_fraction) * 0.5 +
                           corr.excess_fraction * beta;
   return corr;
-}
-
-double expected_failure_cost(Protocol protocol, const Parameters& params,
-                             double period, const ClusterCorrection& corr) {
-  // Every protocol's F carries the same additive P/2 mid-period term
-  // (Eq. 7/8/14 and the TripleBof extension), so the correction swaps it
-  // for the blended eta * P uniformly.
-  return expected_failure_cost(protocol, params, period) +
-         (corr.loss_coefficient - 0.5) * period;
-}
-
-double waste_failure(Protocol protocol, const Parameters& params,
-                     double period, const ClusterCorrection& corr) {
-  const double fk = expected_failure_cost(protocol, params, period, corr);
-  return std::max(0.0, corr.rate_factor * fk / params.mtbf);
-}
-
-double waste(Protocol protocol, const Parameters& params, double period,
-             const ClusterCorrection& corr) {
-  // Mirrors waste() in waste.cpp operation for operation so the identity
-  // correction is bit-identical to the exponential model.
-  const double ff = waste_fault_free(protocol, params, period);
-  const double fail = waste_failure(protocol, params, period, corr);
-  if (ff >= 1.0 || fail >= 1.0) return 1.0;
-  const double total = 1.0 - (1.0 - fail) * (1.0 - ff);
-  return std::clamp(total, 0.0, 1.0);
-}
-
-double expected_failure_cost(Protocol protocol, const Parameters& params,
-                             double period, const WeibullFailures& failures) {
-  failures.validate();
-  if (failures.shape == 1.0) {
-    return expected_failure_cost(protocol, params, period);
-  }
-  return expected_failure_cost(protocol, params, period,
-                               cluster_correction(params, failures));
-}
-
-double waste_failure(Protocol protocol, const Parameters& params,
-                     double period, const WeibullFailures& failures) {
-  failures.validate();
-  if (failures.shape == 1.0) return waste_failure(protocol, params, period);
-  return waste_failure(protocol, params, period,
-                       cluster_correction(params, failures));
-}
-
-double waste(Protocol protocol, const Parameters& params, double period,
-             const WeibullFailures& failures) {
-  failures.validate();
-  if (failures.shape == 1.0) return waste(protocol, params, period);
-  return waste(protocol, params, period, cluster_correction(params, failures));
-}
-
-double expected_makespan(Protocol protocol, const Parameters& params,
-                         double period, double t_base,
-                         const WeibullFailures& failures) {
-  if (!(t_base >= 0.0)) {
-    throw std::invalid_argument("expected_makespan: t_base must be >= 0");
-  }
-  const double w = waste(protocol, params, period, failures);
-  if (w >= 1.0) return std::numeric_limits<double>::infinity();
-  return t_base / (1.0 - w);
-}
-
-OptimalPeriod optimal_period_numeric(Protocol protocol,
-                                     const Parameters& params,
-                                     const WeibullFailures& failures) {
-  params.validate();
-  failures.validate();
-  if (failures.shape == 1.0) return optimal_period_numeric(protocol, params);
-  // The correction is P-independent: one renewal solve, then ~400 cheap
-  // objective evaluations inside the scan + Brent loop.
-  const auto corr = cluster_correction(params, failures);
-  return optimal_period_numeric_objective(
-      protocol, params,
-      [&](double period) { return waste(protocol, params, period, corr); });
 }
 
 }  // namespace dckpt::model

@@ -1,4 +1,4 @@
-// Clustered-failure (Weibull-aware) waste model.
+// Clustered-failure (Weibull-aware) axis of the waste model.
 //
 // The paper's waste model (waste.hpp) assumes exponential inter-failure
 // times: failures form a Poisson stream of rate 1/M, so (a) the expected
@@ -57,8 +57,6 @@
 #include <limits>
 
 #include "model/parameters.hpp"
-#include "model/period.hpp"
-#include "model/protocol.hpp"
 
 namespace dckpt::model {
 
@@ -89,6 +87,8 @@ struct WeibullFailures {
   /// paper's first-order formulas at any shape.
   double horizon = std::numeric_limits<double>::infinity();
 
+  bool enabled() const noexcept { return shape != 1.0; }
+
   /// Throws std::invalid_argument unless shape is finite and > 0 and
   /// horizon > 0 (+inf allowed).
   void validate() const;
@@ -111,49 +111,9 @@ struct ClusterCorrection {
 
 /// Correction for `failures` on the platform described by `params`.
 /// Identity at shape = 1 or horizon = +inf. The renewal solve costs
-/// O(grid^2); hoist it out of period scans via the ClusterCorrection
-/// overloads below.
+/// O(grid^2), so optimal_period_numeric solves it once per call, not once
+/// per period it evaluates.
 ClusterCorrection cluster_correction(const Parameters& params,
-                                     const WeibullFailures& failures);
-
-/// Corrected expected time lost per failure,
-/// F_k(P) = F(P) - P/2 + eta * P.
-double expected_failure_cost(Protocol protocol, const Parameters& params,
-                             double period, const ClusterCorrection& corr);
-
-/// Corrected failure-induced waste, gamma * F_k(P) / M, clamped to >= 0
-/// (the blend can undershoot when gamma is tiny, i.e. when essentially no
-/// failures are expected over the horizon).
-double waste_failure(Protocol protocol, const Parameters& params,
-                     double period, const ClusterCorrection& corr);
-
-/// Total corrected waste by the paper's product composition (Eq. 5),
-/// clamped to [0, 1]. Bit-identical to waste() under the identity
-/// correction.
-double waste(Protocol protocol, const Parameters& params, double period,
-             const ClusterCorrection& corr);
-
-/// Convenience overloads: compute the correction, then delegate. The
-/// shape == 1 fast path delegates straight to the exponential model.
-double expected_failure_cost(Protocol protocol, const Parameters& params,
-                             double period, const WeibullFailures& failures);
-double waste_failure(Protocol protocol, const Parameters& params,
-                     double period, const WeibullFailures& failures);
-double waste(Protocol protocol, const Parameters& params, double period,
-             const WeibullFailures& failures);
-
-/// Corrected expected makespan T = t_base / (1 - WASTE_k); +inf when the
-/// corrected waste saturates.
-double expected_makespan(Protocol protocol, const Parameters& params,
-                         double period, double t_base,
-                         const WeibullFailures& failures);
-
-/// Numeric optimum of the *corrected* waste (scan + Brent via
-/// optimal_period_numeric_objective). The correction is P-independent, so
-/// it is computed once per call. Identical to the exponential
-/// optimal_period_numeric at shape = 1.
-OptimalPeriod optimal_period_numeric(Protocol protocol,
-                                     const Parameters& params,
                                      const WeibullFailures& failures);
 
 }  // namespace dckpt::model

@@ -66,14 +66,6 @@ OptimalPeriod optimal_period_closed_form(Protocol protocol,
   return finalize(protocol, params, closed_form_raw(protocol, params));
 }
 
-OptimalPeriod optimal_period_numeric(Protocol protocol,
-                                     const Parameters& params) {
-  params.validate();
-  return optimal_period_numeric_objective(
-      protocol, params,
-      [&](double period) { return waste(protocol, params, period); });
-}
-
 OptimalPeriod optimal_period_numeric_objective(
     Protocol protocol, const Parameters& params,
     const std::function<double(double)>& objective) {

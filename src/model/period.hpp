@@ -19,6 +19,7 @@
 
 #include "model/parameters.hpp"
 #include "model/protocol.hpp"
+#include "model/waste.hpp"
 
 namespace dckpt::model {
 
@@ -38,16 +39,17 @@ struct OptimalPeriod {
 OptimalPeriod optimal_period_closed_form(Protocol protocol,
                                          const Parameters& params);
 
-/// Numeric optimum: Brent minimization of the exact waste over
-/// [min_period, P_hi] where P_hi scales with the closed-form estimate and M.
+/// Numeric optimum: Brent minimization of the exact waste under `ext`
+/// over [min_period, P_hi] where P_hi scales with the closed-form estimate
+/// and M. No extension has a closed form, so their optima are certified
+/// numerically. Defined in waste.cpp, which resolves `ext` once per call.
 OptimalPeriod optimal_period_numeric(Protocol protocol,
-                                     const Parameters& params);
+                                     const Parameters& params,
+                                     const Extensions& ext = {});
 
 /// Same scan + Brent machinery over an arbitrary waste-shaped objective
 /// (period -> value in [0, 1], saturating at 1 on infeasible plateaus like
-/// waste() does). This is what the clustered-failure model in
-/// nonexponential.hpp optimizes; `optimal_period_numeric` is the
-/// exponential-waste instantiation.
+/// waste() does); `optimal_period_numeric` is its waste instantiation.
 OptimalPeriod optimal_period_numeric_objective(
     Protocol protocol, const Parameters& params,
     const std::function<double(double)>& objective);

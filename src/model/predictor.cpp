@@ -4,9 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "model/sdc.hpp"
-#include "model/waste.hpp"
-
 namespace dckpt::model {
 
 void PredictorSpec::validate() const {
@@ -38,47 +35,6 @@ double effective_recall(const PredictorSpec& spec) {
   const double usable =
       std::max(0.0, spec.window - spec.proactive_cost) / spec.window;
   return spec.recall * usable;
-}
-
-double waste_with_predictor(Protocol protocol, const Parameters& params,
-                            double period, const PredictorSpec& spec) {
-  spec.validate();
-  if (spec.recall <= 0.0) return waste(protocol, params, period);
-  const double r_t = effective_recall(spec);
-  // Handled failures stop paying rollbacks, so the rollback-bearing rate
-  // shrinks to lambda (1 - r_t): fail-stop waste at the effective MTBF
-  // M / (1 - r_t). A perfect predictor (r_t = 1) leaves a vanishing
-  // unpredicted rate; cap the scaling rather than feeding an infinite MTBF
-  // through Parameters::validate.
-  const double survivor = std::max(1.0 - r_t, 1e-12);
-  const double base =
-      waste(protocol, params.with_mtbf(params.mtbf / survivor), period);
-  if (base >= 1.0) return 1.0;
-  const double lambda = 1.0 / params.mtbf;
-  const double alarm_fraction =
-      lambda * (spec.recall / spec.precision) * spec.proactive_cost;
-  if (alarm_fraction >= 1.0) return 1.0;
-  const double residual =
-      spec.window > 0.0 ? (spec.window - spec.proactive_cost) / 2.0 : 0.0;
-  const double handled_loss = params.downtime +
-                              sdc_recovery_cost(protocol, params) +
-                              std::max(residual, 0.0);
-  const double handled_fraction = lambda * r_t * handled_loss;
-  if (handled_fraction >= 1.0) return 1.0;
-  const double w = 1.0 - (1.0 - base) * (1.0 - alarm_fraction) *
-                             (1.0 - handled_fraction);
-  return w < 0.0 ? 0.0 : (w > 1.0 ? 1.0 : w);
-}
-
-OptimalPeriod optimal_period_with_predictor(Protocol protocol,
-                                            const Parameters& params,
-                                            const PredictorSpec& spec) {
-  spec.validate();
-  return optimal_period_numeric_objective(
-      protocol, params,
-      [&](double period) {
-        return waste_with_predictor(protocol, params, period, spec);
-      });
 }
 
 }  // namespace dckpt::model

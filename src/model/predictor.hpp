@@ -1,4 +1,4 @@
-// Fault-prediction extension of the waste model (arXiv:1207.6936 /
+// Fault-prediction axis of the waste model (arXiv:1207.6936 /
 // arXiv:1302.4558): a predictor with precision p and recall r announces a
 // fraction r of failures ahead of time; every alarm (true or false) triggers
 // a blocking proactive checkpoint of cost C_p.
@@ -12,7 +12,7 @@
 //   r_t = r * q,   q = 1             when w == 0
 //                  q = max(0, w - C_p) / w  otherwise.
 //
-// First-order composition with the fail-stop waste W0(P) of waste.hpp:
+// model::waste (waste.hpp) composes it with the fail-stop waste W0(P):
 //
 //   W_pred(P) = 1 - (1 - W0(P; M/(1 - r_t)))
 //                   (1 - lambda (r/p) C_p)
@@ -27,8 +27,8 @@
 // (true alarms arrive at lambda r; precision p means a fraction (1-p) of
 // all alarms are false, so the total alarm rate is lambda r / p) its
 // proactive checkpoint C_p. The third factor charges each handled failure
-// its unavoidable downtime D, recovery transfer R_rb (the same
-// protocol-dependent multiple of R a fail-stop rollback pays) and the
+// its unavoidable downtime D, recovery transfers R_rb
+// (recovery_transfers(protocol) times R, as a fail-stop rollback) and the
 // expected work completed after the proactive commit and lost anyway
 // (uniform lead in (C_p, w) leaves (w - C_p)/2 on average; zero in the
 // just-in-time limit).
@@ -39,20 +39,17 @@
 // after a predicted failure.
 #pragma once
 
-#include "model/parameters.hpp"
-#include "model/period.hpp"
-#include "model/protocol.hpp"
-
 namespace dckpt::model {
 
-/// Fault-predictor configuration of the waste model (the analytic mirror of
-/// the simulator's pred_precision/pred_recall/pred_window/proactive_cost
-/// knobs).
+/// Fault-predictor configuration, shared by the waste model and the
+/// simulator (sim::SimConfig::predictor).
 struct PredictorSpec {
   double precision = 1.0;      ///< p: fraction of alarms that are true
   double recall = 0.0;         ///< r: fraction of failures predicted
   double window = 0.0;         ///< w: alarm lead-time window width, s
   double proactive_cost = 0.0; ///< C_p: blocking proactive checkpoint, s
+
+  bool enabled() const noexcept { return recall > 0.0; }
 
   /// Throws std::invalid_argument on recall/precision outside [0, 1],
   /// precision == 0 with recall > 0, or non-finite/negative window/cost.
@@ -62,19 +59,5 @@ struct PredictorSpec {
 /// Handled recall r_t = r * q: the fraction of failures whose alarm leads by
 /// at least C_p, so the proactive checkpoint completes before the failure.
 double effective_recall(const PredictorSpec& spec);
-
-/// Total waste with fault prediction and proactive checkpoints, clamped to
-/// [0, 1]; returns 1 when any factor saturates. Reduces to waste() when
-/// spec.recall == 0.
-double waste_with_predictor(Protocol protocol, const Parameters& params,
-                            double period, const PredictorSpec& spec);
-
-/// Numeric optimum of waste_with_predictor over the admissible period
-/// domain (Brent scan via optimal_period_numeric_objective). Tracks the
-/// papers' T_opt ~ T_opt(0) / sqrt(1 - r_t) scaling: handled failures stop
-/// paying rollbacks, so longer periods become affordable.
-OptimalPeriod optimal_period_with_predictor(Protocol protocol,
-                                            const Parameters& params,
-                                            const PredictorSpec& spec);
 
 }  // namespace dckpt::model

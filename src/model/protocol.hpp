@@ -83,6 +83,24 @@ std::optional<Protocol> protocol_from_name(std::string_view name) noexcept;
 /// of valid names -- for command-line parsing.
 Protocol parse_protocol_name(const std::string& name);
 
+/// Number of blocking R transfers a recovery pays: the faulty node's own
+/// image for every protocol, plus the buddy images a blocking-on-failure
+/// variant re-sends (1 for DoubleNBL and Triple, 2 for DoubleBoF and
+/// DoubleBlocking, 3 for TripleBoF).
+constexpr int recovery_transfers(Protocol p) noexcept {
+  switch (p) {
+    case Protocol::DoubleNbl:
+    case Protocol::Triple:
+      return 1;
+    case Protocol::DoubleBlocking:
+    case Protocol::DoubleBof:
+      return 2;
+    case Protocol::TripleBof:
+      return 3;
+  }
+  return 1;
+}
+
 /// True when failure recovery transfers run blocking at full network speed.
 constexpr bool blocking_on_failure(Protocol p) noexcept {
   switch (p) {

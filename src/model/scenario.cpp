@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace dckpt::model {
 
 namespace {
@@ -48,6 +50,12 @@ Scenario exa_scenario() {
 
 std::vector<Scenario> paper_scenarios() {
   return {base_scenario(), exa_scenario()};
+}
+
+Scenario scenario_by_name(std::string_view name) {
+  using MakeScenario = Scenario (*)();
+  return util::NamedValues<MakeScenario>{{"base", base_scenario},
+                                         {"exa", exa_scenario}}(name)();
 }
 
 Parameters HardwareSpec::derive() const {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/parameters.hpp"
@@ -36,6 +37,10 @@ Scenario exa_scenario();
 
 /// All paper scenarios.
 std::vector<Scenario> paper_scenarios();
+
+/// The scenario a --scenario value names: "base" or "exa". Throws
+/// std::invalid_argument on any other name.
+Scenario scenario_by_name(std::string_view name);
 
 /// Derivation helper: buddy-checkpoint parameters from machine capabilities.
 struct HardwareSpec {

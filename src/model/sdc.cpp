@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "model/waste.hpp"
-
 namespace dckpt::model {
 
 void SdcSpec::validate() const {
@@ -15,51 +13,11 @@ void SdcSpec::validate() const {
     throw std::invalid_argument(
         "SdcSpec: verify_cost must be finite and >= 0");
   }
-  if (verify_every == 0) {
-    throw std::invalid_argument("SdcSpec: verify_every must be >= 1");
+  if (rate > 0.0 && verify_every == 0) {
+    throw std::invalid_argument(
+        "SdcSpec: silent errors require verification enabled "
+        "(verify_every > 0)");
   }
-}
-
-double sdc_recovery_cost(Protocol protocol, const Parameters& params) {
-  switch (protocol) {
-    case Protocol::DoubleNbl:
-    case Protocol::Triple:
-      return params.recovery();
-    case Protocol::DoubleBof:
-    case Protocol::DoubleBlocking:
-      return 2.0 * params.recovery();
-    case Protocol::TripleBof:
-      return 3.0 * params.recovery();
-  }
-  return params.recovery();
-}
-
-double waste_with_sdc(Protocol protocol, const Parameters& params,
-                      double period, const SdcSpec& spec) {
-  spec.validate();
-  const double base = waste(protocol, params, period);
-  if (base >= 1.0) return 1.0;
-  const double k = static_cast<double>(spec.verify_every);
-  const double verify_fraction = spec.verify_cost / (k * period);
-  if (verify_fraction >= 1.0) return 1.0;
-  const double loss =
-      sdc_recovery_cost(protocol, params) + (k + 1.0) * period / 2.0;
-  const double strike_fraction = spec.rate * loss;
-  if (strike_fraction >= 1.0) return 1.0;
-  const double w = 1.0 - (1.0 - base) * (1.0 - verify_fraction) *
-                             (1.0 - strike_fraction);
-  return w < 0.0 ? 0.0 : (w > 1.0 ? 1.0 : w);
-}
-
-OptimalPeriod optimal_period_with_sdc(Protocol protocol,
-                                      const Parameters& params,
-                                      const SdcSpec& spec) {
-  spec.validate();
-  return optimal_period_numeric_objective(
-      protocol, params,
-      [&](double period) {
-        return waste_with_sdc(protocol, params, period, spec);
-      });
 }
 
 }  // namespace dckpt::model

@@ -1,9 +1,10 @@
-// Silent-error (SDC) extension of the waste model: verified checkpoints.
+// Silent-error (SDC) axis of the waste model: verified checkpoints.
 //
 // Every k periods the application blocks for a verification of cost V; a
 // silent strike (platform rate lambda_s) is caught by the next verification
 // and rolled back to the newest checkpoint committed before the strike.
-// First-order composition with the fail-stop waste W0(P) of waste.hpp:
+// model::waste (waste.hpp) composes it with the fail-stop waste W0(P) as
+// one outer factor:
 //
 //   W_sdc(P) = 1 - (1 - W0(P)) (1 - V/(kP)) (1 - lambda_s L(P))   (Sec. 8)
 //   L(P)     = R_rb + (k+1) P / 2
@@ -13,8 +14,9 @@
 // interval [0, kP) between verifications; detection waits until its end, and
 // the rollback target is the commit at the start of the strike's period
 // (floor(s/P) * P), so the expected re-executed span is
-// E[kP - floor(s/P) P] = (k+1) P / 2, plus the recovery transfer R_rb (the
-// same protocol-dependent multiple of R the fail-stop rollback pays).
+// E[kP - floor(s/P) P] = (k+1) P / 2, plus the recovery transfers R_rb
+// (recovery_transfers(protocol) times R, the same multiple the fail-stop
+// rollback pays).
 //
 // Deliberately neglected, mirroring the first-order fail-stop model:
 // strike/failure interactions, degraded-rate re-execution after a verified
@@ -25,41 +27,20 @@
 
 #include <cstdint>
 
-#include "model/parameters.hpp"
-#include "model/period.hpp"
-#include "model/protocol.hpp"
-
 namespace dckpt::model {
 
-/// Verified-checkpoint configuration of the SDC waste model (the analytic
-/// mirror of the simulator's sdc_rate/verify_cost/verify_every knobs).
+/// Verified-checkpoint configuration, shared by the waste model and the
+/// simulator (sim::SimConfig::sdc).
 struct SdcSpec {
   double rate = 0.0;               ///< lambda_s: platform strike rate, 1/s
   double verify_cost = 0.0;        ///< V: blocking verification time, s
-  std::uint64_t verify_every = 1;  ///< k: periods per verification
+  std::uint64_t verify_every = 0;  ///< k: periods per verification (0 = off)
 
-  /// Throws std::invalid_argument on non-finite/negative rate or cost, or
-  /// verify_every == 0.
+  bool enabled() const noexcept { return verify_every > 0; }
+
+  /// Throws std::invalid_argument on a non-finite/negative rate or cost,
+  /// or a positive rate with verification off (nothing would detect it).
   void validate() const;
 };
-
-/// Recovery transfer a verified rollback pays: the same protocol-dependent
-/// multiple of R that a fail-stop rollback incurs (R for the overlapped
-/// protocols, 2R / 3R for the blocking-on-failure variants).
-double sdc_recovery_cost(Protocol protocol, const Parameters& params);
-
-/// Total waste with silent errors and verified checkpoints, clamped to
-/// [0, 1]; returns 1 when any factor saturates (the platform cannot
-/// progress). Reduces to waste() when spec.rate == 0 && spec.verify_cost == 0.
-double waste_with_sdc(Protocol protocol, const Parameters& params,
-                      double period, const SdcSpec& spec);
-
-/// Numeric optimum of waste_with_sdc over the admissible period domain
-/// (Brent scan via optimal_period_numeric_objective). The verification term
-/// pushes the optimum above the fail-stop one; the strike-loss term pushes
-/// it back down -- no closed form, so the period is certified numerically.
-OptimalPeriod optimal_period_with_sdc(Protocol protocol,
-                                      const Parameters& params,
-                                      const SdcSpec& spec);
 
 }  // namespace dckpt::model

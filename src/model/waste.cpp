@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "model/period.hpp"
+
 namespace dckpt::model {
 
 namespace {
@@ -18,6 +20,124 @@ void check_period(Protocol protocol, const Parameters& params, double period) {
   if (period < lo * (1.0 - 1e-12)) {
     throw std::invalid_argument("waste: period below min_period");
   }
+}
+
+/// The period-independent factors an Extensions value resolves to (see
+/// waste.hpp). The defaults are the paper's model: m, g and gamma exactly
+/// 1 and eta exactly 1/2, so every term reduces to Eq. 7/8/14 bit for bit.
+struct Factors {
+  double m = 1.0;       ///< dcp: checkpoint volume multiplier
+  double g = 1.0;       ///< dcp: recovery (chain replay) multiplier
+  double eta = 0.5;     ///< Weibull: lost fraction of the period per failure
+  double gamma = 1.0;   ///< Weibull: failure-count rate factor
+  double mtbf = 0.0;    ///< M, or the predictor's effective M / (1 - r_t)
+  double recall = 0.0;  ///< predictor: handled recall r_t
+};
+
+Factors resolve(const Parameters& params, const Extensions& ext) {
+  Factors f;
+  if (ext.dcp.enabled()) {
+    f.m = checkpoint_volume_multiplier(ext.dcp);
+    f.g = recovery_multiplier(ext.dcp);
+  }
+  if (ext.weibull.enabled()) {
+    const auto corr = cluster_correction(params, ext.weibull);
+    f.eta = corr.loss_coefficient;
+    f.gamma = corr.rate_factor;
+  }
+  f.mtbf = params.mtbf;
+  if (ext.predictor.enabled()) {
+    // Handled failures stop paying rollbacks, so the rollback-bearing rate
+    // shrinks to lambda (1 - r_t). A perfect predictor (r_t = 1) leaves a
+    // vanishing unpredicted rate; cap the scaling rather than divide by 0.
+    f.recall = effective_recall(ext.predictor);
+    f.mtbf = params.mtbf / std::max(1.0 - f.recall, 1e-12);
+  }
+  return f;
+}
+
+/// The recovery transfers a rollback pays: n R, times the chain replay g.
+double rollback_transfers(Protocol protocol, const Parameters& params,
+                          const Factors& f) {
+  return recovery_transfers(protocol) * f.g * params.recovery();
+}
+
+/// F(P): the one closed form per protocol, with m on the transfer terms, g
+/// on the recovery transfers and the Weibull shift of the P/2 loss.
+double failure_cost(Protocol protocol, const Parameters& params,
+                    double period, const Factors& f) {
+  const auto transfer = effective_transfer(protocol, params);
+  const double d = params.downtime;
+  const double r = rollback_transfers(protocol, params, f);
+  const double theta = transfer.theta;
+  const double phi = transfer.phi;
+  const double m = f.m;
+  double cost = std::numeric_limits<double>::quiet_NaN();
+  switch (protocol) {
+    case Protocol::DoubleNbl:  // Eq. (7)
+    case Protocol::Triple:     // Eq. (14)
+      cost = d + r + m * theta + period / 2.0;
+      break;
+    case Protocol::DoubleBof:  // Eq. (8)
+    case Protocol::DoubleBlocking:
+      cost = d + r + m * theta - m * phi + period / 2.0;
+      break;
+    case Protocol::TripleBof:
+      // Derived like Eq. (8) but with two extra blocking transfers and the
+      // 2*phi overlapped overhead removed from the lost-work integral.
+      cost = d + r + m * theta + period / 2.0 - 2.0 * m * phi +
+             m * phi * theta / period;
+      break;
+  }
+  return cost + (f.eta - 0.5) * period;
+}
+
+/// WASTE_ff: the checkpoint parts' share of the period, with the dcp
+/// volume multiplier m on them.
+double fault_free_share(Protocol protocol, const Parameters& params,
+                        double period, double m) {
+  const auto transfer = effective_transfer(protocol, params);
+  return (is_triple(protocol) ? 2.0 * transfer.phi
+                              : params.local_ckpt + transfer.phi) *
+         m / period;
+}
+
+/// One outer factor pair: 1 - (1 - w)(1 - a)(1 - b), saturating at 1.
+double outer_factor(double w, double a, double b) {
+  if (w >= 1.0 || a >= 1.0 || b >= 1.0) return 1.0;
+  return std::clamp(1.0 - (1.0 - w) * (1.0 - a) * (1.0 - b), 0.0, 1.0);
+}
+
+/// The composition of waste.hpp at one period.
+double composed_waste(Protocol protocol, const Parameters& params,
+                      double period, const Extensions& ext,
+                      const Factors& f) {
+  check_period(protocol, params, period);
+  const double ff = fault_free_share(protocol, params, period, f.m);
+  // gamma can be tiny (essentially no failures expected over the horizon),
+  // where the Weibull blend can undershoot: clamp the failure term at 0.
+  const double fail = std::max(
+      0.0, f.gamma * failure_cost(protocol, params, period, f) / f.mtbf);
+  if (ff >= 1.0 || fail >= 1.0) return 1.0;
+  double w = std::clamp(1.0 - (1.0 - fail) * (1.0 - ff), 0.0, 1.0);  // Eq. 5
+  const double rollback = rollback_transfers(protocol, params, f);
+  if (ext.sdc.enabled()) {
+    const double k = static_cast<double>(ext.sdc.verify_every);
+    w = outer_factor(w, ext.sdc.verify_cost / (k * period),
+                     ext.sdc.rate * (rollback + (k + 1.0) * period / 2.0));
+  }
+  if (ext.predictor.enabled()) {
+    const auto& pred = ext.predictor;
+    const double lambda = 1.0 / params.mtbf;
+    const double residual =
+        pred.window > 0.0 ? (pred.window - pred.proactive_cost) / 2.0 : 0.0;
+    const double handled_loss =
+        params.downtime + rollback + std::max(residual, 0.0);
+    w = outer_factor(
+        w, lambda * (pred.recall / pred.precision) * pred.proactive_cost,
+        lambda * f.recall * handled_loss);
+  }
+  return w;
 }
 
 }  // namespace
@@ -83,30 +203,43 @@ ReExecution expected_reexecution(Protocol protocol, const Parameters& params,
   return re;
 }
 
+Extensions Extensions::with_weibull(const WeibullFailures& spec) const {
+  Extensions ext = *this;
+  ext.weibull = spec;
+  return ext;
+}
+
+Extensions Extensions::with_sdc(const SdcSpec& spec) const {
+  Extensions ext = *this;
+  ext.sdc = spec;
+  return ext;
+}
+
+Extensions Extensions::with_predictor(const PredictorSpec& spec) const {
+  Extensions ext = *this;
+  ext.predictor = spec;
+  return ext;
+}
+
+Extensions Extensions::with_dcp(const DcpSpec& spec) const {
+  Extensions ext = *this;
+  ext.dcp = spec;
+  return ext;
+}
+
+void Extensions::validate() const {
+  weibull.validate();
+  sdc.validate();
+  predictor.validate();
+  dcp.validate();
+}
+
 double expected_failure_cost(Protocol protocol, const Parameters& params,
-                             double period) {
+                             double period, const Extensions& ext) {
+  ext.validate();
   params.validate();
   check_period(protocol, params, period);
-  const auto transfer = effective_transfer(protocol, params);
-  const double d = params.downtime;
-  const double r = params.recovery();
-  const double theta = transfer.theta;
-  const double phi = transfer.phi;
-  switch (protocol) {
-    case Protocol::DoubleNbl:
-      return d + r + theta + period / 2.0;  // Eq. (7)
-    case Protocol::DoubleBof:
-    case Protocol::DoubleBlocking:
-      return d + 2.0 * r + theta - phi + period / 2.0;  // Eq. (8)
-    case Protocol::Triple:
-      return d + r + theta + period / 2.0;  // Eq. (14)
-    case Protocol::TripleBof:
-      // Derived like Eq. (8) but with two extra blocking transfers and the
-      // 2*phi overlapped overhead removed from the lost-work integral.
-      return d + 3.0 * r + theta + period / 2.0 - 2.0 * phi +
-             phi * theta / period;
-  }
-  return std::numeric_limits<double>::quiet_NaN();
+  return failure_cost(protocol, params, period, resolve(params, ext));
 }
 
 double expected_failure_cost_from_parts(Protocol protocol,
@@ -114,15 +247,7 @@ double expected_failure_cost_from_parts(Protocol protocol,
                                         double period) {
   const auto parts = period_parts(protocol, params, period);
   const auto re = expected_reexecution(protocol, params, period);
-  const double d = params.downtime;
-  const double r = params.recovery();
-  double recovery = r;
-  if (protocol == Protocol::DoubleBof || protocol == Protocol::DoubleBlocking) {
-    recovery = 2.0 * r;
-  } else if (protocol == Protocol::TripleBof) {
-    recovery = 3.0 * r;
-  }
-  return d + recovery +
+  return params.downtime + recovery_transfers(protocol) * params.recovery() +
          (parts.part1 * re.re1 + parts.part2 * re.re2 + parts.part3 * re.re3) /
              period;
 }
@@ -131,9 +256,7 @@ double waste_fault_free(Protocol protocol, const Parameters& params,
                         double period) {
   params.validate();
   check_period(protocol, params, period);
-  const auto transfer = effective_transfer(protocol, params);
-  if (is_triple(protocol)) return 2.0 * transfer.phi / period;
-  return (params.local_ckpt + transfer.phi) / period;
+  return fault_free_share(protocol, params, period, 1.0);
 }
 
 double waste_failure(Protocol protocol, const Parameters& params,
@@ -141,12 +264,25 @@ double waste_failure(Protocol protocol, const Parameters& params,
   return expected_failure_cost(protocol, params, period) / params.mtbf;
 }
 
-double waste(Protocol protocol, const Parameters& params, double period) {
-  const double ff = waste_fault_free(protocol, params, period);
-  const double fail = waste_failure(protocol, params, period);
-  if (ff >= 1.0 || fail >= 1.0) return 1.0;
-  const double total = 1.0 - (1.0 - fail) * (1.0 - ff);  // Eq. (5)
-  return std::clamp(total, 0.0, 1.0);
+double waste(Protocol protocol, const Parameters& params, double period,
+             const Extensions& ext) {
+  ext.validate();
+  params.validate();
+  return composed_waste(protocol, params, period, ext, resolve(params, ext));
+}
+
+OptimalPeriod optimal_period_numeric(Protocol protocol,
+                                     const Parameters& params,
+                                     const Extensions& ext) {
+  ext.validate();
+  params.validate();
+  // The factors do not depend on P: one renewal solve under Weibull
+  // clustering, then ~400 cheap evaluations in the scan + Brent loop.
+  const Factors factors = resolve(params, ext);
+  return optimal_period_numeric_objective(
+      protocol, params, [&](double period) {
+        return composed_waste(protocol, params, period, ext, factors);
+      });
 }
 
 double expected_makespan(Protocol protocol, const Parameters& params,

@@ -22,10 +22,33 @@
 // (theta = phi = R). TripleBof is our extension: add the two blocking
 // replacement transfers (2R) and drop the 2*phi overlapped re-execution
 // overhead, mirroring how the paper derives BOF from NBL.
+//
+// Every failure-model extension is a correction to this one formula, and
+// expected_failure_cost, waste and optimal_period_numeric (period.hpp) take
+// them as one Extensions value (docs/MODEL.md Sec. 5):
+//
+//   F      = D + g n R + m (checkpoint terms) + P/2 + (eta - 1/2) P
+//   W_fail = gamma F / M_eff,   M_eff = M / (1 - r_t)
+//   W_ff   = m (delta + phi) / P  (double),  m 2 phi / P  (triple)
+//   W      = 1 - (1 - W_fail)(1 - W_ff)                          (Eq. 5)
+//   W     <- 1 - (1 - W)(1 - V/(kP))(1 - lambda_s (g n R + (k+1) P/2))
+//   W     <- 1 - (1 - W)(1 - lambda (r/p) C_p)
+//                       (1 - lambda r_t (D + g n R + E[residual]))
+//
+// in that order: n = recovery_transfers(protocol); m and g come from the
+// dcp axis (dcp.hpp), eta and gamma from Weibull clustering
+// (nonexponential.hpp), the first outer factor from silent errors (sdc.hpp)
+// and r_t, the second outer factor and E[residual] from the predictor
+// (predictor.hpp). With every axis off each factor is exactly 1 (eta
+// exactly 1/2), so the paper's model is reproduced bit for bit.
 #pragma once
 
+#include "model/dcp.hpp"
+#include "model/nonexponential.hpp"
 #include "model/parameters.hpp"
+#include "model/predictor.hpp"
 #include "model/protocol.hpp"
+#include "model/sdc.hpp"
 
 namespace dckpt::model {
 
@@ -54,9 +77,30 @@ struct ReExecution {
 ReExecution expected_reexecution(Protocol protocol, const Parameters& params,
                                  double period);
 
-/// Expected total time lost per failure, F(P) (closed form).
+/// The failure-model extensions of the paper's waste, each off by default.
+/// One value describes any mix; the composition is the one above.
+struct Extensions {
+  WeibullFailures weibull;  ///< clustered failures; off at shape 1
+  SdcSpec sdc;              ///< silent errors; off at verify_every 0
+  PredictorSpec predictor;  ///< fault prediction; off at recall 0
+  DcpSpec dcp;              ///< differential checkpoints; off at stack 0
+
+  /// Copies with one axis replaced, like Parameters::with_mtbf:
+  /// Extensions{}.with_sdc(spec) is the silent-error axis alone.
+  Extensions with_weibull(const WeibullFailures& spec) const;
+  Extensions with_sdc(const SdcSpec& spec) const;
+  Extensions with_predictor(const PredictorSpec& spec) const;
+  Extensions with_dcp(const DcpSpec& spec) const;
+
+  /// Throws std::invalid_argument when any axis's spec is invalid.
+  void validate() const;
+};
+
+/// Expected total time lost per failure, F(P) (closed form), under `ext`:
+/// the dcp multipliers scale its transfer terms and Weibull clustering
+/// moves its mid-period loss from P/2 to eta P.
 double expected_failure_cost(Protocol protocol, const Parameters& params,
-                             double period);
+                             double period, const Extensions& ext = {});
 
 /// Same value computed from the RE decomposition (Eq. 6/13); used by tests
 /// to certify the closed form.
@@ -72,9 +116,11 @@ double waste_fault_free(Protocol protocol, const Parameters& params,
 double waste_failure(Protocol protocol, const Parameters& params,
                      double period);
 
-/// Total waste by the product composition (Eq. 5), clamped to [0, 1].
-/// Returns 1 when the platform cannot progress (F >= M or WASTE_ff >= 1).
-double waste(Protocol protocol, const Parameters& params, double period);
+/// Total waste by the product composition (Eq. 5) under `ext`, clamped to
+/// [0, 1]. Returns 1 when the platform cannot progress (a failure or
+/// fault-free term, or an outer factor, reaches 1).
+double waste(Protocol protocol, const Parameters& params, double period,
+             const Extensions& ext = {});
 
 /// Expected makespan for an application of fault-free work `t_base`:
 /// T = t_base / (1 - WASTE). Returns +inf when WASTE >= 1.

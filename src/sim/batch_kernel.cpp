@@ -245,17 +245,17 @@ class WaveRunner {
         seed_(options.seed),
         group_size_(
             static_cast<std::uint64_t>(model::group_size(config.protocol))),
-        sdc_rate_(config.sdc_rate),
-        verify_cost_(config.verify_cost),
-        verify_every_(config.verify_every),
+        sdc_rate_(config.sdc.rate),
+        verify_cost_(config.sdc.verify_cost),
+        verify_every_(config.sdc.verify_every),
         keep_last_(config.keep_last),
-        pred_recall_(config.pred_recall),
-        pred_window_(config.pred_window),
-        proactive_cost_(config.proactive_cost),
-        false_rate_(config.pred_recall > 0.0
+        pred_recall_(config.predictor.recall),
+        pred_window_(config.predictor.window),
+        proactive_cost_(config.predictor.proactive_cost),
+        false_rate_(config.predictor.recall > 0.0
                         ? engine::false_alarm_rate(config.params.mtbf,
-                                                   config.pred_precision,
-                                                   config.pred_recall)
+                                                   config.predictor.precision,
+                                                   config.predictor.recall)
                         : 0.0) {
     // Precomputed per-phase constants. Each gain/loss is the product of the
     // exact operands the scalar advance() multiplies, so applying them in

@@ -58,22 +58,17 @@ inline Geometry make_geometry(model::Protocol protocol,
   g.risk = model::risk_window(protocol, params);
   g.commit_after_part1 = model::is_triple(protocol);
   g.overlap_rate = transfer_rate;
+  g.recover = model::recovery_transfers(protocol) * params.recovery();
   switch (protocol) {
     case Protocol::DoubleNbl:
-      g.recover = params.recovery();
       g.reexec_overlap = theta;
+      break;
+    case Protocol::Triple:
+      g.reexec_overlap = 2.0 * theta;
       break;
     case Protocol::DoubleBof:
     case Protocol::DoubleBlocking:
-      g.recover = 2.0 * params.recovery();
-      g.reexec_overlap = 0.0;
-      break;
-    case Protocol::Triple:
-      g.recover = params.recovery();
-      g.reexec_overlap = 2.0 * theta;
-      break;
     case Protocol::TripleBof:
-      g.recover = 3.0 * params.recovery();
       g.reexec_overlap = 0.0;
       break;
   }

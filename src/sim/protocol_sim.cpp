@@ -48,7 +48,7 @@ struct Engine {
   double overlap_remaining = 0.0;      ///< degraded re-execution window left
   double risk_open_until = 0.0;        ///< latest risk-window expiry seen
 
-  // Silent-error state (active when verify_every > 0 / sdc_rate > 0).
+  // Silent-error state (active when sdc.verify_every > 0 / sdc.rate > 0).
   util::Xoshiro256ss sdc_rng;
   double next_sdc = std::numeric_limits<double>::infinity();
   std::uint64_t live_taint = 0;     ///< strikes present in the live state
@@ -60,7 +60,7 @@ struct Engine {
   /// would re-enter the boundary hook and double-count the period).
   bool resume_fresh_period = false;
 
-  // Fault-prediction state (active when pred_recall > 0).
+  // Fault-prediction state (active when predictor.recall > 0).
   util::Xoshiro256ss pred_rng;   ///< per-failure decision + lead draws
   util::Xoshiro256ss false_rng;  ///< false-alarm Poisson clock
   double false_rate = 0.0;
@@ -82,13 +82,14 @@ struct Engine {
         trace(tr), sdc_rng(stream_seed ^ engine::kSdcSeedSalt),
         pred_rng(stream_seed ^ engine::kPredSeedSalt),
         false_rng(stream_seed ^ engine::kFalseAlarmSeedSalt) {
-    if (config.verify_every > 0) ladder.reset(config.keep_last);
-    if (config.sdc_rate > 0.0) {
-      next_sdc = engine::next_strike_time(0.0, sdc_rng, config.sdc_rate);
+    if (config.sdc.verify_every > 0) ladder.reset(config.keep_last);
+    if (config.sdc.rate > 0.0) {
+      next_sdc = engine::next_strike_time(0.0, sdc_rng, config.sdc.rate);
     }
-    if (config.pred_recall > 0.0) {
-      false_rate = engine::false_alarm_rate(
-          config.params.mtbf, config.pred_precision, config.pred_recall);
+    if (config.predictor.recall > 0.0) {
+      false_rate = engine::false_alarm_rate(config.params.mtbf,
+                                            config.predictor.precision,
+                                            config.predictor.recall);
       if (false_rate > 0.0) {
         next_false_alarm =
             engine::next_strike_time(0.0, false_rng, false_rate);
@@ -183,17 +184,17 @@ struct Engine {
   void commit_snapshot() {
     if (pending < committed) return;
     committed = pending;
-    if (config.verify_every > 0) ladder.push(pending, pending_taint);
+    if (config.sdc.verify_every > 0) ladder.push(pending, pending_taint);
   }
 
   /// Period-boundary hook: runs the blocking verification when one is due,
   /// otherwise starts the next period directly.
   void end_of_period() {
-    if (config.verify_every > 0 &&
-        ++periods_since_verify >= config.verify_every) {
+    if (config.sdc.verify_every > 0 &&
+        ++periods_since_verify >= config.sdc.verify_every) {
       periods_since_verify = 0;
       phase = Phase::Verify;
-      phase_remaining = config.verify_cost;
+      phase_remaining = config.sdc.verify_cost;
       if (phase_remaining == 0.0) end_of_phase();
       return;
     }
@@ -251,7 +252,7 @@ struct Engine {
         // The proactive snapshot commits at the alarm's work level and
         // lands on the retention ladder like any other commit.
         committed = work;
-        if (config.verify_every > 0) ladder.push(work, live_taint);
+        if (config.sdc.verify_every > 0) ladder.push(work, live_taint);
         ++result.proactive_ckpts;
         record(TraceKind::ProactiveCommit);
         phase = proactive_resume_phase;
@@ -318,7 +319,7 @@ struct Engine {
   void handle_failure(const FailureEvent& event) {
     injector.pop();
     ++result.failures;
-    if (config.pred_recall > 0.0) {
+    if (config.predictor.recall > 0.0) {
       // The decision for this failure was drawn when it first became the
       // pending event; settle the prediction scoreboard.
       if (next_fail_predicted) {
@@ -365,7 +366,7 @@ struct Engine {
     work = committed;
     // Restoring the newest committed snapshot re-introduces whatever silent
     // corruption it captured (and sheds strikes it predates).
-    if (config.verify_every > 0) live_taint = ladder.front_taint();
+    if (config.sdc.verify_every > 0) live_taint = ladder.front_taint();
     phase = Phase::Down;
     phase_remaining = geo.downtime;
     overlap_remaining = 0.0;
@@ -377,7 +378,7 @@ struct Engine {
   void handle_strike() {
     ++result.sdc_injected;
     ++live_taint;
-    next_sdc = engine::next_strike_time(next_sdc, sdc_rng, config.sdc_rate);
+    next_sdc = engine::next_strike_time(next_sdc, sdc_rng, config.sdc.rate);
   }
 
   /// One predictor decision per distinct pending-failure time: with
@@ -391,12 +392,12 @@ struct Engine {
     next_fail_predicted = false;
     next_true_alarm = std::numeric_limits<double>::infinity();
     if (!std::isfinite(fail_time)) return;
-    if (pred_rng.next_double_open_zero() > config.pred_recall) return;
+    if (pred_rng.next_double_open_zero() > config.predictor.recall) return;
     next_fail_predicted = true;
     const double lead =
-        config.pred_window > 0.0
-            ? config.pred_window * pred_rng.next_double_open_zero()
-            : config.proactive_cost;
+        config.predictor.window > 0.0
+            ? config.predictor.window * pred_rng.next_double_open_zero()
+            : config.predictor.proactive_cost;
     next_true_alarm = std::max(fail_time - lead, now);
   }
 
@@ -420,7 +421,7 @@ struct Engine {
     proactive_resume_phase = phase;
     proactive_resume_remaining = phase_remaining;
     phase = Phase::Proactive;
-    phase_remaining = config.proactive_cost;
+    phase_remaining = config.predictor.proactive_cost;
     if (phase_remaining == 0.0) end_of_phase();
   }
 
@@ -446,7 +447,7 @@ struct Engine {
         dt = std::min(dt, (config.t_base - work) / rate);
       }
       const FailureEvent next_failure = injector.peek();
-      if (config.pred_recall > 0.0) decide_prediction(next_failure.time);
+      if (config.predictor.recall > 0.0) decide_prediction(next_failure.time);
       // Event ordering on ties: alarm > strike > failure. The alarm must
       // win its own failure's tie or a w=0 predictor could never save it; a
       // simultaneous strike + fail-stop failure taints the state first, so
@@ -503,43 +504,11 @@ void SimConfig::validate() const {
     throw std::invalid_argument(
         "SimConfig: nodes must be a multiple of the group size");
   }
-  if (!(sdc_rate >= 0.0) || !std::isfinite(sdc_rate)) {
-    throw std::invalid_argument("SimConfig: sdc_rate must be finite and >= 0");
-  }
-  if (!(verify_cost >= 0.0) || !std::isfinite(verify_cost)) {
-    throw std::invalid_argument(
-        "SimConfig: verify_cost must be finite and >= 0");
-  }
   if (keep_last == 0) {
     throw std::invalid_argument("SimConfig: keep_last must be >= 1");
   }
-  if (sdc_rate > 0.0 && verify_every == 0) {
-    throw std::invalid_argument(
-        "SimConfig: silent errors require verification enabled "
-        "(verify_every > 0)");
-  }
-  if (!(pred_recall >= 0.0) || !std::isfinite(pred_recall) ||
-      pred_recall > 1.0) {
-    throw std::invalid_argument(
-        "SimConfig: pred_recall must be finite and in [0, 1]");
-  }
-  if (!(pred_precision >= 0.0) || !std::isfinite(pred_precision) ||
-      pred_precision > 1.0) {
-    throw std::invalid_argument(
-        "SimConfig: pred_precision must be finite and in [0, 1]");
-  }
-  if (pred_recall > 0.0 && !(pred_precision > 0.0)) {
-    throw std::invalid_argument(
-        "SimConfig: prediction requires pred_precision > 0");
-  }
-  if (!(pred_window >= 0.0) || !std::isfinite(pred_window)) {
-    throw std::invalid_argument(
-        "SimConfig: pred_window must be finite and >= 0");
-  }
-  if (!(proactive_cost >= 0.0) || !std::isfinite(proactive_cost)) {
-    throw std::invalid_argument(
-        "SimConfig: proactive_cost must be finite and >= 0");
-  }
+  sdc.validate();
+  predictor.validate();
   dcp.validate();
 }
 

@@ -32,7 +32,9 @@
 
 #include "model/dcp.hpp"
 #include "model/parameters.hpp"
+#include "model/predictor.hpp"
 #include "model/protocol.hpp"
+#include "model/sdc.hpp"
 #include "sim/failure_injector.hpp"
 #include "sim/metrics.hpp"
 #include "sim/risk_tracker.hpp"
@@ -48,36 +50,34 @@ struct SimConfig {
   bool stop_on_fatal = true;   ///< end the run at the first fatal failure
   double max_makespan = 0.0;   ///< livelock guard; 0 = 10^4 * t_base
 
-  // Silent-error (SDC) extension with verified checkpoints. Strikes arrive
-  // as a platform-wide Poisson process at rate `sdc_rate` (drawn from a
-  // salted copy of the trial's RNG stream, so enabling them never perturbs
-  // the fail-stop arrival sequence). A strike silently taints the live
-  // state; every snapshot captured afterwards inherits the taint, and a
-  // fail-stop rollback re-introduces whatever taint the restored snapshot
-  // carries. Every `verify_every` completed periods the run blocks for
-  // `verify_cost` seconds of verification; a verification that finds the
-  // live state tainted rolls back to the shallowest clean rung of the
+  // Silent-error (SDC) extension with verified checkpoints (model/sdc.hpp,
+  // the same spec the waste model takes). Strikes arrive as a
+  // platform-wide Poisson process at rate `sdc.rate` (drawn from a salted
+  // copy of the trial's RNG stream, so enabling them never perturbs the
+  // fail-stop arrival sequence). A strike silently taints the live state;
+  // every snapshot captured afterwards inherits the taint, and a fail-stop
+  // rollback re-introduces whatever taint the restored snapshot carries.
+  // Every `sdc.verify_every` completed periods (0 = off) the run blocks for
+  // `sdc.verify_cost` seconds of verification; a verification that finds
+  // the live state tainted rolls back to the shallowest clean rung of the
   // keep-last-`keep_last` retained-checkpoint ladder (recovery transfer R,
   // then re-execution), or -- when every retained snapshot is tainted --
   // reports a fatal run and accepts the corrupt state as the new truth.
-  double sdc_rate = 0.0;     ///< platform silent-error rate, strikes/s
-  double verify_cost = 0.0;  ///< V: blocking verification time, s
-  std::uint64_t verify_every = 0;  ///< k: periods per verification (0 = off)
-  std::uint64_t keep_last = 1;     ///< l: retained committed checkpoint sets
+  model::SdcSpec sdc;
+  std::uint64_t keep_last = 1;  ///< l: retained committed checkpoint sets
 
-  // Fault prediction (arXiv:1207.6936 / arXiv:1302.4558). A predictor with
-  // recall r announces each upcoming failure independently with probability
-  // r (one decision per pending failure, drawn from a salted copy of the
-  // trial's RNG stream); precision p tunes an independent Poisson stream of
-  // false alarms at platform rate (r/M)(1-p)/p. A true alarm leads its
-  // failure by `proactive_cost` exactly when pred_window == 0 (just in
-  // time), or by a uniform draw in (0, pred_window) otherwise. Every alarm
-  // triggers a blocking proactive checkpoint of cost `proactive_cost`,
-  // skipped while repairing/verifying or when nothing new would be saved.
-  double pred_precision = 1.0;  ///< p: fraction of alarms that are true
-  double pred_recall = 0.0;     ///< r: fraction of failures predicted (0=off)
-  double pred_window = 0.0;     ///< w: alarm lead-time window width, s
-  double proactive_cost = 0.0;  ///< C_p: blocking proactive checkpoint, s
+  // Fault prediction (arXiv:1207.6936 / arXiv:1302.4558; model/predictor.hpp,
+  // the same spec the waste model takes). A predictor with recall r
+  // (0 = off) announces each upcoming failure independently with
+  // probability r (one decision per pending failure, drawn from a salted
+  // copy of the trial's RNG stream); precision p tunes an independent
+  // Poisson stream of false alarms at platform rate (r/M)(1-p)/p. A true
+  // alarm leads its failure by `proactive_cost` exactly when window == 0
+  // (just in time), or by a uniform draw in (0, window) otherwise. Every
+  // alarm triggers a blocking proactive checkpoint of cost
+  // `proactive_cost`, skipped while repairing/verifying or when nothing new
+  // would be saved.
+  model::PredictorSpec predictor;
 
   // Differential checkpointing (model/dcp.hpp). When enabled
   // (dcp.stack_size > 0) the exchange phases shrink to the effective dirty
@@ -95,7 +95,7 @@ class ProtocolSimulation {
   /// The injector's node count must match params.nodes and be a multiple of
   /// the protocol's group size. `stream_seed` must be the same seed the
   /// injector's RNG stream was built from -- the silent-error strike stream
-  /// is derived from it by salting (only consulted when sdc_rate > 0).
+  /// is derived from it by salting (only consulted when sdc.rate > 0).
   ProtocolSimulation(SimConfig config,
                      std::unique_ptr<FailureInjector> injector,
                      std::uint64_t stream_seed = 0);

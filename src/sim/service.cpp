@@ -139,8 +139,7 @@ Request parse_request(const std::string& line) {
 }
 
 model::Parameters params_from(const Request& req) {
-  const auto scenario = req.scenario == "exa" ? model::exa_scenario()
-                                              : model::base_scenario();
+  const auto scenario = model::scenario_by_name(req.scenario);
   auto params =
       scenario.at_phi_ratio(req.phi_ratio).with_mtbf(req.mtbf);
   if (req.nodes > 0.0) {

@@ -2,10 +2,7 @@
 
 #include <chrono>
 
-#include "model/nonexponential.hpp"
 #include "model/period.hpp"
-#include "model/predictor.hpp"
-#include "model/sdc.hpp"
 #include "model/waste.hpp"
 #include "util/distributions.hpp"
 #include "util/thread_pool.hpp"
@@ -71,48 +68,22 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
           report(nullptr, seconds_since(point_start));
           continue;
         }
-        const double t_base = spec.t_base_in_mtbfs * mtbf;
-        point.weibull_shape = spec.weibull_shape;
-        point.model_waste_weibull = point.model_waste;
-        if (spec.weibull_shape > 0.0) {
-          // Horizon = expected makespan under the exponential model: the
-          // startup-transient correction depends on how long the mission
-          // actually runs, not on the fault-free work.
-          const model::WeibullFailures failures{
-              spec.weibull_shape,
-              model::expected_makespan(protocol, params, point.period,
-                                       t_base)};
-          point.model_waste_weibull =
-              model::waste(protocol, params, point.period, failures);
-        }
-        point.model_waste_sdc = point.model_waste;
-        if (base.verify_every > 0) {
-          const model::SdcSpec sdc{base.sdc_rate, base.verify_cost,
-                                   base.verify_every};
-          point.model_waste_sdc =
-              model::waste_with_sdc(protocol, params, point.period, sdc);
-        }
-        point.model_waste_pred = point.model_waste;
-        if (base.pred_recall > 0.0) {
-          const model::PredictorSpec pred{base.pred_precision,
-                                          base.pred_recall, base.pred_window,
-                                          base.proactive_cost};
-          point.model_waste_pred =
-              model::waste_with_predictor(protocol, params, point.period,
-                                          pred);
-        }
-        point.model_waste_dcp = point.model_waste;
-        if (base.dcp.enabled()) {
-          point.model_waste_dcp =
-              model::waste_with_dcp(protocol, params, point.period, base.dcp);
-        }
-
         SimConfig config = base;
         config.protocol = protocol;
         config.params = params;
         config.period = point.period;
-        config.t_base = t_base;
+        config.t_base = spec.t_base_in_mtbfs * mtbf;
         config.stop_on_fatal = false;
+        point.weibull_shape = spec.weibull_shape;
+        point.model_waste_weibull = point.model_waste_sdc =
+            point.model_waste_pred = point.model_waste_dcp =
+                point.model_waste;
+        for (const ModelAxis axis : model_axes(config, spec.weibull_shape)) {
+          point.*model_waste_field(axis) = model::waste(
+              protocol, params, point.period,
+              axis_extensions(axis, config, spec.weibull_shape));
+        }
+
         MonteCarloOptions options;
         options.trials = spec.trials;
         options.seed = spec.seed;
@@ -130,6 +101,52 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     }
   }
   return rows;
+}
+
+std::vector<ModelAxis> model_axes(const SimConfig& config,
+                                  double weibull_shape) {
+  std::vector<ModelAxis> axes;
+  if (weibull_shape > 0.0) axes.push_back(ModelAxis::kWeibull);
+  if (config.sdc.enabled()) axes.push_back(ModelAxis::kSdc);
+  if (config.predictor.enabled()) axes.push_back(ModelAxis::kPredictor);
+  if (config.dcp.enabled()) axes.push_back(ModelAxis::kDcp);
+  return axes;
+}
+
+model::Extensions axis_extensions(ModelAxis axis, const SimConfig& config,
+                                  double weibull_shape) {
+  model::Extensions ext;
+  switch (axis) {
+    case ModelAxis::kWeibull:
+      ext.weibull = {weibull_shape,
+                     model::expected_makespan(config.protocol, config.params,
+                                              config.period, config.t_base)};
+      break;
+    case ModelAxis::kSdc:
+      ext.sdc = config.sdc;
+      break;
+    case ModelAxis::kPredictor:
+      ext.predictor = config.predictor;
+      break;
+    case ModelAxis::kDcp:
+      ext.dcp = config.dcp;
+      break;
+  }
+  return ext;
+}
+
+double SweepPoint::*model_waste_field(ModelAxis axis) {
+  switch (axis) {
+    case ModelAxis::kWeibull:
+      return &SweepPoint::model_waste_weibull;
+    case ModelAxis::kSdc:
+      return &SweepPoint::model_waste_sdc;
+    case ModelAxis::kPredictor:
+      return &SweepPoint::model_waste_pred;
+    case ModelAxis::kDcp:
+      break;
+  }
+  return &SweepPoint::model_waste_dcp;
 }
 
 }  // namespace dckpt::sim

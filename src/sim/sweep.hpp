@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "model/protocol.hpp"
+#include "model/waste.hpp"
 #include "sim/protocol_sim.hpp"
 #include "sim/runner.hpp"
 
@@ -58,12 +59,10 @@ struct SweepSpec {
   /// Per-point template. Each point simulates a copy with the protocol,
   /// params.mtbf / params.overhead, period and t_base of the grid point and
   /// stop_on_fatal = false. The extension axes apply to every point as
-  /// given here, and each enabled one adds its model waste to the row:
-  /// silent errors (verify_every > 0: the (V, k, P) model), prediction
-  /// (pred_recall > 0: the predictor model) and dcp (dcp.stack_size > 0:
-  /// the dirty-fraction model). The default period stays the full-image
-  /// closed form, so model_waste_dcp and the simulation read the *same*
-  /// period -- pass `period` to study the dcp optimum instead.
+  /// given here, and each enabled one (model_axes) adds its model waste to
+  /// the row. The default period stays the full-image closed form, so
+  /// model_waste_dcp and the simulation read the *same* period -- pass
+  /// `period` to study the dcp optimum instead.
   SimConfig config;
   double t_base_in_mtbfs = 25.0;    ///< t_base = factor * M
   std::uint64_t trials = 60;
@@ -85,5 +84,25 @@ struct SweepSpec {
 /// Runs the full grid (skipping infeasible points) and returns one row per
 /// feasible point, in (protocol, mtbf, phi) lexicographic order.
 std::vector<SweepPoint> run_sweep(const SweepSpec& spec);
+
+/// A failure-model axis of a simulation, in the order rows and tables
+/// list them.
+enum class ModelAxis { kWeibull, kSdc, kPredictor, kDcp };
+
+/// The axes a simulation of `config` turns on, in ModelAxis order; the
+/// Weibull axis when `weibull_shape` > 0 (0 = exponential injection).
+std::vector<ModelAxis> model_axes(const SimConfig& config,
+                                  double weibull_shape);
+
+/// `config`'s failure model with only `axis` on, for model::waste and
+/// model::optimal_period_numeric. Weibull clustering runs over the
+/// exponential model's expected makespan at config.period and
+/// config.t_base: the startup-transient correction depends on how long the
+/// mission actually runs, not on the fault-free work.
+model::Extensions axis_extensions(ModelAxis axis, const SimConfig& config,
+                                  double weibull_shape);
+
+/// The SweepPoint field holding `axis`'s model waste.
+double SweepPoint::*model_waste_field(ModelAxis axis);
 
 }  // namespace dckpt::sim

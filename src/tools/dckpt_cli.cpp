@@ -52,8 +52,7 @@ void add_platform_options(util::CliParser& cli) {
 }
 
 model::Parameters platform_from(const util::CliParser& cli) {
-  const auto scenario = cli.get("scenario") == "exa" ? model::exa_scenario()
-                                                     : model::base_scenario();
+  const auto scenario = cli.get_parsed("scenario", model::scenario_by_name);
   auto params = scenario.at_phi_ratio(cli.get_double("phi-ratio"))
                     .with_mtbf(cli.get_double("mtbf"));
   if (const auto nodes = cli.get_count("nodes"); nodes > 0) {
@@ -95,14 +94,14 @@ void add_failure_model_options(util::CliParser& cli) {
 /// predictor and dcp axes into `config`. Returns the Weibull shape (0 =
 /// exponential), which becomes an injector once the node MTBF is known.
 double read_failure_model(const util::CliParser& cli, sim::SimConfig& config) {
-  config.sdc_rate = cli.get_double("sdc-rate");
-  config.verify_cost = cli.get_double("verify-cost");
-  config.verify_every = cli.get_count("verify-every");
+  config.sdc.rate = cli.get_double("sdc-rate");
+  config.sdc.verify_cost = cli.get_double("verify-cost");
+  config.sdc.verify_every = cli.get_count("verify-every");
   config.keep_last = cli.get_count("keep-last");
-  config.pred_recall = cli.get_double("pred-recall");
-  config.pred_precision = cli.get_double("pred-precision");
-  config.pred_window = cli.get_double("pred-window");
-  config.proactive_cost = cli.get_double("proactive-cost");
+  config.predictor.recall = cli.get_double("pred-recall");
+  config.predictor.precision = cli.get_double("pred-precision");
+  config.predictor.window = cli.get_double("pred-window");
+  config.predictor.proactive_cost = cli.get_double("proactive-cost");
   config.dcp.dirty_fraction = cli.get_double("dirty-fraction");
   config.dcp.block_size = cli.get_count("dcp-block");
   config.dcp.stack_size = cli.get_count("dcp-stack");
@@ -110,9 +109,19 @@ double read_failure_model(const util::CliParser& cli, sim::SimConfig& config) {
   return cli.get_double("weibull-shape");
 }
 
-model::PredictorSpec predictor_from(const sim::SimConfig& config) {
-  return model::PredictorSpec{config.pred_precision, config.pred_recall,
-                              config.pred_window, config.proactive_cost};
+/// How the simulate and optimize tables name a failure-model axis.
+std::string axis_label(sim::ModelAxis axis, double weibull_shape) {
+  switch (axis) {
+    case sim::ModelAxis::kWeibull:
+      return "weibull k=" + util::format_fixed(weibull_shape, 2);
+    case sim::ModelAxis::kSdc:
+      return "verified ckpt";
+    case sim::ModelAxis::kPredictor:
+      return "predictor";
+    case sim::ModelAxis::kDcp:
+      break;
+  }
+  return "dcp";
 }
 
 // ---------------------------------------------------------------- plan
@@ -176,7 +185,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::SimConfig config;
-  config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
+  config.protocol = cli.get_parsed("protocol", model::parse_protocol_name);
   config.params = platform_from(cli);
   if (config.params.nodes > 100000) {
     // Keep per-node bookkeeping tractable for the default CLI path.
@@ -197,18 +206,17 @@ int cmd_simulate(int argc, const char* const* argv) {
   sim::MonteCarloOptions options;
   options.trials = cli.get_count("trials");
   options.seed = cli.get_count("seed");
-  if (const auto engine = cli.get("engine"); engine == "scalar") {
-    options.engine = sim::SimEngine::kScalar;
-  } else if (engine != "batched") {
-    throw std::invalid_argument("option --engine: invalid value '" + engine +
-                                "' (expected batched or scalar)");
-  }
+  options.engine = cli.get_parsed(
+      "engine", util::NamedValues<sim::SimEngine>{
+                    {"batched", sim::SimEngine::kBatched},
+                    {"scalar", sim::SimEngine::kScalar}});
   if (shape > 0.0) {
     options.weibull =
         util::Weibull::from_mean(shape, config.params.node_mtbf());
   }
   // Read even when unused, so a malformed value always exits 2.
-  const std::size_t bins = cli.get_count("metrics-bins");
+  const std::size_t bins =
+      cli.get_count("metrics-bins", util::kMaxMetricsBins);
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec spec;
     spec.bins = bins;
@@ -236,43 +244,14 @@ int cmd_simulate(int argc, const char* const* argv) {
   util::TextTable table({"metric", "value"});
   table.add_row({"period", util::format_duration(config.period)});
   table.add_row({"model waste", util::format_percent(model_waste, 2)});
-  if (shape > 0.0) {
-    // Clustered-failure model at the expected-makespan horizon, so the
-    // row is directly comparable to the simulated Weibull waste.
-    const model::WeibullFailures failures{
-        shape, model::expected_makespan(config.protocol, config.params,
-                                        config.period, config.t_base)};
-    const double weibull_waste =
-        model::waste(config.protocol, config.params, config.period, failures);
-    table.add_row({"model waste (weibull k=" + util::format_fixed(shape, 2) +
-                       ")",
-                   util::format_percent(weibull_waste, 2)});
-  }
-  if (config.verify_every > 0) {
-    const model::SdcSpec sdc{config.sdc_rate, config.verify_cost,
-                             config.verify_every};
-    table.add_row(
-        {"model waste (verified ckpt)",
-         util::format_percent(model::waste_with_sdc(config.protocol,
-                                                    config.params,
-                                                    config.period, sdc),
-                              2)});
-  }
-  if (config.pred_recall > 0.0) {
-    table.add_row({"model waste (predictor)",
-                   util::format_percent(
-                       model::waste_with_predictor(config.protocol,
-                                                   config.params,
-                                                   config.period,
-                                                   predictor_from(config)),
-                       2)});
-  }
-  if (config.dcp.enabled()) {
-    table.add_row({"model waste (dcp)",
-                   util::format_percent(
-                       model::waste_with_dcp(config.protocol, config.params,
-                                             config.period, config.dcp),
-                       2)});
+  for (const auto axis : sim::model_axes(config, shape)) {
+    // Each axis alone, at the simulated period (Weibull clustering at the
+    // expected-makespan horizon), so its row compares with the sim waste.
+    const double axis_waste =
+        model::waste(config.protocol, config.params, config.period,
+                     sim::axis_extensions(axis, config, shape));
+    table.add_row({"model waste (" + axis_label(axis, shape) + ")",
+                   util::format_percent(axis_waste, 2)});
   }
   table.add_row({"sim waste",
                  util::format_percent(mc.waste.mean(), 2) + " +/- " +
@@ -280,7 +259,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   table.add_row({"mean makespan", util::format_duration(mc.makespan.mean())});
   table.add_row({"mean failures/run",
                  util::format_fixed(mc.failures.mean(), 2)});
-  if (config.verify_every > 0) {
+  if (config.sdc.enabled()) {
     table.add_row({"mean strikes/run",
                    util::format_fixed(mc.sdc_injected.mean(), 2)});
     table.add_row({"mean detections/run",
@@ -290,7 +269,7 @@ int cmd_simulate(int argc, const char* const* argv) {
     table.add_row({"mean rollback depth/run",
                    util::format_fixed(mc.rollback_depth.mean(), 2)});
   }
-  if (config.pred_recall > 0.0) {
+  if (config.predictor.enabled()) {
     table.add_row({"mean alarms/run",
                    util::format_fixed(mc.alarms_raised.mean(), 2)});
     table.add_row({"mean proactive ckpts/run",
@@ -308,6 +287,23 @@ int cmd_simulate(int argc, const char* const* argv) {
 }
 
 // --------------------------------------------------------------- sweep
+
+/// The --protocols converter: "all", "paper" or a comma list of names
+/// (empty items skipped), each read by model::parse_protocol_name.
+std::vector<model::Protocol> protocol_list(const std::string& text) {
+  if (text == "all") {
+    return {model::kAllProtocols.begin(), model::kAllProtocols.end()};
+  }
+  if (text == "paper") {
+    return {model::kPaperProtocols.begin(), model::kPaperProtocols.end()};
+  }
+  std::vector<model::Protocol> protocols;
+  for (const std::string_view item : util::split(text, ',')) {
+    if (item.empty()) continue;
+    protocols.push_back(model::parse_protocol_name(std::string(item)));
+  }
+  return protocols;
+}
 
 int cmd_sweep(int argc, const char* const* argv) {
   util::CliParser cli("dckpt sweep",
@@ -328,22 +324,9 @@ int cmd_sweep(int argc, const char* const* argv) {
   cli.add_flag("progress", "print per-point progress and throughput");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto scenario = cli.get("scenario") == "exa" ? model::exa_scenario()
-                                                     : model::base_scenario();
+  const auto scenario = cli.get_parsed("scenario", model::scenario_by_name);
   sim::SweepSpec spec;
-  const std::string protocols = cli.get("protocols");
-  if (protocols == "all") {
-    spec.protocols.assign(model::kAllProtocols.begin(),
-                          model::kAllProtocols.end());
-  } else if (protocols == "paper") {
-    spec.protocols.assign(model::kPaperProtocols.begin(),
-                          model::kPaperProtocols.end());
-  } else {
-    for (const std::string_view item : util::split(protocols, ',')) {
-      if (item.empty()) continue;
-      spec.protocols.push_back(model::parse_protocol_name(std::string(item)));
-    }
-  }
+  spec.protocols = cli.get_parsed("protocols", protocol_list);
   spec.mtbfs = cli.get_doubles("mtbfs");
   spec.phi_ratios = cli.get_doubles("phi-ratios");
   spec.config.params = scenario.params;
@@ -357,7 +340,8 @@ int cmd_sweep(int argc, const char* const* argv) {
   spec.seed = cli.get_count("seed");
   spec.weibull_shape = read_failure_model(cli, spec.config);
   // Read even when unused, so a malformed value always exits 2.
-  const std::size_t bins = cli.get_count("metrics-bins");
+  const std::size_t bins =
+      cli.get_count("metrics-bins", util::kMaxMetricsBins);
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec metrics;
     metrics.bins = bins;
@@ -374,52 +358,33 @@ int cmd_sweep(int argc, const char* const* argv) {
   }
 
   const auto rows = sim::run_sweep(spec);
-  const bool weibull = spec.weibull_shape > 0.0;
-  const bool sdc = spec.config.verify_every > 0;
-  const bool pred = spec.config.pred_recall > 0.0;
-  const bool dcp = spec.config.dcp.enabled();
+  // One model column per enabled axis, after "model waste".
+  static constexpr const char* kAxisColumns[] = {"weibull model", "sdc model",
+                                                 "pred model", "dcp model"};
+  const auto axes = sim::model_axes(spec.config, spec.weibull_shape);
   std::vector<std::string> headers = {"protocol", "M", "phi", "P",
-                                      "model waste", "sim waste",
-                                      "mean risk time", "survival"};
-  if (dcp) {
-    headers.insert(headers.begin() + 5, "dcp model");
+                                      "model waste"};
+  for (const auto axis : axes) {
+    headers.emplace_back(kAxisColumns[static_cast<int>(axis)]);
   }
-  if (pred) {
-    headers.insert(headers.begin() + 5, "pred model");
-  }
-  if (sdc) {
-    headers.insert(headers.begin() + 5, "sdc model");
-  }
-  if (weibull) {
-    headers.insert(headers.begin() + 5, "weibull model");
-  }
+  headers.insert(headers.end(), {"sim waste", "mean risk time", "survival"});
   util::TextTable table(std::move(headers));
   for (const auto& row : rows) {
     std::vector<std::string> cells = {
         std::string(model::protocol_name(row.protocol)),
         util::format_duration(row.mtbf), util::format_fixed(row.phi, 1),
         util::format_duration(row.period),
-        util::format_percent(row.model_waste, 2),
-        util::format_percent(row.result.waste.mean(), 2) + " +/- " +
-            util::format_percent(row.result.waste.confidence_halfwidth(), 2),
-        util::format_duration(row.result.risk_time.mean()),
-        util::format_fixed(row.result.success.estimate(), 4)};
-    if (dcp) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_dcp, 2));
+        util::format_percent(row.model_waste, 2)};
+    for (const auto axis : axes) {
+      cells.push_back(
+          util::format_percent(row.*sim::model_waste_field(axis), 2));
     }
-    if (pred) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_pred, 2));
-    }
-    if (sdc) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_sdc, 2));
-    }
-    if (weibull) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_weibull, 2));
-    }
+    cells.insert(
+        cells.end(),
+        {util::format_percent(row.result.waste.mean(), 2) + " +/- " +
+             util::format_percent(row.result.waste.confidence_halfwidth(), 2),
+         util::format_duration(row.result.risk_time.mean()),
+         util::format_fixed(row.result.success.estimate(), 4)});
     table.add_row(std::move(cells));
   }
   std::printf("%s", table.render().c_str());
@@ -444,7 +409,7 @@ int cmd_optimize(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::SimConfig config;
-  config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
+  config.protocol = cli.get_parsed("protocol", model::parse_protocol_name);
   config.params = platform_from(cli);
   if (config.params.nodes > 100000) config.params.nodes = 99996;
   config.t_base = cli.get_double("tbase");
@@ -464,47 +429,17 @@ int cmd_optimize(int argc, const char* const* argv) {
   table.add_row({"closed form (Eq. 9/10/15)",
                  util::format_duration(model_opt.period),
                  util::format_percent(model_opt.waste, 3)});
-  if (shape > 0.0) {
-    // Clustered-failure optimum at the horizon of the closed-form plan:
-    // what the corrected objective would have picked.
-    const model::WeibullFailures failures{
-        shape, model::expected_makespan(config.protocol, config.params,
-                                        model_opt.period, config.t_base)};
-    const auto weibull_opt =
-        model::optimal_period_numeric(config.protocol, config.params,
-                                      failures);
-    table.add_row({"numeric (weibull k=" + util::format_fixed(shape, 2) + ")",
-                   util::format_duration(weibull_opt.period),
-                   util::format_percent(weibull_opt.waste, 3)});
-  }
-  if (config.verify_every > 0) {
-    // Verified-checkpoint objective: where the (V, k, P) model says the
-    // period should move once verification overhead and strike losses bite.
-    const model::SdcSpec sdc{config.sdc_rate, config.verify_cost,
-                             config.verify_every};
-    const auto sdc_opt =
-        model::optimal_period_with_sdc(config.protocol, config.params, sdc);
-    table.add_row({"numeric (verified ckpt)",
-                   util::format_duration(sdc_opt.period),
-                   util::format_percent(sdc_opt.waste, 3)});
-  }
-  if (config.pred_recall > 0.0) {
-    // Predictor objective: handled failures cost a proactive checkpoint
-    // instead of a rollback, so the optimum stretches by 1/sqrt(1 - r_t).
-    const auto pred_opt = model::optimal_period_with_predictor(
-        config.protocol, config.params, predictor_from(config));
-    table.add_row({"numeric (predictor)",
-                   util::format_duration(pred_opt.period),
-                   util::format_percent(pred_opt.waste, 3)});
-  }
-  if (config.dcp.enabled()) {
-    // dcp objective: cheaper commits pull the optimum down, costlier
-    // chain-replay recovery pushes it back up.
-    const auto dcp_opt = model::optimal_period_with_dcp(
-        config.protocol, config.params, config.dcp);
-    table.add_row({"numeric (dcp)",
-                   util::format_duration(dcp_opt.period),
-                   util::format_percent(dcp_opt.waste, 3)});
+  // Each enabled axis's own numeric optimum: where its model moves the
+  // period (Weibull clustering at the horizon of the closed-form plan).
+  auto plan = config;
+  plan.period = model_opt.period;
+  for (const auto axis : sim::model_axes(plan, shape)) {
+    const auto axis_opt = model::optimal_period_numeric(
+        config.protocol, config.params,
+        sim::axis_extensions(axis, plan, shape));
+    table.add_row({"numeric (" + axis_label(axis, shape) + ")",
+                   util::format_duration(axis_opt.period),
+                   util::format_percent(axis_opt.waste, 3)});
   }
   table.add_row({"empirical (simulation)",
                  util::format_duration(empirical.period),
@@ -659,7 +594,7 @@ int cmd_spares(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto base = platform_from(cli);
-  const auto protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
+  const auto protocol = cli.get_parsed("protocol", model::parse_protocol_name);
   model::SparePoolSpec spec;
   spec.repair_time = cli.get_double("repair");
   spec.detection = cli.get_double("detection");
@@ -752,17 +687,11 @@ int cmd_chaos(int argc, const char* const* argv) {
   cli.add_flag("random-only", "skip the scripted danger cases");
   if (!cli.parse(argc, argv)) return 0;
 
+  // Every flag is read before any work, used or not, so a malformed value
+  // exits 2 naming the flag. Every integer flag is a count: a negative
+  // value exits 2 instead of wrapping to a huge count.
   chaos::ChaosCampaignConfig config;
-  const std::string topology = cli.get("topology");
-  if (topology == "pairs") {
-    config.runtime.topology = ckpt::Topology::Pairs;
-  } else if (topology == "triples") {
-    config.runtime.topology = ckpt::Topology::Triples;
-  } else {
-    cli.invalid_value("topology");
-  }
-  // Every integer flag is a count: a negative value exits 2 naming the
-  // flag instead of wrapping to a huge count.
+  config.runtime.topology = cli.get_parsed("topology", ckpt::parse_topology);
   config.runtime.nodes = cli.get_count("nodes");
   config.runtime.cells_per_node = cli.get_count("cells");
   config.runtime.total_steps = cli.get_count("steps");
@@ -775,13 +704,22 @@ int cmd_chaos(int argc, const char* const* argv) {
   config.runtime.keep_last = cli.get_count("keep-last");
   config.runtime.dcp_stack_size = cli.get_count("dcp-stack");
   config.runtime.dcp_block_size = cli.get_count("dcp-block");
-  config.kernel = cli.get("kernel");
+  config.kernel = cli.get_parsed(
+      "kernel", util::NamedValues<std::string>{{"heat", "heat"},
+                                               {"wave", "wave"},
+                                               {"counter", "counter"}});
   config.random_runs = cli.get_count("runs");
   config.campaign_seed = cli.get_count("seed");
   config.max_failures = cli.get_count("max-failures");
   config.include_scripted = !cli.get_flag("random-only");
   config.threads = cli.get_count("threads", util::kMaxThreads);
-  const auto spares = cli.get_count("spares", model::kMaxSpares);
+  model::SparePoolSpec pool;
+  pool.spares = cli.get_count("spares", model::kMaxSpares);
+  pool.repair_time = cli.get_double("repair");
+  pool.detection = cli.get_double("detection");
+  const double pool_mtbf = cli.get_double("mtbf");
+  const double step_seconds = cli.get_double("step-seconds");
+  const auto [brows, bcols] = cli.get_parsed("block", parse_geometry);
 
   if (!cli.get("grid").empty()) {
     if (config.runtime.staging_steps > 0) {
@@ -790,7 +728,6 @@ int cmd_chaos(int argc, const char* const* argv) {
       std::exit(2);
     }
     const auto [rows, cols] = cli.get_parsed("grid", parse_geometry);
-    const auto [brows, bcols] = cli.get_parsed("block", parse_geometry);
     runtime::GridConfig gc;
     gc.topology = config.runtime.topology;
     gc.grid_rows = rows;
@@ -808,21 +745,17 @@ int cmd_chaos(int argc, const char* const* argv) {
     config.grid = gc;
   }
 
-  if (spares > 0) {
+  if (pool.spares > 0) {
     // Bridge from the spare-pool model: expected allocation wait -> steps.
-    model::SparePoolSpec spec;
-    spec.spares = spares;
-    spec.repair_time = cli.get_double("repair");
-    spec.detection = cli.get_double("detection");
-    config.runtime.rereplication_delay_steps = chaos::spare_pool_delay_steps(
-        spec, cli.get_double("mtbf"), cli.get_double("step-seconds"));
+    config.runtime.rereplication_delay_steps =
+        chaos::spare_pool_delay_steps(pool, pool_mtbf, step_seconds);
     if (config.grid) {
       config.grid->rereplication_delay_steps =
           config.runtime.rereplication_delay_steps;
     }
     std::printf("spare pool: %lld spares -> re-replication delay %llu "
                 "steps\n",
-                static_cast<long long>(spares),
+                static_cast<long long>(pool.spares),
                 static_cast<unsigned long long>(
                     config.runtime.rereplication_delay_steps));
   }

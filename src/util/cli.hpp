@@ -25,6 +25,14 @@ namespace dckpt::util {
 /// threads, far below a count whose spawn would exhaust the process.
 inline constexpr std::uint64_t kMaxThreads = 1024;
 
+/// Largest --metrics-bins value a tool accepts. A campaign holds four
+/// histograms of that many 8-byte bins in each of its 64 chunk
+/// accumulators and in its total, about 8 MiB at this bound (a sweep also
+/// keeps every row's total, 128 KiB a row). Finer bins would not sharpen
+/// the quantiles: their Monte-Carlo error shrinks like 1/sqrt(trials), so
+/// a bin of 1/4096 of the range matters only past ~10^7 trials.
+inline constexpr std::uint64_t kMaxMetricsBins = 4096;
+
 class CliParser {
  public:
   CliParser(std::string program, std::string description);

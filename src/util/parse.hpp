@@ -1,6 +1,7 @@
-// Strict text-to-number conversion and list splitting: the one path every
-// input boundary (CLI flags, serve requests, chaos schedules, failure
-// traces) turns text into numbers through.
+// Strict text-to-number conversion, list splitting and named values: the
+// one path every input boundary (CLI flags, serve requests, chaos
+// schedules, failure traces) turns text into numbers and enumerations
+// through.
 //
 // Number grammar (std::from_chars): decimal or scientific notation, with a
 // leading '-' only for signed and floating-point types. The whole token
@@ -11,9 +12,13 @@
 
 #include <charconv>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace dckpt::util {
@@ -59,5 +64,26 @@ Parsed<T> parse_number(std::string_view text,
 /// Splits `text` at every `sep`: n separators give n + 1 fields, empty ones
 /// included ("" is one empty field). The views point into `text`.
 std::vector<std::string_view> split(std::string_view text, char sep);
+
+/// An enumerated input read by name ("pairs" | "triples", "batched" |
+/// "scalar", ...): called with a name, returns that name's value; any other
+/// text throws std::invalid_argument, which makes it a
+/// CliParser::get_parsed converter. The names are views: pass literals.
+template <typename T>
+class NamedValues {
+ public:
+  NamedValues(std::initializer_list<std::pair<std::string_view, T>> names)
+      : names_(names) {}
+
+  T operator()(std::string_view text) const {
+    for (const auto& [name, value] : names_) {
+      if (name == text) return value;
+    }
+    throw std::invalid_argument("unknown name '" + std::string(text) + "'");
+  }
+
+ private:
+  std::vector<std::pair<std::string_view, T>> names_;
+};
 
 }  // namespace dckpt::util

@@ -38,6 +38,7 @@
 #include "sim/server.hpp"
 #include "sim/service.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -624,7 +625,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto parsed = dckpt::util::parse_number<std::uint64_t>(argv[++i]);
+      if (!parsed) {
+        std::fprintf(stderr,
+                     "serve_torture: option --seed: invalid value '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+      seed = parsed.value;
     } else if (arg == "--scenario" && i + 1 < argc) {
       only = argv[++i];
     } else if (arg == "--list") {

@@ -206,9 +206,9 @@ TEST(BatchKernel, BitIdenticalWithSilentErrorsExponentialAllProtocols) {
   for (const model::Protocol protocol : model::kAllProtocols) {
     auto config = make_config(protocol, 500.0, 12, 100.0, 5000.0,
                               /*stop_on_fatal=*/false);
-    config.sdc_rate = 1.0 / 800.0;
-    config.verify_cost = 0.5;
-    config.verify_every = 3;
+    config.sdc.rate = 1.0 / 800.0;
+    config.sdc.verify_cost = 0.5;
+    config.sdc.verify_every = 3;
     config.keep_last = 3;
     sim::MonteCarloOptions options;
     options.seed = 20260809;
@@ -224,9 +224,9 @@ TEST(BatchKernel, BitIdenticalWithSilentErrorsWeibull) {
         model::Protocol::Triple}) {
     auto config = make_config(protocol, 500.0, 12, 100.0, 5000.0,
                               /*stop_on_fatal=*/false);
-    config.sdc_rate = 1.0 / 600.0;
-    config.verify_cost = 1.0;
-    config.verify_every = 2;
+    config.sdc.rate = 1.0 / 600.0;
+    config.sdc.verify_cost = 1.0;
+    config.sdc.verify_every = 2;
     config.keep_last = 2;
     sim::MonteCarloOptions options;
     options.seed = 424243;
@@ -245,9 +245,9 @@ TEST(BatchKernel, BitIdenticalWithSilentErrorsStopOnFatal) {
                               /*stop_on_fatal=*/true);
     config.period =
         1.25 * model::min_period(protocol, config.params);
-    config.sdc_rate = 1.0 / 400.0;
-    config.verify_cost = 0.25;
-    config.verify_every = 4;
+    config.sdc.rate = 1.0 / 400.0;
+    config.sdc.verify_cost = 0.25;
+    config.sdc.verify_every = 4;
     config.keep_last = 1;
     sim::MonteCarloOptions options;
     options.seed = 31337;
@@ -279,10 +279,10 @@ TEST(BatchKernel, BitIdenticalWithFaultPredictionAllProtocols) {
   for (const model::Protocol protocol : model::kAllProtocols) {
     auto config = make_config(protocol, 500.0, 12, 100.0, 5000.0,
                               /*stop_on_fatal=*/false);
-    config.pred_precision = 0.7;
-    config.pred_recall = 0.6;
-    config.pred_window = 30.0;
-    config.proactive_cost = 2.0;
+    config.predictor.precision = 0.7;
+    config.predictor.recall = 0.6;
+    config.predictor.window = 30.0;
+    config.predictor.proactive_cost = 2.0;
     sim::MonteCarloOptions options;
     options.seed = 0xabcd;
     expect_equivalent(config, options, 50);
@@ -297,13 +297,13 @@ TEST(BatchKernel, BitIdenticalWithJustInTimePrediction) {
        {model::Protocol::DoubleNbl, model::Protocol::Triple}) {
     auto config = make_config(protocol, 500.0, 12, 100.0, 5000.0,
                               /*stop_on_fatal=*/false);
-    config.pred_precision = 0.5;  // false-alarm heavy
-    config.pred_recall = 0.8;
-    config.pred_window = 0.0;
-    config.proactive_cost = 1.5;
-    config.sdc_rate = 1.0 / 800.0;
-    config.verify_cost = 0.5;
-    config.verify_every = 3;
+    config.predictor.precision = 0.5;  // false-alarm heavy
+    config.predictor.recall = 0.8;
+    config.predictor.window = 0.0;
+    config.predictor.proactive_cost = 1.5;
+    config.sdc.rate = 1.0 / 800.0;
+    config.sdc.verify_cost = 0.5;
+    config.sdc.verify_every = 3;
     config.keep_last = 3;
     sim::MonteCarloOptions options;
     options.seed = 0x5eed;
@@ -317,10 +317,10 @@ TEST(BatchKernel, BitIdenticalWithPredictionWeibull) {
   // -- the decide-once-per-failure-time idempotence must hold identically.
   auto config = make_config(model::Protocol::DoubleNbl, 500.0, 12, 100.0,
                             5000.0, /*stop_on_fatal=*/false);
-  config.pred_precision = 0.9;
-  config.pred_recall = 0.5;
-  config.pred_window = 50.0;
-  config.proactive_cost = 3.0;
+  config.predictor.precision = 0.9;
+  config.predictor.recall = 0.5;
+  config.predictor.window = 50.0;
+  config.predictor.proactive_cost = 3.0;
   sim::MonteCarloOptions options;
   options.seed = 321;
   options.weibull = util::Weibull::from_mean(0.7, config.params.node_mtbf());
@@ -354,14 +354,14 @@ TEST(BatchKernel, BitIdenticalWithDcpWeibullSdcAndPredictorMix) {
     config.dcp.stack_size = 4;
     config.dcp.dirty_fraction = 0.2;
     config.dcp.hash_overhead = 0.01;
-    config.sdc_rate = 1.0 / 700.0;
-    config.verify_cost = 0.5;
-    config.verify_every = 3;
+    config.sdc.rate = 1.0 / 700.0;
+    config.sdc.verify_cost = 0.5;
+    config.sdc.verify_every = 3;
     config.keep_last = 2;
-    config.pred_precision = 0.7;
-    config.pred_recall = 0.5;
-    config.pred_window = 30.0;
-    config.proactive_cost = 2.0;
+    config.predictor.precision = 0.7;
+    config.predictor.recall = 0.5;
+    config.predictor.window = 30.0;
+    config.predictor.proactive_cost = 2.0;
     sim::MonteCarloOptions options;
     options.seed = 515151;
     options.weibull =
@@ -554,9 +554,9 @@ TEST(BatchKernel, PropertyBitIdenticalOnRandomPlatforms) {
         model::optimal_period_closed_form(config.protocol, config.params);
     config.period = opt.period;
     if (p.sdc) {
-      config.sdc_rate = 1.0 / p.sdc_mtbf;
-      config.verify_cost = 0.5;
-      config.verify_every = p.verify_every;
+      config.sdc.rate = 1.0 / p.sdc_mtbf;
+      config.sdc.verify_cost = 0.5;
+      config.sdc.verify_every = p.verify_every;
       config.keep_last = p.keep_last;
     }
     try {

@@ -291,6 +291,25 @@ TEST(CliParserDeathTest, ThreadCountsAreBounded) {
   }
 }
 
+TEST(CliParserDeathTest, MetricsBinsAreBounded) {
+  // `simulate` and `sweep` build four histograms of --metrics-bins bins in
+  // every chunk accumulator; a count past util::kMaxMetricsBins exits 2
+  // instead of allocating it (tested here, never by running a binary).
+  using dckpt::util::kMaxMetricsBins;
+  const auto max = std::to_string(kMaxMetricsBins);
+  EXPECT_EQ(parser_with("metrics-bins", max)
+                .get_count("metrics-bins", kMaxMetricsBins),
+            kMaxMetricsBins);
+  const auto over = std::to_string(kMaxMetricsBins + 1);
+  for (const char* value : {over.c_str(), "18446744073709551615"}) {
+    const auto parser = parser_with("metrics-bins", value);
+    EXPECT_EXIT(parser.get_count("metrics-bins", kMaxMetricsBins),
+                testing::ExitedWithCode(2),
+                std::string("option --metrics-bins: invalid value '") + value +
+                    "'");
+  }
+}
+
 TEST(CliParserDeathTest, PortIsReadWithinItsBounds) {
   // -1 is stdin mode. 4294967297 used to pass through a cast to int and
   // listen on port 1.

@@ -21,6 +21,7 @@
 #include "ckpt/page_store.hpp"
 #include "ckpt/recovery.hpp"
 #include "model/dcp.hpp"
+#include "model/period.hpp"
 #include "model/scenario.hpp"
 #include "model/waste.hpp"
 #include "proptest.hpp"
@@ -802,8 +803,9 @@ TEST(DcpModelTest, VolumeAndRecoveryMultipliers) {
 TEST(DcpModelTest, WasteReducesToFailStopWhenDisabled) {
   const auto params = dckpt::model::base_scenario().params;
   dckpt::model::DcpSpec off;
+  const auto ext = dckpt::model::Extensions{}.with_dcp(off);
   for (const auto protocol : dckpt::model::kPaperProtocols) {
-    EXPECT_EQ(dckpt::model::waste_with_dcp(protocol, params, 600.0, off),
+    EXPECT_EQ(dckpt::model::waste(protocol, params, 600.0, ext),
               dckpt::model::waste(protocol, params, 600.0))
         << dckpt::model::protocol_name(protocol);
   }
@@ -818,13 +820,14 @@ TEST(DcpModelTest, SmallDirtyFractionCutsWaste) {
   spec.stack_size = 8;
   spec.dirty_fraction = 0.05;
   const double full = dckpt::model::waste(protocol, params, period);
-  const double dcp =
-      dckpt::model::waste_with_dcp(protocol, params, period, spec);
+  const double dcp = dckpt::model::waste(
+      protocol, params, period, dckpt::model::Extensions{}.with_dcp(spec));
   EXPECT_LT(dcp, full);
   // Dirtier workloads pay more; d = 1 costs at least the full-image waste
   // (the chain replay makes recovery strictly dearer).
   spec.dirty_fraction = 1.0;
-  EXPECT_GE(dckpt::model::waste_with_dcp(protocol, params, period, spec),
+  EXPECT_GE(dckpt::model::waste(protocol, params, period,
+                                dckpt::model::Extensions{}.with_dcp(spec)),
             full);
 }
 
@@ -834,16 +837,13 @@ TEST(DcpModelTest, NumericOptimumBeatsTheFullImagePeriod) {
   dckpt::model::DcpSpec spec;
   spec.stack_size = 8;
   spec.dirty_fraction = 0.1;
-  const auto opt = dckpt::model::optimal_period_with_dcp(protocol, params,
-                                                         spec);
+  const auto ext = dckpt::model::Extensions{}.with_dcp(spec);
+  const auto opt = dckpt::model::optimal_period_numeric(protocol, params, ext);
   ASSERT_TRUE(opt.feasible);
-  const double at_opt =
-      dckpt::model::waste_with_dcp(protocol, params, opt.period, spec);
+  const double at_opt = dckpt::model::waste(protocol, params, opt.period, ext);
   const double closed =
       dckpt::model::optimal_period_closed_form(protocol, params).period;
-  EXPECT_LE(at_opt, dckpt::model::waste_with_dcp(protocol, params, closed,
-                                                 spec) +
-                        1e-9);
+  EXPECT_LE(at_opt, dckpt::model::waste(protocol, params, closed, ext) + 1e-9);
   // Cheaper commits pull the optimal period below the full-image one.
   EXPECT_LT(opt.period, closed);
 }

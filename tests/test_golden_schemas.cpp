@@ -116,9 +116,9 @@ sim::SweepPoint golden_sweep_point() {
   spec.trials = 8;
   spec.seed = 0x90a;
   spec.threads = 1;
-  spec.config.sdc_rate = 2e-4;
-  spec.config.verify_cost = 10.0;
-  spec.config.verify_every = 2;
+  spec.config.sdc.rate = 2e-4;
+  spec.config.sdc.verify_cost = 10.0;
+  spec.config.sdc.verify_every = 2;
   spec.config.keep_last = 3;
   auto rows = sim::run_sweep(spec);
   EXPECT_EQ(rows.size(), 1u);

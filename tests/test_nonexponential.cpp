@@ -27,6 +27,11 @@ struct Probe {
   double horizon = 0.0;  // expected makespan under the exponential model
 };
 
+/// Weibull clustering alone: `shape` over `horizon`.
+Extensions clustered(double shape, double horizon) {
+  return Extensions{}.with_weibull({shape, horizon});
+}
+
 Probe probe_for(Protocol protocol) {
   Probe probe;
   probe.params = base_scenario().params.with_overhead(1.0).with_mtbf(2000.0);
@@ -168,28 +173,29 @@ TEST(ClusterCorrectionTest, DirectionBelowAndAboveOne) {
 }
 
 TEST(NonexponentialWasteTest, ShapeOneIsBitIdenticalToExponential) {
-  // The k = 1 fast path and the identity ClusterCorrection must reproduce
-  // the exponential closed forms exactly (==, not NEAR), for every protocol
-  // and across the period range.
+  // The k = 1 fast path and the identity correction (any shape over the
+  // stationary, infinite horizon) must reproduce the exponential closed
+  // forms exactly (==, not NEAR), for every protocol and across the period
+  // range.
+  const auto identity = clustered(0.7, kInf);
   for (auto protocol : kAllProtocols) {
     const auto probe = probe_for(protocol);
+    const auto at_horizon = clustered(1.0, probe.horizon);
     const double lo = min_period(protocol, probe.params);
     for (double factor : {1.0, 1.5, 3.0, 10.0, 50.0}) {
       const double period = lo * factor;
       const double expected = waste(protocol, probe.params, period);
-      EXPECT_EQ(waste(protocol, probe.params, period,
-                      WeibullFailures{1.0, probe.horizon}),
-                expected)
+      EXPECT_EQ(waste(protocol, probe.params, period, at_horizon), expected)
           << protocol_name(protocol) << " factor=" << factor;
-      EXPECT_EQ(waste(protocol, probe.params, period, ClusterCorrection{}),
-                expected)
+      EXPECT_EQ(waste(protocol, probe.params, period, identity), expected)
           << protocol_name(protocol) << " factor=" << factor;
-      EXPECT_EQ(waste_failure(protocol, probe.params, period,
-                              WeibullFailures{1.0, probe.horizon}),
+      EXPECT_EQ(expected_failure_cost(protocol, probe.params, period,
+                                      at_horizon) /
+                    probe.params.mtbf,
                 waste_failure(protocol, probe.params, period))
           << protocol_name(protocol) << " factor=" << factor;
       EXPECT_EQ(expected_failure_cost(protocol, probe.params, period,
-                                      ClusterCorrection{}),
+                                      identity),
                 expected_failure_cost(protocol, probe.params, period))
           << protocol_name(protocol) << " factor=" << factor;
     }
@@ -197,36 +203,43 @@ TEST(NonexponentialWasteTest, ShapeOneIsBitIdenticalToExponential) {
 }
 
 TEST(NonexponentialWasteTest, CorrectionShiftsLossTermExactly) {
-  // With a hand-built correction, the corrected failure cost must be the
-  // exponential cost plus (eta - 1/2) * P -- the documented first-order
-  // decomposition.
+  // With the solved correction, the corrected failure cost must be the
+  // exponential cost plus (eta - 1/2) * P, and the failure term gamma times
+  // that over M -- the documented first-order decomposition.
   const auto probe = probe_for(Protocol::DoubleNbl);
-  ClusterCorrection corr;
-  corr.rate_factor = 1.2;
-  corr.excess_fraction = 0.2 / 1.2;
-  corr.loss_coefficient = 0.48;
+  const WeibullFailures failures{0.7, probe.horizon};
+  const auto ext = Extensions{}.with_weibull(failures);
+  const auto corr = cluster_correction(probe.params, failures);
+  const double eta = corr.loss_coefficient;
   const double base =
       expected_failure_cost(Protocol::DoubleNbl, probe.params, probe.period);
   EXPECT_DOUBLE_EQ(expected_failure_cost(Protocol::DoubleNbl, probe.params,
-                                         probe.period, corr),
-                   base + (0.48 - 0.5) * probe.period);
-  EXPECT_DOUBLE_EQ(
-      waste_failure(Protocol::DoubleNbl, probe.params, probe.period, corr),
-      1.2 * (base + (0.48 - 0.5) * probe.period) / probe.params.mtbf);
+                                         probe.period, ext),
+                   base + (eta - 0.5) * probe.period);
+  const double fail = corr.rate_factor *
+                      (base + (eta - 0.5) * probe.period) / probe.params.mtbf;
+  const double ff =
+      waste_fault_free(Protocol::DoubleNbl, probe.params, probe.period);
+  EXPECT_DOUBLE_EQ(waste(Protocol::DoubleNbl, probe.params, probe.period, ext),
+                   1.0 - (1.0 - fail) * (1.0 - ff));
 }
 
 TEST(NonexponentialWasteTest, WasteFailureNeverNegative) {
-  // An extreme k > 1 correction can push the corrected cost negative at
-  // tiny periods; the waste must clamp at zero rather than go negative.
+  // An extreme k > 1 correction -- shape 2 over a horizon of 6% of the
+  // node MTBF, where almost no node fails yet (gamma ~ 0.05) -- pushes the
+  // corrected cost negative at tiny periods; the failure term must clamp
+  // at zero, leaving exactly the fault-free waste.
   const auto probe = probe_for(Protocol::DoubleNbl);
-  ClusterCorrection corr;
-  corr.rate_factor = 0.05;
-  corr.excess_fraction = (0.05 - 1.0) / 0.05;
-  corr.loss_coefficient = 0.5 * (1.0 - corr.excess_fraction) +
-                          corr.excess_fraction * 2.0 / 3.0;
+  const WeibullFailures failures{2.0, 0.06 * probe.params.node_mtbf()};
+  ASSERT_LT(cluster_correction(probe.params, failures).rate_factor, 0.1);
+  const auto ext = Extensions{}.with_weibull(failures);
   const double lo = min_period(Protocol::DoubleNbl, probe.params);
-  EXPECT_GE(waste_failure(Protocol::DoubleNbl, probe.params, lo, corr), 0.0);
-  EXPECT_GE(waste(Protocol::DoubleNbl, probe.params, lo, corr), 0.0);
+  EXPECT_LT(expected_failure_cost(Protocol::DoubleNbl, probe.params, lo, ext),
+            0.0);
+  const double ff = waste_fault_free(Protocol::DoubleNbl, probe.params, lo);
+  const double w = waste(Protocol::DoubleNbl, probe.params, lo, ext);
+  EXPECT_GE(w, 0.0);
+  EXPECT_EQ(w, 1.0 - (1.0 - 0.0) * (1.0 - ff));
 }
 
 TEST(NonexponentialWasteTest, DirectionMatchesClustering) {
@@ -236,11 +249,11 @@ TEST(NonexponentialWasteTest, DirectionMatchesClustering) {
     const auto probe = probe_for(protocol);
     const double exp_waste = waste(protocol, probe.params, probe.period);
     EXPECT_GT(waste(protocol, probe.params, probe.period,
-                    WeibullFailures{0.7, probe.horizon}),
+                    clustered(0.7, probe.horizon)),
               exp_waste)
         << protocol_name(protocol);
     EXPECT_LT(waste(protocol, probe.params, probe.period,
-                    WeibullFailures{1.5, probe.horizon}),
+                    clustered(1.5, probe.horizon)),
               exp_waste)
         << protocol_name(protocol);
   }
@@ -256,7 +269,7 @@ TEST(NonexponentialWasteTest, MonotoneConvergenceToExponentialModel) {
     const double exp_waste = waste(protocol, probe.params, probe.period);
     const auto deviation = [&](double shape) {
       return std::fabs(waste(protocol, probe.params, probe.period,
-                             WeibullFailures{shape, probe.horizon}) -
+                             clustered(shape, probe.horizon)) -
                        exp_waste);
     };
     const double below[] = {0.5, 0.65, 0.8, 0.95, 0.99};
@@ -311,9 +324,9 @@ TEST(NonexponentialWasteTest, PropertyWasteMonotoneInShape) {
                                                  opt.period, 25.0 * draw.mtbf);
         if (!std::isfinite(horizon)) return std::nullopt;
         const double w_lo = waste(draw.protocol, params, opt.period,
-                                  WeibullFailures{draw.k_lo, horizon});
+                                  clustered(draw.k_lo, horizon));
         const double w_hi = waste(draw.protocol, params, opt.period,
-                                  WeibullFailures{draw.k_hi, horizon});
+                                  clustered(draw.k_hi, horizon));
         if (w_lo + 1e-12 < w_hi) {
           return "waste increased with shape: w(" + std::to_string(draw.k_lo) +
                  ")=" + std::to_string(w_lo) + " < w(" +
@@ -334,8 +347,8 @@ TEST(NonexponentialOptimumTest, ShapeOneMatchesExponentialNumeric) {
   for (auto protocol : {Protocol::DoubleNbl, Protocol::TripleBof}) {
     const auto probe = probe_for(protocol);
     const auto exp_opt = optimal_period_numeric(protocol, probe.params);
-    const auto weib_opt = optimal_period_numeric(
-        protocol, probe.params, WeibullFailures{1.0, probe.horizon});
+    const auto weib_opt = optimal_period_numeric(protocol, probe.params,
+                                                 clustered(1.0, probe.horizon));
     ASSERT_TRUE(weib_opt.feasible) << protocol_name(protocol);
     EXPECT_EQ(weib_opt.period, exp_opt.period) << protocol_name(protocol);
     EXPECT_EQ(weib_opt.waste, exp_opt.waste) << protocol_name(protocol);
@@ -348,7 +361,7 @@ TEST(NonexponentialOptimumTest, ClusteredOptimumBeatsExponentialPeriod) {
   // optimum shifts to shorter periods: clustered failures reward more
   // frequent checkpoints.
   const auto probe = probe_for(Protocol::DoubleNbl);
-  const WeibullFailures failures{0.7, probe.horizon};
+  const auto failures = clustered(0.7, probe.horizon);
   const auto opt =
       optimal_period_numeric(Protocol::DoubleNbl, probe.params, failures);
   ASSERT_TRUE(opt.feasible);

@@ -20,6 +20,11 @@ Parameters pred_params(double mtbf = 3600.0) {
   return model::base_scenario().at_phi_ratio(0.25).with_mtbf(mtbf);
 }
 
+/// The predictor axis alone.
+model::Extensions predictor_only(const PredictorSpec& spec) {
+  return model::Extensions{}.with_predictor(spec);
+}
+
 TEST(PredictorSpecTest, ValidateAcceptsReasonableSpecs) {
   EXPECT_NO_THROW((PredictorSpec{0.8, 0.5, 300.0, 10.0}.validate()));
   EXPECT_NO_THROW((PredictorSpec{1.0, 0.0, 0.0, 0.0}.validate()));
@@ -68,7 +73,7 @@ TEST(PredictorModelTest, ReducesToFailStopWasteWhenDisabled) {
     const double period =
         model::optimal_period_closed_form(protocol, params).period;
     EXPECT_DOUBLE_EQ(
-        model::waste_with_predictor(protocol, params, period, off),
+        model::waste(protocol, params, period, predictor_only(off)),
         model::waste(protocol, params, period))
         << model::protocol_name(protocol);
   }
@@ -89,10 +94,11 @@ TEST(PredictorModelTest, FactorsComposeAsDocumented) {
       lambda * (spec.recall / spec.precision) * spec.proactive_cost;
   const double handled =
       lambda * r_t *
-      (params.downtime + model::sdc_recovery_cost(protocol, params) +
+      (params.downtime +
+       model::recovery_transfers(protocol) * params.recovery() +
        (spec.window - spec.proactive_cost) / 2.0);
   const double expected = 1.0 - (1.0 - base) * (1.0 - alarms) * (1.0 - handled);
-  EXPECT_NEAR(model::waste_with_predictor(protocol, params, period, spec),
+  EXPECT_NEAR(model::waste(protocol, params, period, predictor_only(spec)),
               expected, 1e-12);
 }
 
@@ -104,7 +110,7 @@ TEST(PredictorModelTest, GoodPredictorReducesWasteAtLongPeriods) {
   const PredictorSpec spec{0.95, 0.9, 0.0, 1.0};  // near-perfect, cheap
   const double period =
       2.0 * model::optimal_period_closed_form(protocol, params).period;
-  EXPECT_LT(model::waste_with_predictor(protocol, params, period, spec),
+  EXPECT_LT(model::waste(protocol, params, period, predictor_only(spec)),
             model::waste(protocol, params, period));
 }
 
@@ -115,8 +121,8 @@ TEST(PredictorModelTest, MonotoneInPrecision) {
   const double period = 150.0;
   double previous = 0.0;
   for (const double precision : {1.0, 0.8, 0.5, 0.2}) {
-    const double w = model::waste_with_predictor(
-        Protocol::DoubleNbl, params, period, {precision, 0.5, 0.0, 10.0});
+    const double w = model::waste(Protocol::DoubleNbl, params, period,
+                                  predictor_only({precision, 0.5, 0.0, 10.0}));
     EXPECT_GE(w, previous - 1e-15) << "precision " << precision;
     previous = w;
   }
@@ -126,8 +132,8 @@ TEST(PredictorModelTest, SaturatesAtOne) {
   const auto params = pred_params(600.0);
   // Proactive checkpoints longer than the mean time between alarms: the
   // alarm factor alone exceeds the budget, so the model clamps.
-  const double w = model::waste_with_predictor(
-      Protocol::DoubleNbl, params, 150.0, {0.1, 1.0, 0.0, 300.0});
+  const double w = model::waste(Protocol::DoubleNbl, params, 150.0,
+                                predictor_only({0.1, 1.0, 0.0, 300.0}));
   EXPECT_DOUBLE_EQ(w, 1.0);
 }
 
@@ -137,16 +143,16 @@ TEST(PredictorModelTest, OptimalPeriodBeatsNeighboringPeriods) {
   for (const Protocol protocol :
        {Protocol::DoubleNbl, Protocol::DoubleBof, Protocol::Triple}) {
     const auto opt =
-        model::optimal_period_with_predictor(protocol, params, spec);
+        model::optimal_period_numeric(protocol, params, predictor_only(spec));
     ASSERT_TRUE(opt.feasible) << model::protocol_name(protocol);
     const double at_opt =
-        model::waste_with_predictor(protocol, params, opt.period, spec);
+        model::waste(protocol, params, opt.period, predictor_only(spec));
     EXPECT_NEAR(at_opt, opt.waste, 1e-9);
     for (const double factor : {0.8, 1.25}) {
       const double neighbor = opt.period * factor;
       if (neighbor < model::min_period(protocol, params)) continue;
-      EXPECT_LE(at_opt, model::waste_with_predictor(protocol, params,
-                                                    neighbor, spec) +
+      EXPECT_LE(at_opt, model::waste(protocol, params, neighbor,
+                                     predictor_only(spec)) +
                             1e-12)
           << model::protocol_name(protocol) << " factor " << factor;
     }
@@ -163,7 +169,7 @@ TEST(PredictorModelTest, OptimumStretchesLikeInverseSqrtSurvivors) {
   const PredictorSpec spec{1.0, 0.75, 0.0, 0.0};  // pure-recall predictor
   const auto base = model::optimal_period_closed_form(protocol, params);
   const auto pred =
-      model::optimal_period_with_predictor(protocol, params, spec);
+      model::optimal_period_numeric(protocol, params, predictor_only(spec));
   ASSERT_TRUE(base.feasible && pred.feasible);
   const double stretch = pred.period / base.period;
   const double ideal = 1.0 / std::sqrt(1.0 - model::effective_recall(spec));

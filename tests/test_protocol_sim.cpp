@@ -385,25 +385,25 @@ TEST(EdgeCaseTest, ZeroDowntimeAndImmediateChains) {
 
 TEST(SilentErrorTest, ValidationRejectsBadSdcConfigs) {
   auto config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
-  config.sdc_rate = 1e-3;  // strikes without any verification: undetectable
-  config.verify_every = 0;
+  config.sdc.rate = 1e-3;  // strikes without any verification: undetectable
+  config.sdc.verify_every = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
-  config.sdc_rate = -1.0;
+  config.sdc.rate = -1.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
-  config.sdc_rate = std::numeric_limits<double>::infinity();
+  config.sdc.rate = std::numeric_limits<double>::infinity();
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
-  config.verify_cost = -0.5;
+  config.sdc.verify_cost = -0.5;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
   config.keep_last = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   // Verification without strikes is a legal (pure-overhead) configuration.
   config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
-  config.verify_cost = 1.0;
-  config.verify_every = 2;
+  config.sdc.verify_cost = 1.0;
+  config.sdc.verify_every = 2;
   EXPECT_NO_THROW(config.validate());
 }
 
@@ -413,8 +413,8 @@ TEST(SilentErrorTest, VerificationCostAccountedExactly) {
   // 62 units into period 5, so verifications fire after periods 2 and 4.
   // Makespan = 4*100 + 2*3 (verify) + 2 (part1) + 34 (part2) + 29 (part3).
   auto config = make_config(Protocol::DoubleNbl, 100.0, 450.0);
-  config.verify_cost = 3.0;
-  config.verify_every = 2;
+  config.sdc.verify_cost = 3.0;
+  config.sdc.verify_every = 2;
   config.keep_last = 2;
   const auto result = run_scripted(config, {});
   EXPECT_EQ(result.verifications_run, 2u);
@@ -428,8 +428,8 @@ TEST(SilentErrorTest, VerificationCostAccountedExactly) {
 
 TEST(SilentErrorTest, VerificationSkippedWhenDisabled) {
   auto config = make_config(Protocol::DoubleNbl, 100.0, 450.0);
-  config.verify_cost = 3.0;  // cost configured but k = 0 disables the phase
-  config.verify_every = 0;
+  config.sdc.verify_cost = 3.0;  // cost configured but k = 0 disables the phase
+  config.sdc.verify_every = 0;
   const auto result = run_scripted(config, {});
   EXPECT_EQ(result.verifications_run, 0u);
   EXPECT_NEAR(result.time_verifying, 0.0, 1e-12);
@@ -441,9 +441,9 @@ TEST(SilentErrorTest, CounterInvariantsUnderExponentialCampaign) {
   auto config = make_config(Protocol::DoubleNbl, 100.0, 4000.0);
   config.params.mtbf = 500.0;
   config.stop_on_fatal = false;
-  config.sdc_rate = 1.0 / 300.0;
-  config.verify_cost = 0.5;
-  config.verify_every = 2;
+  config.sdc.rate = 1.0 / 300.0;
+  config.sdc.verify_cost = 0.5;
+  config.sdc.verify_every = 2;
   config.keep_last = 3;
   bool saw_detection = false;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -454,7 +454,7 @@ TEST(SilentErrorTest, CounterInvariantsUnderExponentialCampaign) {
     // only add time, so the total is bounded below by count * V.
     EXPECT_GE(result.time_verifying + 1e-9,
               static_cast<double>(result.verifications_run) *
-                  config.verify_cost)
+                  config.sdc.verify_cost)
         << "seed " << seed;
     if (result.sdc_detected > 0) saw_detection = true;
     if (!result.diverged) {
@@ -469,9 +469,9 @@ TEST(SilentErrorTest, StrikeStreamIsDeterministicPerSeed) {
   auto config = make_config(Protocol::DoubleNbl, 100.0, 2000.0);
   config.params.mtbf = 800.0;
   config.stop_on_fatal = false;
-  config.sdc_rate = 1.0 / 250.0;
-  config.verify_cost = 1.0;
-  config.verify_every = 3;
+  config.sdc.rate = 1.0 / 250.0;
+  config.sdc.verify_cost = 1.0;
+  config.sdc.verify_every = 3;
   config.keep_last = 2;
   const auto a = simulate_exponential(config, 7);
   const auto b = simulate_exponential(config, 7);

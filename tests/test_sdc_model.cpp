@@ -20,6 +20,11 @@ Parameters sdc_params(double mtbf = 3600.0) {
   return model::base_scenario().at_phi_ratio(0.25).with_mtbf(mtbf);
 }
 
+/// The silent-error axis alone.
+model::Extensions sdc_only(const SdcSpec& spec) {
+  return model::Extensions{}.with_sdc(spec);
+}
+
 TEST(SdcSpecTest, ValidateAcceptsReasonableSpecs) {
   EXPECT_NO_THROW((SdcSpec{1e-4, 10.0, 2}.validate()));
   EXPECT_NO_THROW((SdcSpec{0.0, 0.0, 1}.validate()));
@@ -42,7 +47,7 @@ TEST(SdcModelTest, ReducesToFailStopWasteWhenDisabled) {
   for (const Protocol protocol : model::kAllProtocols) {
     const double period =
         model::optimal_period_closed_form(protocol, params).period;
-    EXPECT_DOUBLE_EQ(model::waste_with_sdc(protocol, params, period, off),
+    EXPECT_DOUBLE_EQ(model::waste(protocol, params, period, sdc_only(off)),
                      model::waste(protocol, params, period))
         << model::protocol_name(protocol);
   }
@@ -59,12 +64,12 @@ TEST(SdcModelTest, FactorsComposeAsDocumented) {
   const double verify_fraction =
       spec.verify_cost /
       (static_cast<double>(spec.verify_every) * period);
-  const double loss = model::sdc_recovery_cost(protocol, params) +
+  const double loss = model::recovery_transfers(protocol) * params.recovery() +
                       (static_cast<double>(spec.verify_every) + 1.0) *
                           period / 2.0;
   const double expected =
       1.0 - (1.0 - w0) * (1.0 - verify_fraction) * (1.0 - spec.rate * loss);
-  EXPECT_NEAR(model::waste_with_sdc(protocol, params, period, spec), expected,
+  EXPECT_NEAR(model::waste(protocol, params, period, sdc_only(spec)), expected,
               1e-12);
 }
 
@@ -73,15 +78,15 @@ TEST(SdcModelTest, MonotoneInRateAndCost) {
   const double period = 150.0;
   double previous = 0.0;
   for (const double rate : {0.0, 1e-5, 1e-4, 1e-3}) {
-    const double w = model::waste_with_sdc(Protocol::DoubleNbl, params,
-                                           period, {rate, 10.0, 2});
+    const double w = model::waste(Protocol::DoubleNbl, params, period,
+                                  sdc_only({rate, 10.0, 2}));
     EXPECT_GE(w, previous);
     previous = w;
   }
   previous = 0.0;
   for (const double cost : {0.0, 5.0, 20.0, 60.0}) {
-    const double w = model::waste_with_sdc(Protocol::DoubleNbl, params,
-                                           period, {1e-4, cost, 2});
+    const double w = model::waste(Protocol::DoubleNbl, params, period,
+                                  sdc_only({1e-4, cost, 2}));
     EXPECT_GE(w, previous);
     previous = w;
   }
@@ -91,26 +96,27 @@ TEST(SdcModelTest, SaturatesAtOne) {
   const auto params = sdc_params();
   // Strike every few seconds: the expected loss per interval exceeds the
   // interval, so the model must clamp instead of going negative or above 1.
-  const double w = model::waste_with_sdc(Protocol::DoubleNbl, params, 150.0,
-                                         {0.5, 10.0, 2});
+  const double w = model::waste(Protocol::DoubleNbl, params, 150.0,
+                                sdc_only({0.5, 10.0, 2}));
   EXPECT_DOUBLE_EQ(w, 1.0);
   // Verification longer than the interval it protects: same clamp.
-  const double wv = model::waste_with_sdc(Protocol::DoubleNbl, params, 150.0,
-                                          {1e-5, 400.0, 2});
+  const double wv = model::waste(Protocol::DoubleNbl, params, 150.0,
+                                 sdc_only({1e-5, 400.0, 2}));
   EXPECT_DOUBLE_EQ(wv, 1.0);
 }
 
 TEST(SdcModelTest, RecoveryCostTracksProtocolBlocking) {
+  // A verified rollback pays the fail-stop rollback's R transfers.
   const auto params = sdc_params();
   const double r = params.recovery();
-  EXPECT_DOUBLE_EQ(model::sdc_recovery_cost(Protocol::DoubleNbl, params), r);
-  EXPECT_DOUBLE_EQ(model::sdc_recovery_cost(Protocol::Triple, params), r);
-  EXPECT_DOUBLE_EQ(model::sdc_recovery_cost(Protocol::DoubleBof, params),
-                   2.0 * r);
-  EXPECT_DOUBLE_EQ(model::sdc_recovery_cost(Protocol::DoubleBlocking, params),
-                   2.0 * r);
-  EXPECT_DOUBLE_EQ(model::sdc_recovery_cost(Protocol::TripleBof, params),
-                   3.0 * r);
+  const auto rollback = [&](Protocol protocol) {
+    return model::recovery_transfers(protocol) * params.recovery();
+  };
+  EXPECT_DOUBLE_EQ(rollback(Protocol::DoubleNbl), r);
+  EXPECT_DOUBLE_EQ(rollback(Protocol::Triple), r);
+  EXPECT_DOUBLE_EQ(rollback(Protocol::DoubleBof), 2.0 * r);
+  EXPECT_DOUBLE_EQ(rollback(Protocol::DoubleBlocking), 2.0 * r);
+  EXPECT_DOUBLE_EQ(rollback(Protocol::TripleBof), 3.0 * r);
 }
 
 TEST(SdcModelTest, OptimalPeriodBeatsNeighboringPeriods) {
@@ -118,16 +124,17 @@ TEST(SdcModelTest, OptimalPeriodBeatsNeighboringPeriods) {
   const SdcSpec spec{2e-4, 10.0, 2};
   for (const Protocol protocol :
        {Protocol::DoubleNbl, Protocol::DoubleBof, Protocol::Triple}) {
-    const auto opt = model::optimal_period_with_sdc(protocol, params, spec);
+    const auto opt =
+        model::optimal_period_numeric(protocol, params, sdc_only(spec));
     ASSERT_TRUE(opt.feasible) << model::protocol_name(protocol);
     const double at_opt =
-        model::waste_with_sdc(protocol, params, opt.period, spec);
+        model::waste(protocol, params, opt.period, sdc_only(spec));
     EXPECT_NEAR(at_opt, opt.waste, 1e-9);
     for (const double factor : {0.8, 1.25}) {
       const double neighbor = opt.period * factor;
       if (neighbor < model::min_period(protocol, params)) continue;
       EXPECT_LE(at_opt,
-                model::waste_with_sdc(protocol, params, neighbor, spec) +
+                model::waste(protocol, params, neighbor, sdc_only(spec)) +
                     1e-12)
           << model::protocol_name(protocol) << " factor " << factor;
     }
@@ -141,8 +148,8 @@ TEST(SdcModelTest, VerificationShiftsOptimumAboveFailStop) {
   const SdcSpec spec{0.0, 30.0, 1};
   const auto base =
       model::optimal_period_closed_form(Protocol::DoubleNbl, params);
-  const auto with_verify =
-      model::optimal_period_with_sdc(Protocol::DoubleNbl, params, spec);
+  const auto with_verify = model::optimal_period_numeric(
+      Protocol::DoubleNbl, params, sdc_only(spec));
   ASSERT_TRUE(base.feasible && with_verify.feasible);
   EXPECT_GE(with_verify.period, base.period * 0.999);
 }

@@ -192,12 +192,12 @@ TEST(SimVsModelTest, WeibullShapeBelowOneMatchesClusteredModel) {
                                            config.period, config.t_base);
   const double model_waste =
       waste(Protocol::DoubleNbl, config.params, config.period,
-            WeibullFailures{0.7, horizon});
+            Extensions{}.with_weibull({0.7, horizon}));
   // The correction must move in the clustering direction (more waste)...
   EXPECT_GT(model_waste, exp_waste);
   // ...and reduce bit-identically to the exponential closed form at k = 1.
   EXPECT_EQ(waste(Protocol::DoubleNbl, config.params, config.period,
-                  WeibullFailures{1.0, horizon}),
+                  Extensions{}.with_weibull({1.0, horizon})),
             exp_waste);
   MonteCarloOptions options;
   options.trials = 80;
@@ -224,14 +224,10 @@ TEST(SimVsModelTest, VerifiedCheckpointWasteTracksSdcModel) {
   // 3 Monte-Carlo standard errors (the issue's acceptance band).
   for (const Protocol protocol : {Protocol::DoubleNbl, Protocol::Triple}) {
     auto config = config_for(protocol, 1.0, 3600.0, 50000.0);
-    config.sdc_rate = 2e-4;
-    config.verify_cost = 10.0;
-    config.verify_every = 2;
+    config.sdc = {2e-4, 10.0, 2};
     config.keep_last = 3;
-    const SdcSpec spec{config.sdc_rate, config.verify_cost,
-                       config.verify_every};
-    const double model_waste =
-        waste_with_sdc(protocol, config.params, config.period, spec);
+    const double model_waste = waste(protocol, config.params, config.period,
+                                     Extensions{}.with_sdc(config.sdc));
     ASSERT_LT(model_waste, 1.0) << protocol_name(protocol);
     const auto mc = monte_carlo(config, 80, 0x5dc);
     ASSERT_EQ(mc.diverged, 0u);
@@ -254,14 +250,10 @@ TEST(SimVsModelTest, FaultPredictionWasteTracksPredictorModel) {
   // both validate.
   for (const Protocol protocol : {Protocol::DoubleNbl, Protocol::Triple}) {
     auto config = config_for(protocol, 1.0, 3600.0, 50000.0);
-    config.pred_precision = 0.7;
-    config.pred_recall = 0.6;
-    config.pred_window = 0.0;  // just-in-time limit
-    config.proactive_cost = 5.0;
-    const PredictorSpec spec{config.pred_precision, config.pred_recall,
-                             config.pred_window, config.proactive_cost};
+    config.predictor = {0.7, 0.6, /*window=*/0.0, 5.0};  // just in time
     const double model_waste =
-        waste_with_predictor(protocol, config.params, config.period, spec);
+        waste(protocol, config.params, config.period,
+              Extensions{}.with_predictor(config.predictor));
     ASSERT_LT(model_waste, 1.0) << protocol_name(protocol);
     const auto mc = monte_carlo(config, 80, 0x9ed);
     ASSERT_EQ(mc.diverged, 0u);
@@ -282,14 +274,10 @@ TEST(SimVsModelTest, WindowedPredictionWasteTracksPredictorModel) {
   // past C_p are handled (r_t = r (w - C_p)/w) and the handled failures
   // still lose the post-commit residual. Same 15% + 3 sigma band.
   auto config = config_for(Protocol::DoubleNbl, 1.0, 3600.0, 50000.0);
-  config.pred_precision = 0.8;
-  config.pred_recall = 0.7;
-  config.pred_window = 60.0;
-  config.proactive_cost = 10.0;
-  const PredictorSpec spec{config.pred_precision, config.pred_recall,
-                           config.pred_window, config.proactive_cost};
-  const double model_waste = waste_with_predictor(
-      Protocol::DoubleNbl, config.params, config.period, spec);
+  config.predictor = {0.8, 0.7, 60.0, 10.0};
+  const double model_waste =
+      waste(Protocol::DoubleNbl, config.params, config.period,
+            Extensions{}.with_predictor(config.predictor));
   ASSERT_LT(model_waste, 1.0);
   const auto mc = monte_carlo(config, 80, 0x9ee);
   ASSERT_EQ(mc.diverged, 0u);
@@ -308,12 +296,11 @@ TEST(SimVsModelTest, PureVerificationOverheadTracksSdcModel) {
   // model error is the same first-order one as the fail-stop test (12%),
   // since the verification factor itself is exact.
   auto config = config_for(Protocol::DoubleNbl, 1.0, 2000.0, 50000.0);
-  config.verify_cost = 15.0;
-  config.verify_every = 3;
+  config.sdc = {0.0, 15.0, 3};
   config.keep_last = 2;
-  const SdcSpec spec{0.0, config.verify_cost, config.verify_every};
   const double model_waste =
-      waste_with_sdc(Protocol::DoubleNbl, config.params, config.period, spec);
+      waste(Protocol::DoubleNbl, config.params, config.period,
+            Extensions{}.with_sdc(config.sdc));
   const auto mc = monte_carlo(config, 80);
   ASSERT_EQ(mc.diverged, 0u);
   EXPECT_NEAR(mc.waste.mean(), model_waste,
@@ -336,8 +323,8 @@ TEST(SimVsModelTest, DifferentialCheckpointWasteTracksDcpModel) {
     config.dcp.dirty_fraction = 0.1;
     config.dcp.hash_overhead = 0.02;
     const double full_waste = waste(protocol, config.params, config.period);
-    const double model_waste =
-        waste_with_dcp(protocol, config.params, config.period, config.dcp);
+    const double model_waste = waste(protocol, config.params, config.period,
+                                     Extensions{}.with_dcp(config.dcp));
     // A mostly-clean workload must beat the full-image waste outright.
     ASSERT_LT(model_waste, full_waste) << protocol_name(protocol);
     const auto mc = monte_carlo(config, 80, 0xdc9);
@@ -358,8 +345,9 @@ TEST(SimVsModelTest, FullyDirtyDcpReducesTowardTheFullImageModel) {
   auto config = config_for(Protocol::DoubleNbl, 1.0, 2000.0, 50000.0);
   config.dcp.stack_size = 4;
   config.dcp.dirty_fraction = 1.0;
-  const double model_waste = waste_with_dcp(
-      Protocol::DoubleNbl, config.params, config.period, config.dcp);
+  const double model_waste =
+      waste(Protocol::DoubleNbl, config.params, config.period,
+            Extensions{}.with_dcp(config.dcp));
   EXPECT_GE(model_waste,
             waste(Protocol::DoubleNbl, config.params, config.period));
   const auto mc = monte_carlo(config, 80, 0xdca);
