@@ -6,7 +6,10 @@
 #      newline; and one text-to-number path, so no std::sto*, strto*,
 #      ato* or CliParser::get_int call in src/, examples/, bench/ or
 #      tests/ (numbers go through util::parse_number, flags through
-#      CliParser's getters). These always run and fail the gate on the first offender.
+#      CliParser's getters); and one placement rule, so no
+#      secondary_buddy( call in src/, examples/ or bench/ outside
+#      src/ckpt/ring.* and the chaos oracle (src/chaos/shadow.cpp).
+#      These always run and fail the gate on the first offender.
 #   2. clang-format --dry-run --Werror against the repo's .clang-format.
 #      Runs when a clang-format binary is available (CI installs one); a
 #      box without the tool skips this layer with a notice instead of
@@ -58,6 +61,18 @@ if offenders=$(grep -rnE --include='*.cpp' --include='*.hpp' \
     'std::sto(d|f|i|l|ld|ll|ul|ull)\(|\bstrto(d|f|l|ld|ll|ul|ull)\(|\bato(f|i|l|ll)\(|get_int\(' \
     src examples bench tests); then
   echo "check_format: number parsed outside util::parse_number:" >&2
+  echo "${offenders}" >&2
+  status=1
+fi
+
+# Which nodes hold an owner's image is stated once, by
+# ckpt::GroupAssignment::holders(). The chaos oracle keeps its own spelling
+# on purpose: it is the independent check of that rule, as are the tests.
+if offenders=$(grep -rnE --include='*.cpp' --include='*.hpp' \
+    'secondary_buddy\(' src examples bench |
+    grep -vE '^src/ckpt/ring\.(hpp|cpp):|^src/chaos/shadow\.cpp:'); then
+  echo "check_format: placement rule spelled outside" \
+       "ckpt::GroupAssignment::holders():" >&2
   echo "${offenders}" >&2
   status=1
 fi

@@ -15,52 +15,13 @@ namespace {
 /// now complete in degraded mode, so every counter is compared on every
 /// run -- including the corruption/retry/degraded accounting.
 std::string counter_divergence(const runtime::RunReport& report,
-                               const ShadowPrediction& predicted) {
-  const struct {
-    const char* name;
-    std::uint64_t got;
-    std::uint64_t want;
-  } counters[] = {
-      {"steps_executed", report.steps_executed, predicted.steps_executed},
-      {"replayed_steps", report.replayed_steps, predicted.replayed_steps},
-      {"checkpoints", report.checkpoints, predicted.checkpoints},
-      {"failures", report.failures, predicted.failures},
-      {"rollbacks", report.rollbacks, predicted.rollbacks},
-      {"recoveries", report.recoveries, predicted.recoveries},
-      {"rereplications", report.rereplications, predicted.rereplications},
-      {"risk_steps", report.risk_steps, predicted.risk_steps},
-      {"failovers", report.failovers, predicted.failovers},
-      {"transfer_retries", report.transfer_retries,
-       predicted.transfer_retries},
-      {"corrupt_images_detected", report.corrupt_images_detected,
-       predicted.corrupt_images_detected},
-      {"degraded_steps", report.degraded_steps, predicted.degraded_steps},
-      {"hash_verified_recoveries", report.hash_verified_recoveries,
-       predicted.hash_verified_recoveries},
-      {"sdc_injected", report.sdc_injected, predicted.sdc_injected},
-      {"verifications_run", report.verifications_run,
-       predicted.verifications_run},
-      {"sdc_detected", report.sdc_detected, predicted.sdc_detected},
-      {"rollback_depth", report.rollback_depth, predicted.rollback_depth},
-      {"alarms_raised", report.alarms_raised, predicted.alarms_raised},
-      {"proactive_ckpts", report.proactive_ckpts, predicted.proactive_ckpts},
-      {"true_predictions", report.true_predictions,
-       predicted.true_predictions},
-      {"missed_failures", report.missed_failures,
-       predicted.missed_failures},
-      {"delta_commits", report.delta_commits, predicted.delta_commits},
-      {"full_commits", report.full_commits, predicted.full_commits},
-      {"chain_replays", report.chain_replays, predicted.chain_replays},
-      {"chain_replay_depth", report.chain_replay_depth,
-       predicted.chain_replay_depth},
-      {"torn_chain_failovers", report.torn_chain_failovers,
-       predicted.torn_chain_failovers},
-  };
-  for (const auto& counter : counters) {
-    if (counter.got != counter.want) {
-      return std::string(counter.name) + ": runtime " +
-             std::to_string(counter.got) + ", oracle " +
-             std::to_string(counter.want);
+                               const runtime::RunReport& predicted) {
+  for (const OracleCounter& counter : kOracleCounters) {
+    const std::uint64_t got = report.*counter.field;
+    const std::uint64_t want = predicted.*counter.field;
+    if (got != want) {
+      return std::string(counter.name) + ": runtime " + std::to_string(got) +
+             ", oracle " + std::to_string(want);
     }
   }
   return "";
@@ -153,11 +114,11 @@ runtime::RunReport reference_run(const ChaosCampaignConfig& config) {
 
 ChaosRunResult classify_run(const ChaosCampaignConfig& config,
                             ChaosSchedule schedule,
-                            const ShadowPrediction& predicted,
+                            const runtime::RunReport& predicted,
                             std::uint64_t reference_hash,
                             std::uint64_t index) {
   config.validate();
-  validate_schedule(schedule, config.shadow());
+  runtime::validate_injections(schedule.failures, config.shadow());
 
   ChaosRunResult result;
   result.index = index;
@@ -181,7 +142,7 @@ ChaosRunResult classify_run(const ChaosCampaignConfig& config,
       result.outcome = ChaosOutcome::Violated;
       result.detail = "runtime lost data on a survivable schedule: " +
                       result.report.fatal_reason;
-    } else if (result.report.fatal_node != result.predicted.unrecoverable_node ||
+    } else if (result.report.fatal_node != result.predicted.fatal_node ||
                result.report.fatal_step != result.predicted.fatal_step ||
                !result.report.degraded) {
       // Typed comparison -- no string matching on fatal_reason.
@@ -191,7 +152,7 @@ ChaosRunResult classify_run(const ChaosCampaignConfig& config,
           std::to_string(result.report.fatal_node) + " at step " +
           std::to_string(result.report.fatal_step) +
           (result.report.degraded ? "" : " (not degraded)") + ", want node " +
-          std::to_string(result.predicted.unrecoverable_node) + " at step " +
+          std::to_string(result.predicted.fatal_node) + " at step " +
           std::to_string(result.predicted.fatal_step);
     } else if (!divergence.empty()) {
       result.outcome = ChaosOutcome::Violated;
@@ -206,8 +167,7 @@ ChaosRunResult classify_run(const ChaosCampaignConfig& config,
       result.outcome = ChaosOutcome::Violated;
       result.detail =
           "runtime claims survival of a schedule that destroys every replica "
-          "of node " +
-          std::to_string(result.predicted.unrecoverable_node);
+          "of node " + std::to_string(result.predicted.fatal_node);
     } else if (result.report.final_hash != reference_hash) {
       result.outcome = ChaosOutcome::Violated;
       result.detail = "final state diverges from the failure-free run";
@@ -226,7 +186,7 @@ ChaosRunResult run_one(const ChaosCampaignConfig& config,
                        ChaosSchedule schedule, std::uint64_t reference_hash,
                        std::uint64_t index) {
   config.validate();
-  const ShadowPrediction predicted =
+  const runtime::RunReport predicted =
       predict_outcome(config.shadow(), schedule.failures);
   return classify_run(config, std::move(schedule), predicted, reference_hash,
                       index);

@@ -67,7 +67,7 @@ struct ChaosRunResult {
   std::uint64_t index = 0;
   std::string target = "chain";  ///< "chain" | "grid" (stable export id)
   ChaosSchedule schedule;
-  ShadowPrediction predicted;
+  runtime::RunReport predicted;  ///< the oracle's report for `schedule`
   runtime::RunReport report;
   ChaosOutcome outcome = ChaosOutcome::Violated;
   std::string detail;  ///< violation diagnosis or the runtime's fatal reason
@@ -104,7 +104,7 @@ runtime::RunReport reference_run(const ChaosCampaignConfig& config);
 /// from a deliberately wrong protocol shape and expect Violated).
 ChaosRunResult classify_run(const ChaosCampaignConfig& config,
                             ChaosSchedule schedule,
-                            const ShadowPrediction& predicted,
+                            const runtime::RunReport& predicted,
                             std::uint64_t reference_hash,
                             std::uint64_t index = 0);
 

@@ -21,97 +21,46 @@ std::string hex64(std::uint64_t value) {
   return text;
 }
 
-}  // namespace
-
-util::JsonValue to_json(const ShadowPrediction& predicted) {
+/// Every oracle counter under its stable name (JsonValue objects dump in
+/// key order, so the table's order does not show in the output).
+util::JsonValue counters_json(const runtime::RunReport& report) {
   auto v = util::JsonValue::object();
+  for (const OracleCounter& counter : kOracleCounters) {
+    v.set(counter.name, report.*counter.field);
+  }
+  return v;
+}
+
+/// The `predicted` sub-record: the counters plus the oracle's fatal verdict
+/// (fatal_node keeps its older export key).
+util::JsonValue predicted_json(const runtime::RunReport& predicted) {
+  auto v = counters_json(predicted);
   v.set("fatal", predicted.fatal);
   if (predicted.fatal) {
     v.set("fatal_step", predicted.fatal_step);
-    v.set("unrecoverable_node", predicted.unrecoverable_node);
+    v.set("unrecoverable_node", predicted.fatal_node);
   }
-  v.set("steps_executed", predicted.steps_executed);
-  v.set("replayed_steps", predicted.replayed_steps);
-  v.set("checkpoints", predicted.checkpoints);
-  v.set("failures", predicted.failures);
-  v.set("rollbacks", predicted.rollbacks);
-  v.set("recoveries", predicted.recoveries);
-  v.set("rereplications", predicted.rereplications);
-  v.set("risk_steps", predicted.risk_steps);
-  // Appended (PR 5): corruption/retry/degraded accounting.
-  v.set("failovers", predicted.failovers);
-  v.set("transfer_retries", predicted.transfer_retries);
-  v.set("corrupt_images_detected", predicted.corrupt_images_detected);
-  v.set("degraded_steps", predicted.degraded_steps);
-  v.set("hash_verified_recoveries", predicted.hash_verified_recoveries);
-  // Appended (PR 7): silent-error accounting.
-  v.set("sdc_injected", predicted.sdc_injected);
-  v.set("verifications_run", predicted.verifications_run);
-  v.set("sdc_detected", predicted.sdc_detected);
-  v.set("rollback_depth", predicted.rollback_depth);
-  // Appended (PR 8): fault-prediction accounting.
-  v.set("alarms_raised", predicted.alarms_raised);
-  v.set("proactive_ckpts", predicted.proactive_ckpts);
-  v.set("true_predictions", predicted.true_predictions);
-  v.set("missed_failures", predicted.missed_failures);
-  // Appended (PR 9): differential-checkpoint accounting.
-  v.set("delta_commits", predicted.delta_commits);
-  v.set("full_commits", predicted.full_commits);
-  v.set("chain_replays", predicted.chain_replays);
-  v.set("chain_replay_depth", predicted.chain_replay_depth);
-  v.set("torn_chain_failovers", predicted.torn_chain_failovers);
   return v;
 }
 
-util::JsonValue to_json(const runtime::RunReport& report) {
-  auto v = util::JsonValue::object();
-  v.set("steps_executed", report.steps_executed);
-  v.set("replayed_steps", report.replayed_steps);
-  v.set("checkpoints", report.checkpoints);
-  v.set("failures", report.failures);
-  v.set("rollbacks", report.rollbacks);
+/// The `report` sub-record: the counters plus what only the runtime
+/// measures. Fatal runs complete degraded, so they carry a final hash too.
+util::JsonValue report_json(const runtime::RunReport& report) {
+  auto v = counters_json(report);
   v.set("bytes_replicated", report.bytes_replicated);
   v.set("cow_copies", report.cow_copies);
-  v.set("recoveries", report.recoveries);
-  v.set("rereplications", report.rereplications);
-  v.set("risk_steps", report.risk_steps);
   v.set("fatal", report.fatal);
+  v.set("degraded", report.degraded);
+  v.set("final_hash", hex64(report.final_hash));
   if (report.fatal) {
     v.set("fatal_reason", report.fatal_reason);
-  } else {
-    v.set("final_hash", hex64(report.final_hash));
-  }
-  // Appended (PR 5): corruption/retry/degraded accounting. Fatal runs now
-  // complete, so they carry fatal_node/fatal_step and a final hash too.
-  v.set("failovers", report.failovers);
-  v.set("transfer_retries", report.transfer_retries);
-  v.set("corrupt_images_detected", report.corrupt_images_detected);
-  v.set("degraded_steps", report.degraded_steps);
-  v.set("hash_verified_recoveries", report.hash_verified_recoveries);
-  v.set("degraded", report.degraded);
-  if (report.fatal) {
     v.set("fatal_node", report.fatal_node);
     v.set("fatal_step", report.fatal_step);
-    v.set("final_hash", hex64(report.final_hash));
   }
-  // Appended (PR 7): silent-error accounting.
-  v.set("sdc_injected", report.sdc_injected);
-  v.set("verifications_run", report.verifications_run);
-  v.set("sdc_detected", report.sdc_detected);
-  v.set("rollback_depth", report.rollback_depth);
-  // Appended (PR 8): fault-prediction accounting.
-  v.set("alarms_raised", report.alarms_raised);
-  v.set("proactive_ckpts", report.proactive_ckpts);
-  v.set("true_predictions", report.true_predictions);
-  v.set("missed_failures", report.missed_failures);
-  // Appended (PR 9): differential-checkpoint accounting.
-  v.set("delta_commits", report.delta_commits);
-  v.set("full_commits", report.full_commits);
-  v.set("chain_replays", report.chain_replays);
-  v.set("chain_replay_depth", report.chain_replay_depth);
-  v.set("torn_chain_failovers", report.torn_chain_failovers);
   return v;
 }
+
+}  // namespace
 
 util::JsonValue to_json(const ChaosRunResult& run) {
   auto v = util::JsonValue::object();
@@ -123,8 +72,8 @@ util::JsonValue to_json(const ChaosRunResult& run) {
   v.set("outcome", outcome_name(run.outcome));
   if (!run.detail.empty()) v.set("detail", run.detail);
   v.set("repro", run.repro);
-  v.set("predicted", to_json(run.predicted));
-  v.set("report", to_json(run.report));
+  v.set("predicted", predicted_json(run.predicted));
+  v.set("report", report_json(run.report));
   v.set("target", run.target);  // appended: keep older consumers working
   return v;
 }

@@ -30,8 +30,6 @@
 
 namespace dckpt::chaos {
 
-util::JsonValue to_json(const ShadowPrediction& predicted);
-util::JsonValue to_json(const runtime::RunReport& report);
 util::JsonValue to_json(const ChaosRunResult& run);
 util::JsonValue to_json(const ChaosCampaignSummary& summary);
 

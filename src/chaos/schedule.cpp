@@ -111,62 +111,6 @@ ChaosSchedule ChaosSchedule::parse(const std::string& spec) {
   return schedule;
 }
 
-void validate_schedule(const ChaosSchedule& schedule,
-                       const ShadowConfig& config) {
-  const ckpt::GroupAssignment groups(config.nodes, config.topology);
-  const bool pairs = config.topology == ckpt::Topology::Pairs;
-  for (const auto& failure : schedule.failures) {
-    if (failure.node >= config.nodes) {
-      throw std::invalid_argument("ChaosSchedule '" + schedule.name +
-                                  "': node " + std::to_string(failure.node) +
-                                  " out of range");
-    }
-    if (failure.step >= config.total_steps) {
-      throw std::invalid_argument("ChaosSchedule '" + schedule.name +
-                                  "': step " + std::to_string(failure.step) +
-                                  " never executes");
-    }
-    if (failure.kind == runtime::InjectionKind::SilentError &&
-        config.verify_every == 0) {
-      throw std::invalid_argument(
-          "ChaosSchedule '" + schedule.name +
-          "': silent error requires verification enabled (verify_every > 0)");
-    }
-    if (failure.kind == runtime::InjectionKind::TornDelta) {
-      if (config.dcp_stack_size == 0) {
-        throw std::invalid_argument(
-            "ChaosSchedule '" + schedule.name +
-            "': torn delta requires differential checkpointing enabled "
-            "(dcp_stack_size > 0)");
-      }
-      if (failure.window == 0 || failure.window >= config.dcp_stack_size) {
-        throw std::invalid_argument(
-            "ChaosSchedule '" + schedule.name + "': delta depth " +
-            std::to_string(failure.window) + " outside [1, " +
-            std::to_string(config.dcp_stack_size - 1) + "]");
-      }
-    }
-    if (failure.kind == runtime::InjectionKind::CorruptReplica) {
-      if (failure.owner >= config.nodes) {
-        throw std::invalid_argument(
-            "ChaosSchedule '" + schedule.name + "': owner " +
-            std::to_string(failure.owner) + " out of range");
-      }
-      const bool holds =
-          pairs ? (failure.node == failure.owner ||
-                   failure.node == groups.preferred_buddy(failure.owner))
-                : (failure.node == groups.preferred_buddy(failure.owner) ||
-                   failure.node == groups.secondary_buddy(failure.owner));
-      if (!holds) {
-        throw std::invalid_argument(
-            "ChaosSchedule '" + schedule.name + "': node " +
-            std::to_string(failure.node) + " does not hold node " +
-            std::to_string(failure.owner) + "'s replica");
-      }
-    }
-  }
-}
-
 std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
   const std::uint64_t interval = config.checkpoint_interval;
   const std::uint64_t total = config.total_steps;
@@ -215,9 +159,10 @@ std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
                      0});
   }
 
-  // Corruption / transfer-fault families. Helpers name the replica ladder:
-  // the victim's restore tries the local copy then the preferred buddy
-  // (pairs) or the preferred then the secondary buddy (triples).
+  // Corruption / transfer-fault families. groups.holders(node) is the
+  // replica ladder: the victim's restore tries the local copy then the
+  // preferred buddy (pairs) or the preferred then the secondary buddy
+  // (triples).
   using runtime::InjectionKind;
   const ckpt::GroupAssignment groups(config.nodes, config.topology);
   const std::uint64_t pre = c > 0 ? c - 1 : 0;  // corruption before the kill
@@ -233,11 +178,9 @@ std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
     // Corrupt the first replica a *survivor* consults, then kill a node in
     // another group: the survivor's rollback must skip the corrupt copy and
     // fail over to the next ladder rung. Survivable on both topologies.
-    const std::uint64_t first_rung =
-        config.topology == ckpt::Topology::Pairs ? 0
-                                                 : groups.preferred_buddy(0);
     plans.push_back({"corrupt-survivor-failover",
-                     {{pre, first_rung, InjectionKind::CorruptReplica, 0},
+                     {{pre, groups.holders(0)[0],
+                       InjectionKind::CorruptReplica, 0},
                       {c, gs}},
                      0});
   }
@@ -245,15 +188,8 @@ std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
     // Every replica of the victim's image corrupted before the kill: the
     // ladder exhausts on either topology -- always fatal, always detected.
     ChaosSchedule both{"corrupt-both-replicas", {}, 0};
-    if (config.topology == ckpt::Topology::Pairs) {
-      both.failures.push_back({pre, 0, InjectionKind::CorruptReplica, 0});
-      both.failures.push_back(
-          {pre, groups.preferred_buddy(0), InjectionKind::CorruptReplica, 0});
-    } else {
-      both.failures.push_back(
-          {pre, groups.preferred_buddy(0), InjectionKind::CorruptReplica, 0});
-      both.failures.push_back(
-          {pre, groups.secondary_buddy(0), InjectionKind::CorruptReplica, 0});
+    for (const std::uint64_t holder : groups.holders(0)) {
+      both.failures.push_back({pre, holder, InjectionKind::CorruptReplica, 0});
     }
     both.failures.push_back({c, 0});
     plans.push_back(std::move(both));
@@ -284,21 +220,19 @@ std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
   {
     // Kill a node, then corrupt one of its refill *sources* during the risk
     // window: the delivery must skip the corrupt source and re-file what it
-    // can (partial refill -- some owners stay unavailable).
-    ChaosSchedule source{"corrupt-refill-source", {}, 0};
-    source.failures.push_back({c, 0});
-    if (config.topology == ckpt::Topology::Pairs) {
-      source.failures.push_back({step(c + 1), groups.preferred_buddy(0),
-                                 InjectionKind::CorruptReplica, 0});
-    } else {
-      const std::uint64_t owner = groups.stored_for(0).front();
-      const std::uint64_t survivor = groups.preferred_buddy(owner) == 0
-                                         ? groups.secondary_buddy(owner)
-                                         : groups.preferred_buddy(owner);
-      source.failures.push_back(
-          {step(c + 1), survivor, InjectionKind::CorruptReplica, owner});
-    }
-    plans.push_back(std::move(source));
+    // can (partial refill -- some owners stay unavailable). The damaged
+    // image is node 0's own (pairs) or the first one node 0 held for a peer
+    // (triples), on its holder that survives the kill.
+    const std::uint64_t owner = config.topology == ckpt::Topology::Pairs
+                                    ? 0
+                                    : groups.stored_for(0).front();
+    const auto holders = groups.holders(owner);
+    const std::uint64_t survivor = holders[0] == 0 ? holders[1] : holders[0];
+    plans.push_back({"corrupt-refill-source",
+                     {{c, 0},
+                      {step(c + 1), survivor, InjectionKind::CorruptReplica,
+                       owner}},
+                     0});
   }
 
   // Silent-error families -- only when the config can detect them
@@ -379,13 +313,7 @@ std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
     using runtime::InjectionKind;
     // First rung of node 0's restore ladder (where TornDelta lands) and
     // the rung the walk falls back to.
-    const std::uint64_t first_rung =
-        config.topology == ckpt::Topology::Pairs ? 0
-                                                 : groups.preferred_buddy(0);
-    const std::uint64_t second_rung =
-        config.topology == ckpt::Topology::Pairs
-            ? groups.preferred_buddy(0)
-            : groups.secondary_buddy(0);
+    const auto [first_rung, second_rung] = groups.holders(0);
     const auto torn = [&](std::uint64_t at, std::uint64_t node,
                           std::uint64_t depth) {
       return runtime::FailureInjection{step(at), node,
@@ -434,7 +362,9 @@ std::vector<ChaosSchedule> scripted_schedules(const ShadowConfig& config) {
          0});
   }
 
-  for (auto& plan : plans) validate_schedule(plan, config);
+  for (const auto& plan : plans) {
+    runtime::validate_injections(plan.failures, config);
+  }
   return plans;
 }
 
@@ -545,7 +475,9 @@ std::vector<ChaosSchedule> scripted_grid_schedules(
                      0});
   }
 
-  for (auto& plan : plans) validate_schedule(plan, shape);
+  for (const auto& plan : plans) {
+    runtime::validate_injections(plan.failures, shape);
+  }
   return plans;
 }
 
@@ -630,13 +562,8 @@ ChaosSchedule random_schedule(const ShadowConfig& config, std::uint64_t seed,
       }
       case 5: {  // corrupt a replica of the victim, then kill it
         const std::uint64_t victim = any_node();
-        const bool first_holder = rng.next_below(2) == 0;
         const std::uint64_t holder =
-            config.topology == ckpt::Topology::Pairs
-                ? (first_holder ? victim
-                                : assignment.preferred_buddy(victim))
-                : (first_holder ? assignment.preferred_buddy(victim)
-                                : assignment.secondary_buddy(victim));
+            assignment.holders(victim)[rng.next_below(2)];
         const std::uint64_t at = any_step();
         schedule.failures.push_back(
             {at, holder, runtime::InjectionKind::CorruptReplica, victim});
@@ -681,7 +608,7 @@ ChaosSchedule random_schedule(const ShadowConfig& config, std::uint64_t seed,
     }
   }
   schedule.failures.resize(count);  // motifs may overshoot by one
-  validate_schedule(schedule, config);
+  runtime::validate_injections(schedule.failures, config);
   return schedule;
 }
 

@@ -68,12 +68,6 @@ struct ChaosSchedule {
   static ChaosSchedule parse(const std::string& spec);
 };
 
-/// Validates every injection against `config` (node in range, step below
-/// total_steps, corrupt target a store that actually holds the owner's
-/// replica under the topology). Throws std::invalid_argument otherwise.
-void validate_schedule(const ChaosSchedule& schedule,
-                       const ShadowConfig& config);
-
 /// The scripted danger cases for `config` (every schedule valid for it):
 /// single hits, exchange-window hits (when staging_steps > 0), same-group
 /// double hits at the same step and inside the re-replication window,

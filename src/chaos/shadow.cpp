@@ -15,7 +15,7 @@ enum class Image : unsigned char { Absent, Clean, Corrupt };
 
 }  // namespace
 
-ShadowPrediction predict_outcome(
+runtime::RunReport predict_outcome(
     const ShadowConfig& config,
     std::span<const runtime::FailureInjection> failures) {
   config.validate();
@@ -25,9 +25,7 @@ ShadowPrediction predict_outcome(
 
   // Same upfront validation as the runtimes (shared helper, so error
   // behaviour cannot drift).
-  runtime::validate_injections(failures, n, config.total_steps,
-                               config.topology, config.verify_every,
-                               config.dcp_stack_size);
+  runtime::validate_injections(failures, config);
 
   std::vector<runtime::FailureInjection> pending(failures.begin(),
                                                  failures.end());
@@ -37,7 +35,7 @@ ShadowPrediction predict_outcome(
                      return a.step < b.step;
                    });
 
-  ShadowPrediction out;
+  runtime::RunReport out;
   // img[holder * n + owner]: only designated slots ever leave Absent.
   std::vector<Image> img(n * n, Image::Absent);
   const auto slot = [&](std::uint64_t holder,
@@ -398,7 +396,7 @@ ShadowPrediction predict_outcome(
           if (!out.fatal) {
             out.fatal = true;
             out.fatal_step = step;
-            out.unrecoverable_node = node;
+            out.fatal_node = node;
           }
           sdc_epoch[node] = 0;  // fresh initial condition, no corruption
         }
@@ -498,7 +496,7 @@ ShadowPrediction predict_outcome(
               }
               out.fatal = true;
               out.fatal_step = step;
-              out.unrecoverable_node = culprit;
+              out.fatal_node = culprit;
             }
             std::fill(sdc_epoch.begin(), sdc_epoch.end(), std::uint64_t{0});
           } else {

@@ -27,7 +27,12 @@
 // none of the data movement): the chaos campaign runs both and any
 // divergence -- outcome or counter -- is classified `violated`, i.e. a bug
 // in one of the two. Property tests drive random schedules through the
-// pair.
+// pair. For the same reason the oracle spells the placement rule (pairs:
+// own node then buddy; triples: preferred then secondary buddy) itself
+// instead of asking ckpt::GroupAssignment::holders(), which every other
+// layer uses. What the two sides share is vocabulary only: the prediction
+// is a runtime::RunReport, compared counter by counter over
+// kOracleCounters, and injections pass runtime::validate_injections().
 #pragma once
 
 #include <cstdint>
@@ -44,37 +49,48 @@ namespace dckpt::chaos {
 /// ...)` both read naturally.
 using ShadowConfig = runtime::CheckpointPolicy;
 
-struct ShadowPrediction {
-  bool fatal = false;                    ///< run enters degraded mode
-  std::uint64_t fatal_step = 0;          ///< step of the exhausted rollback
-  std::uint64_t unrecoverable_node = 0;  ///< first node with no replica left
-  // Mirrors of the RunReport counters the oracle can derive.
-  std::uint64_t steps_executed = 0;
-  std::uint64_t replayed_steps = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t rereplications = 0;
-  std::uint64_t risk_steps = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t transfer_retries = 0;
-  std::uint64_t corrupt_images_detected = 0;
-  std::uint64_t degraded_steps = 0;
-  std::uint64_t hash_verified_recoveries = 0;
-  std::uint64_t sdc_injected = 0;
-  std::uint64_t verifications_run = 0;
-  std::uint64_t sdc_detected = 0;
-  std::uint64_t rollback_depth = 0;
-  std::uint64_t alarms_raised = 0;
-  std::uint64_t proactive_ckpts = 0;
-  std::uint64_t true_predictions = 0;
-  std::uint64_t missed_failures = 0;
-  std::uint64_t delta_commits = 0;
-  std::uint64_t full_commits = 0;
-  std::uint64_t chain_replays = 0;
-  std::uint64_t chain_replay_depth = 0;
-  std::uint64_t torn_chain_failovers = 0;
+/// What the oracle predicts is a runtime report: the counters below, plus
+/// `fatal`, `fatal_node` and `fatal_step`. The older name stays for callers
+/// that spell it.
+using ShadowPrediction = runtime::RunReport;
+
+/// One RunReport counter the oracle predicts, with its stable export name.
+struct OracleCounter {
+  const char* name;
+  std::uint64_t runtime::RunReport::* field;
+};
+
+/// Every counter the oracle predicts, in RunReport order. The chaos
+/// classifier compares them in this order (a violation names the first
+/// that diverges), and the `predicted` and `report` JSONL sub-records
+/// export them under these names.
+inline constexpr OracleCounter kOracleCounters[] = {
+    {"steps_executed", &runtime::RunReport::steps_executed},
+    {"replayed_steps", &runtime::RunReport::replayed_steps},
+    {"checkpoints", &runtime::RunReport::checkpoints},
+    {"failures", &runtime::RunReport::failures},
+    {"rollbacks", &runtime::RunReport::rollbacks},
+    {"recoveries", &runtime::RunReport::recoveries},
+    {"rereplications", &runtime::RunReport::rereplications},
+    {"risk_steps", &runtime::RunReport::risk_steps},
+    {"failovers", &runtime::RunReport::failovers},
+    {"transfer_retries", &runtime::RunReport::transfer_retries},
+    {"corrupt_images_detected", &runtime::RunReport::corrupt_images_detected},
+    {"degraded_steps", &runtime::RunReport::degraded_steps},
+    {"hash_verified_recoveries", &runtime::RunReport::hash_verified_recoveries},
+    {"sdc_injected", &runtime::RunReport::sdc_injected},
+    {"verifications_run", &runtime::RunReport::verifications_run},
+    {"sdc_detected", &runtime::RunReport::sdc_detected},
+    {"rollback_depth", &runtime::RunReport::rollback_depth},
+    {"alarms_raised", &runtime::RunReport::alarms_raised},
+    {"proactive_ckpts", &runtime::RunReport::proactive_ckpts},
+    {"true_predictions", &runtime::RunReport::true_predictions},
+    {"missed_failures", &runtime::RunReport::missed_failures},
+    {"delta_commits", &runtime::RunReport::delta_commits},
+    {"full_commits", &runtime::RunReport::full_commits},
+    {"chain_replays", &runtime::RunReport::chain_replays},
+    {"chain_replay_depth", &runtime::RunReport::chain_replay_depth},
+    {"torn_chain_failovers", &runtime::RunReport::torn_chain_failovers},
 };
 
 /// Runs the abstract machine for `config` under `failures` (same contract
@@ -82,7 +98,11 @@ struct ShadowPrediction {
 /// order, corruption before transfer-fault arming before losses within a
 /// step). Throws std::invalid_argument on a malformed injection (node,
 /// step, or corrupt target), exactly like the runtimes do.
-ShadowPrediction predict_outcome(
+///
+/// The oracle moves no data, so it fills only kOracleCounters, `fatal`,
+/// `fatal_node` and `fatal_step`; `bytes_replicated`, `cow_copies`,
+/// `final_hash`, `fatal_reason` and `degraded` stay at their defaults.
+runtime::RunReport predict_outcome(
     const ShadowConfig& config,
     std::span<const runtime::FailureInjection> failures);
 

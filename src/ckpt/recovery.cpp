@@ -16,17 +16,6 @@ void check_directory(const GroupAssignment& groups,
   }
 }
 
-/// The ordered list of nodes that may hold `node`'s committed image:
-/// pairs keep a local copy (preferred on restore -- no transfer), then the
-/// preferred buddy; triples store on the preferred and secondary buddies.
-std::vector<std::uint64_t> replica_ladder(std::uint64_t node,
-                                          const GroupAssignment& groups) {
-  if (groups.topology() == Topology::Pairs) {
-    return {node, groups.preferred_buddy(node)};
-  }
-  return {groups.preferred_buddy(node), groups.secondary_buddy(node)};
-}
-
 /// Outcome of flattening one rung: the base image plus its differential
 /// chain, or the typed reason the rung must be skipped.
 enum class RungState { Clean, CorruptBase, TornLayer, BadTip };
@@ -79,7 +68,7 @@ RecoveryOutcome select_replica(std::uint64_t node,
                                std::uint64_t expected_hash) {
   check_directory(groups, stores);
   RecoveryOutcome outcome;
-  for (const std::uint64_t holder : replica_ladder(node, groups)) {
+  for (const std::uint64_t holder : groups.holders(node)) {
     auto rung = flatten_rung(*stores[holder], node, expected_hash);
     if (!rung) continue;
     ++outcome.candidates_tried;
@@ -151,21 +140,6 @@ ReplicationOutcome restore_replicas(
   return outcome;
 }
 
-RollbackOutcome select_rollback_set(
-    std::size_t retained, const std::function<bool(std::size_t)>& usable) {
-  RollbackOutcome outcome;
-  for (std::size_t depth = 0; depth < retained; ++depth) {
-    if (!usable(depth)) continue;
-    outcome.status =
-        depth == 0 ? RollbackStatus::Ok : RollbackStatus::RolledBack;
-    outcome.depth = depth;
-    return outcome;
-  }
-  outcome.status = RollbackStatus::Exhausted;
-  outcome.depth = retained;
-  return outcome;
-}
-
 bool set_restorable(std::size_t depth, const GroupAssignment& groups,
                     std::span<BuddyStore* const> stores,
                     std::span<const std::uint64_t> expected_hashes) {
@@ -175,7 +149,7 @@ bool set_restorable(std::size_t depth, const GroupAssignment& groups,
   }
   for (std::uint64_t node = 0; node < groups.nodes(); ++node) {
     bool found = false;
-    for (const std::uint64_t holder : replica_ladder(node, groups)) {
+    for (const std::uint64_t holder : groups.holders(node)) {
       auto image = stores[holder]->committed_at(depth, node);
       if (!image) continue;
       if (!image->verify(expected_hashes[node])) continue;

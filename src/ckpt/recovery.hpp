@@ -10,10 +10,11 @@
 //
 // Every restore point verifies the image's content hash: a corrupt or torn
 // replica is *skipped*, not restored, and the ladder falls through to the
-// next surviving copy -- the local copy first for pairs, then the preferred
-// buddy, then (triples) the secondary. Outcomes are typed, never thrown:
-// exhausting the ladder is a normal (degraded-mode) result the runtimes
-// account for, not an exception a campaign has to string-match.
+// next surviving copy in GroupAssignment::holders() order -- the local copy
+// first for pairs, then the preferred buddy, then (triples) the secondary.
+// Outcomes are typed, never thrown: exhausting the ladder is a normal
+// (degraded-mode) result the runtimes account for, not an exception a
+// campaign has to string-match.
 //
 // Stores are addressed through a span of pointers indexed by node id, so
 // callers can keep BuddyStores wherever they live (test vectors, runtime
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -59,11 +59,10 @@ struct RecoveryOutcome {
   bool ok() const noexcept { return status != RecoveryStatus::Exhausted; }
 };
 
-/// Walks `node`'s replica ladder -- pairs: local copy then preferred buddy;
-/// triples: preferred then secondary buddy -- verifying each present image
-/// against `expected_hash` and returning the first clean one. Corrupt or
-/// torn images are counted and skipped. Never throws on data loss; throws
-/// std::invalid_argument only on a malformed directory.
+/// Walks `node`'s replica ladder, GroupAssignment::holders(node), verifying
+/// each present image against `expected_hash` and returning the first clean
+/// one. Corrupt or torn images are counted and skipped. Never throws on data
+/// loss; throws std::invalid_argument only on a malformed directory.
 ///
 /// When a rung carries a differential chain (dcp), the rung's image is the
 /// replay base + every chained layer, and the rung is rejected -- one
@@ -101,36 +100,10 @@ ReplicationOutcome restore_replicas(
     std::span<BuddyStore* const> stores,
     std::span<const std::uint64_t> expected_hashes);
 
-/// How a rollback-ladder walk over the retained checkpoint sets ended.
-/// Used by silent-error recovery: when a verification proves the committed
-/// set carries corruption, recovery walks *back in time* through the
-/// keep-last-l retention ring instead of sideways through replicas.
-enum class RollbackStatus {
-  Ok,          ///< the committed set (depth 0) itself is usable
-  RolledBack,  ///< an older retained set was selected (depth > 0)
-  Exhausted,   ///< no retained set qualifies -- detected-but-unrecoverable
-};
-
-/// Typed result of the ladder walk -- no exception path. `depth` counts the
-/// sets that must be dropped to make the selected set the committed one.
-struct RollbackOutcome {
-  RollbackStatus status = RollbackStatus::Exhausted;
-  std::size_t depth = 0;  ///< meaningful unless Exhausted
-
-  bool ok() const noexcept { return status != RollbackStatus::Exhausted; }
-};
-
-/// Walks the rollback ladder newest -> oldest over `retained` restore
-/// points (depth 0 first) and returns the shallowest depth accepted by
-/// `usable`. Ok at depth 0, RolledBack at depth > 0, Exhausted when no
-/// depth qualifies.
-RollbackOutcome select_rollback_set(
-    std::size_t retained, const std::function<bool(std::size_t)>& usable);
-
 /// True when every node of the platform can restore a hash-verified image
-/// of itself from retained set `depth` through its replica ladder (pairs:
-/// local copy then preferred buddy; triples: preferred then secondary).
-/// `expected_hashes[node]` is the content hash recorded for that set.
+/// of itself from retained set `depth` through its replica ladder
+/// (GroupAssignment::holders). `expected_hashes[node]` is the content hash
+/// recorded for that set.
 bool set_restorable(std::size_t depth, const GroupAssignment& groups,
                     std::span<BuddyStore* const> stores,
                     std::span<const std::uint64_t> expected_hashes);

@@ -69,4 +69,10 @@ std::vector<std::uint64_t> GroupAssignment::stored_for(
   return {pred, other};
 }
 
+std::array<std::uint64_t, 2> GroupAssignment::holders(
+    std::uint64_t owner) const {
+  if (topology_ == Topology::Pairs) return {owner, preferred_buddy(owner)};
+  return {preferred_buddy(owner), secondary_buddy(owner)};
+}
+
 }  // namespace dckpt::ckpt

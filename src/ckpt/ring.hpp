@@ -7,6 +7,7 @@
 // p as secondary; p'' prefers p and keeps p' as secondary.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -48,6 +49,11 @@ class GroupAssignment {
 
   /// Nodes whose checkpoints `node` stores (inverse of the buddy maps).
   std::vector<std::uint64_t> stored_for(std::uint64_t node) const;
+
+  /// The placement rule: the two nodes that store `owner`'s checkpoint, in
+  /// the order a restore tries them. Pairs keep a local copy, then one on
+  /// the buddy; triples keep it on the preferred, then the secondary buddy.
+  std::array<std::uint64_t, 2> holders(std::uint64_t owner) const;
 
  private:
   void check_node(std::uint64_t node) const;

@@ -1,46 +1,8 @@
 #include "ckpt/transfer.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace dckpt::ckpt {
-
-namespace {
-
-void check_spec(const TransferSpec& spec) {
-  if (!(spec.image_bytes > 0.0) || !(spec.network_bandwidth > 0.0) ||
-      !(spec.alpha >= 0.0) || !(spec.page_bytes > 0.0) ||
-      !(spec.dirty_rate >= 0.0)) {
-    throw std::invalid_argument("TransferSpec: out of domain");
-  }
-}
-
-}  // namespace
-
-double blocking_transfer_time(const TransferSpec& spec) {
-  check_spec(spec);
-  return spec.image_bytes / spec.network_bandwidth;
-}
-
-TransferPlan plan_transfer(const TransferSpec& spec, double phi) {
-  check_spec(spec);
-  const double theta_min = blocking_transfer_time(spec);
-  const model::OverlapModel overlap(theta_min, spec.alpha);
-  TransferPlan plan;
-  plan.theta_min = theta_min;
-  plan.phi = phi;
-  plan.theta = overlap.theta_of_phi(phi);  // validates phi domain
-  // Pages still waiting to upload at time t: (1 - t/theta) of the image.
-  // With most-likely-dirty-first ordering, a write at time t lands on a
-  // not-yet-uploaded page with probability ~ (1 - t/theta)/2; integrating
-  // dirty_rate over [0, theta] gives theta * dirty_rate / 4.
-  plan.expected_cow_pages = spec.dirty_rate * plan.theta / 4.0;
-  const double total_pages = spec.image_bytes / spec.page_bytes;
-  if (plan.expected_cow_pages > total_pages) {
-    plan.expected_cow_pages = total_pages;
-  }
-  return plan;
-}
 
 void RetryPolicy::validate() const {
   if (max_attempts == 0) {
@@ -60,35 +22,6 @@ std::uint64_t RetryPolicy::backoff_steps(std::uint64_t retry_index) const {
   }
   const std::uint64_t delay = base_delay_steps << shift;
   return delay == 0 ? 1 : delay;
-}
-
-double RetryPolicy::expected_transfer_attempts(double failure_rate) const {
-  validate();
-  if (!(failure_rate >= 0.0) || failure_rate >= 1.0) {
-    throw std::invalid_argument(
-        "RetryPolicy: failure_rate must be in [0, 1)");
-  }
-  // Truncated geometric: E[attempts] = sum_{i=0}^{A-1} p^i.
-  double expected = 0.0;
-  double p_i = 1.0;
-  for (std::uint64_t i = 0; i < max_attempts; ++i) {
-    expected += p_i;
-    p_i *= failure_rate;
-  }
-  return expected;
-}
-
-double phi_for_deadline(const TransferSpec& spec, double deadline) {
-  check_spec(spec);
-  const double theta_min = blocking_transfer_time(spec);
-  if (deadline < theta_min) {
-    throw std::invalid_argument(
-        "phi_for_deadline: deadline shorter than the blocking transfer");
-  }
-  if (spec.alpha == 0.0) return theta_min;  // no stretching possible
-  const model::OverlapModel overlap(theta_min, spec.alpha);
-  if (deadline >= overlap.theta_max()) return 0.0;
-  return overlap.phi_of_theta(deadline);
 }
 
 }  // namespace dckpt::ckpt

@@ -1,50 +1,10 @@
-// Checkpoint-transfer timing under the paper's overlap law.
-//
-// Connects the physical quantities (image size, network bandwidth, COW page
-// pressure) to the model parameters (R = theta_min, phi, theta(phi)):
-//
-//   theta_min = image_bytes / network_bandwidth
-//   theta(phi) = theta_min + alpha (theta_min - phi)
-//
-// plan_transfer() answers "if I stretch the upload to theta seconds, what
-// overhead phi do I pay and how many pages will COW duplicate?" -- the
-// trade-off the paper describes for fork-based checkpointing: slower uploads
-// reduce network pressure but leave more pages exposed to application
-// writes. The COW estimate assumes the application rewrites its working set
-// uniformly at `dirty_rate` pages/s while the upload is in flight and that
-// upload order is most-likely-dirty-first (paper Sec. IV), halving exposure.
+// Bounded retry for checkpoint transfers: the policy the recovery engine
+// applies when a re-replication delivery fails or arrives torn.
 #pragma once
 
 #include <cstdint>
 
-#include "model/overlap.hpp"
-
 namespace dckpt::ckpt {
-
-struct TransferSpec {
-  double image_bytes = 512.0 * 1024 * 1024;
-  double network_bandwidth = 128.0 * 1024 * 1024;  ///< bytes/s
-  double alpha = 10.0;
-  double page_bytes = 4096.0;
-  double dirty_rate = 0.0;  ///< application page writes per second
-};
-
-struct TransferPlan {
-  double theta = 0.0;       ///< transfer duration
-  double phi = 0.0;         ///< computation overhead paid
-  double theta_min = 0.0;   ///< blocking duration (= model R)
-  double expected_cow_pages = 0.0;  ///< pages duplicated during the upload
-};
-
-/// Blocking transfer time for the image (the model's R).
-double blocking_transfer_time(const TransferSpec& spec);
-
-/// Plan a transfer stretched to overhead `phi` (in [0, theta_min]).
-TransferPlan plan_transfer(const TransferSpec& spec, double phi);
-
-/// Inverse planning: the phi needed to finish within `deadline` seconds.
-/// Throws when the deadline is shorter than the blocking time.
-double phi_for_deadline(const TransferSpec& spec, double deadline);
 
 /// Bounded retry with exponential backoff for checkpoint transfers.
 ///
@@ -65,11 +25,6 @@ struct RetryPolicy {
   /// index 1). Always at least 1 -- a re-issued transfer cannot complete
   /// within the step that saw it fail. Saturates instead of overflowing.
   std::uint64_t backoff_steps(std::uint64_t retry_index) const;
-
-  /// Expected delivery attempts when each attempt independently fails with
-  /// probability `failure_rate` (capped by max_attempts) -- the bridge to
-  /// the model's risk-window widening.
-  double expected_transfer_attempts(double failure_rate) const;
 };
 
 }  // namespace dckpt::ckpt

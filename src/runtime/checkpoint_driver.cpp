@@ -52,19 +52,17 @@ std::uint64_t state_hash(std::span<const double> state) {
 }
 
 void validate_injections(std::span<const FailureInjection> failures,
-                         std::uint64_t nodes, std::uint64_t total_steps,
-                         ckpt::Topology topology,
-                         std::uint64_t verify_every,
-                         std::uint64_t dcp_stack_size) {
-  const ckpt::GroupAssignment groups(nodes, topology);
+                         const CheckpointPolicy& policy) {
+  const ckpt::GroupAssignment groups(policy.nodes, policy.topology);
   for (const auto& failure : failures) {
-    if (failure.node >= nodes) {
+    if (failure.node >= policy.nodes) {
       throw std::invalid_argument("FailureInjection: node out of range");
     }
-    if (failure.step >= total_steps) {
+    if (failure.step >= policy.total_steps) {
       throw std::invalid_argument("FailureInjection: step out of range");
     }
-    if (failure.kind == InjectionKind::SilentError && verify_every == 0) {
+    if (failure.kind == InjectionKind::SilentError &&
+        policy.verify_every == 0) {
       // With verification off, a silent error can never be observed and
       // the schedule would pass vacuously.
       throw std::invalid_argument(
@@ -75,31 +73,26 @@ void validate_injections(std::span<const FailureInjection> failures,
       // A chain never grows past K - 1 layers, so a depth outside
       // [1, K - 1] (or any TornDelta with dcp off) could never tear
       // anything and the schedule would pass vacuously.
-      if (dcp_stack_size == 0) {
+      if (policy.dcp_stack_size == 0) {
         throw std::invalid_argument(
             "FailureInjection: torn delta requires dcp enabled "
             "(dcp_stack_size > 0)");
       }
-      if (failure.window == 0 || failure.window >= dcp_stack_size) {
+      if (failure.window == 0 || failure.window >= policy.dcp_stack_size) {
         throw std::invalid_argument(
             "FailureInjection: torn-delta depth must be in [1, "
             "dcp_stack_size - 1]");
       }
     }
     if (failure.kind == InjectionKind::CorruptReplica) {
-      if (failure.owner >= nodes) {
+      if (failure.owner >= policy.nodes) {
         throw std::invalid_argument("FailureInjection: owner out of range");
       }
       // The holder must be a node that actually stores the owner's
       // committed image under this topology, or the injection could never
       // damage anything and the schedule would pass vacuously.
-      const bool holds =
-          topology == ckpt::Topology::Pairs
-              ? (failure.node == failure.owner ||
-                 failure.node == groups.preferred_buddy(failure.owner))
-              : (failure.node == groups.preferred_buddy(failure.owner) ||
-                 failure.node == groups.secondary_buddy(failure.owner));
-      if (!holds) {
+      const auto holders = groups.holders(failure.owner);
+      if (failure.node != holders[0] && failure.node != holders[1]) {
         throw std::invalid_argument(
             "FailureInjection: corrupt target does not hold the owner's "
             "replica");
@@ -314,14 +307,6 @@ void CheckpointDriver::execute_step() {
       });
 }
 
-std::array<std::uint64_t, 2> CheckpointDriver::holders(
-    std::uint64_t node) const {
-  if (policy_.topology == ckpt::Topology::Pairs) {
-    return {node, groups_.preferred_buddy(node)};
-  }
-  return {groups_.preferred_buddy(node), groups_.secondary_buddy(node)};
-}
-
 std::vector<ckpt::Snapshot> CheckpointDriver::snapshot_all() {
   std::vector<ckpt::Snapshot> images;
   images.reserve(memory_.size());
@@ -352,7 +337,7 @@ void CheckpointDriver::begin_checkpoint(std::uint64_t step) {
   const std::uint64_t sent =
       policy_.topology == ckpt::Topology::Pairs ? 1 : 2;
   for (std::uint64_t node = 0; node < images.size(); ++node) {
-    for (const std::uint64_t holder : holders(node)) {
+    for (const std::uint64_t holder : groups_.holders(node)) {
       stores_[holder].stage(images[node]);
     }
     staged_bytes_ += sent * images[node].size_bytes();
@@ -417,7 +402,7 @@ void CheckpointDriver::commit_delta_checkpoint(RunReport& report,
     ckpt::BlockDelta& layer = layers[node];
     committed_hashes_[node] = layer.result_hash();
     report.bytes_replicated += sent * layer.delta_bytes();
-    const auto [first, second] = holders(node);
+    const auto [first, second] = groups_.holders(node);
     stores_[first].append_delta(layer);
     stores_[second].append_delta(std::move(layer));
   }
@@ -471,9 +456,7 @@ void CheckpointDriver::rollback_all(RunReport& report, std::uint64_t step) {
 }
 
 RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
-  validate_injections(failures, policy_.nodes, policy_.total_steps,
-                      policy_.topology, policy_.verify_every,
-                      policy_.dcp_stack_size);
+  validate_injections(failures, policy_);
   RunReport report;
   std::vector<FailureInjection> pending(failures.begin(), failures.end());
   std::stable_sort(pending.begin(), pending.end(),

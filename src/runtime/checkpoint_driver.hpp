@@ -36,7 +36,6 @@
 // node loss, silent errors) refreshes the live copy.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -112,19 +111,17 @@ struct FailureInjection {
   std::uint64_t window = 0;
 };
 
-/// Upfront range check of the driver (mirrored by the chaos shadow
-/// oracle): every injection must name an existing node and a step that
-/// actually executes, a CorruptReplica must aim at a store that actually
-/// holds the owner's image under `topology`, and a SilentError requires
-/// verification enabled (`verify_every` > 0) -- an undetectable silent
-/// error would make a campaign vacuously pass -- and a TornDelta requires
-/// dcp enabled with 1 <= depth <= dcp_stack_size - 1 (a chain never grows
-/// longer than K - 1 layers). Throws std::invalid_argument otherwise.
+/// The one injection check, run by the driver, the chaos shadow oracle and
+/// the chaos schedule generators: every injection must name an existing
+/// node and a step that actually executes, a CorruptReplica must aim at one
+/// of the owner's holders (ckpt::GroupAssignment::holders), a SilentError
+/// requires verification enabled (`verify_every` > 0) -- an undetectable
+/// silent error would make a campaign vacuously pass -- and a TornDelta
+/// requires dcp enabled with 1 <= depth <= dcp_stack_size - 1 (a chain
+/// never grows longer than K - 1 layers). Throws std::invalid_argument
+/// otherwise.
 void validate_injections(std::span<const FailureInjection> failures,
-                         std::uint64_t nodes, std::uint64_t total_steps,
-                         ckpt::Topology topology,
-                         std::uint64_t verify_every = 0,
-                         std::uint64_t dcp_stack_size = 0);
+                         const CheckpointPolicy& policy);
 
 struct RunReport {
   std::uint64_t steps_executed = 0;   ///< step executions incl. replays
@@ -246,9 +243,6 @@ class CheckpointDriver {
   void destroy(std::uint64_t node);
   void inject_sdc(std::uint64_t node);
   void execute_step();
-  /// The two stores a node's checkpoint is filed on: its own and its
-  /// buddy's for pairs, its preferred and secondary buddies' for triples.
-  std::array<std::uint64_t, 2> holders(std::uint64_t node) const;
   std::vector<ckpt::Snapshot> snapshot_all();
   void begin_checkpoint(std::uint64_t step);
   void commit_checkpoint(RunReport& report);

@@ -62,11 +62,7 @@ bool RecoveryEngine::fire_injections(
     // its *first* ladder rung (pairs: the local copy; triples: the
     // preferred buddy) -- the copy a restore consults first. No-op when
     // the chain is shorter (e.g. right after a full commit).
-    const std::uint64_t holder =
-        groups_.topology() == ckpt::Topology::Pairs
-            ? f.node
-            : groups_.preferred_buddy(f.node);
-    stores[holder]->corrupt_delta(f.node, f.window);
+    stores[groups_.holders(f.node)[0]]->corrupt_delta(f.node, f.window);
   });
   fire_kind(InjectionKind::TornTransfer, [&](const FailureInjection& f) {
     armed_[f.node].push_back(InjectionKind::TornTransfer);
@@ -253,7 +249,8 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
   // Walk the ladder newest -> oldest for a set captured before every live
   // corruption epoch *and* fully restorable through the replica ladders.
   // The virtual initial entry is always usable: re-initializing is a
-  // restore point that needs no stored images.
+  // restore point that needs no stored images. `depth` is the number of
+  // newer sets to drop; it runs off the ladder when no set qualifies.
   const auto usable = [&](std::size_t depth) {
     const RetainedSet& set = sets_[depth];
     if (set.initial) return true;
@@ -262,8 +259,9 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
     return untainted &&
            ckpt::set_restorable(depth, groups_, stores, set.hashes);
   };
-  const auto outcome = ckpt::select_rollback_set(sets_.size(), usable);
-  if (!outcome.ok()) {
+  std::size_t depth = 0;
+  while (depth < sets_.size() && !usable(depth)) ++depth;
+  if (depth == sets_.size()) {
     // Detected but unrecoverable: accept the corrupted state as the new
     // truth and run on degraded -- exactly the fail-stop data-loss policy,
     // with the *detection* recorded instead of a silent wrong answer.
@@ -288,15 +286,15 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
   }
 
   ++report.rollbacks;
-  report.rollback_depth += outcome.depth;
+  report.rollback_depth += depth;
   action.rolled_back = true;
   // Any in-flight staging set was captured after the corruption (or is
   // about to be replayed); it dies with the rollback, as do in-flight
   // refills -- re-derived below against the installed set.
   refill_.clear();
   for (ckpt::BuddyStore* store : stores) store->discard_staged();
-  for (ckpt::BuddyStore* store : stores) store->drop_newest(outcome.depth);
-  for (std::size_t i = 0; i < outcome.depth; ++i) sets_.pop_front();
+  for (ckpt::BuddyStore* store : stores) store->drop_newest(depth);
+  for (std::size_t i = 0; i < depth; ++i) sets_.pop_front();
 
   if (sets_.front().initial) {
     // Rolled all the way back to the starting configuration: every store

@@ -524,9 +524,9 @@ struct DrawnPlatform {
 };
 
 TEST(BatchKernel, PropertyBitIdenticalOnRandomPlatforms) {
-  proptest::ForallConfig config;
-  config.seed = 0xba7c4;
-  config.iterations = 60;
+  proptest::ForallConfig forall_config;
+  forall_config.seed = 0xba7c4;
+  forall_config.iterations = 60;
   const std::vector<model::Protocol> protocols(model::kAllProtocols.begin(),
                                                model::kAllProtocols.end());
   const std::vector<std::uint64_t> node_choices{6, 12, 24, 48};
@@ -590,7 +590,7 @@ TEST(BatchKernel, PropertyBitIdenticalOnRandomPlatforms) {
         << " keep_last=" << p.keep_last << " seed=" << p.seed;
     return out.str();
   };
-  proptest::forall<DrawnPlatform>(config, draw, property, nullptr, show);
+  proptest::forall<DrawnPlatform>(forall_config, draw, property, nullptr, show);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "chaos/chaos_api.hpp"
@@ -190,13 +193,13 @@ TEST(ChaosSchedule, ParseRejectsTheHostileCorpusInEveryField) {
 TEST(ChaosSchedule, ValidateChecksRanges) {
   const auto config = small_campaign(Topology::Pairs).runtime;
   chaos::ChaosSchedule bad_node{"t", {{10, config.nodes}}, 0};
-  EXPECT_THROW(chaos::validate_schedule(bad_node, config),
+  EXPECT_THROW(runtime::validate_injections(bad_node.failures, config),
                std::invalid_argument);
   chaos::ChaosSchedule bad_step{"t", {{config.total_steps, 0}}, 0};
-  EXPECT_THROW(chaos::validate_schedule(bad_step, config),
+  EXPECT_THROW(runtime::validate_injections(bad_step.failures, config),
                std::invalid_argument);
   chaos::ChaosSchedule good{"t", {{config.total_steps - 1, 0}}, 0};
-  EXPECT_NO_THROW(chaos::validate_schedule(good, config));
+  EXPECT_NO_THROW(runtime::validate_injections(good.failures, config));
 }
 
 TEST(ChaosSchedule, ValidateChecksCorruptTargetHoldsTheReplica) {
@@ -205,15 +208,15 @@ TEST(ChaosSchedule, ValidateChecksCorruptTargetHoldsTheReplica) {
   // Node 1 is node 0's pair buddy: a legal holder (so is node 0 itself).
   chaos::ChaosSchedule good{
       "t", {{10, 1, InjectionKind::CorruptReplica, 0}}, 0};
-  EXPECT_NO_THROW(chaos::validate_schedule(good, config));
+  EXPECT_NO_THROW(runtime::validate_injections(good.failures, config));
   // Node 2 is in another pair: it never holds node 0's image.
   chaos::ChaosSchedule wrong_holder{
       "t", {{10, 2, InjectionKind::CorruptReplica, 0}}, 0};
-  EXPECT_THROW(chaos::validate_schedule(wrong_holder, config),
+  EXPECT_THROW(runtime::validate_injections(wrong_holder.failures, config),
                std::invalid_argument);
   chaos::ChaosSchedule bad_owner{
       "t", {{10, 1, InjectionKind::CorruptReplica, config.nodes}}, 0};
-  EXPECT_THROW(chaos::validate_schedule(bad_owner, config),
+  EXPECT_THROW(runtime::validate_injections(bad_owner.failures, config),
                std::invalid_argument);
 }
 
@@ -226,7 +229,7 @@ TEST(ChaosSchedule, RandomSchedulesAreSeedDeterministicAndValid) {
     EXPECT_EQ(a.seed, seed);
     EXPECT_GE(a.failures.size(), 1u);
     EXPECT_LE(a.failures.size(), 4u);
-    EXPECT_NO_THROW(chaos::validate_schedule(a, config));
+    EXPECT_NO_THROW(runtime::validate_injections(a.failures, config));
   }
   EXPECT_NE(chaos::random_schedule(config, 1).spec(),
             chaos::random_schedule(config, 2).spec());
@@ -350,7 +353,7 @@ TEST(ChaosScripted, FatalRunsReportCleanly) {
   EXPECT_EQ(fatal.report.fatal_step, fatal.schedule.failures[1].step);
   EXPECT_TRUE(fatal.predicted.fatal);
   EXPECT_EQ(fatal.predicted.fatal_step, fatal.schedule.failures[1].step);
-  EXPECT_EQ(fatal.report.fatal_node, fatal.predicted.unrecoverable_node);
+  EXPECT_EQ(fatal.report.fatal_node, fatal.predicted.fatal_node);
 }
 
 // --------------------------------------------------- randomized campaigns
@@ -583,6 +586,31 @@ TEST(ChaosSdc, RetentionTooShallowIsFatalButDetected) {
   EXPECT_TRUE(run.report.fatal);
 }
 
+TEST(ChaosSdc, RollbackPicksTheShallowestCleanSet) {
+  // The verification at step 48 walks the keep-last-3 ladder {36, 24, 12}
+  // newest first and keeps the first set captured before the strike: depth
+  // 0 for a strike after the snapshot at 36, 1 after 24, 2 after 12. The
+  // replay then runs from that set's step back to 48.
+  const auto config = sdc_campaign(Topology::Triples, 3);
+  const std::uint64_t reference = chaos::reference_run(config).final_hash;
+  struct Case {
+    const char* spec;
+    std::uint64_t depth;
+    std::uint64_t replayed;
+  };
+  for (const Case& c : {Case{"37:sdc:4", 0, 12}, Case{"25:sdc:4", 1, 24},
+                        Case{"13:sdc:4", 2, 36}}) {
+    const auto run =
+        chaos::run_one(config, chaos::ChaosSchedule::parse(c.spec), reference);
+    EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Survived)
+        << c.spec << ": " << run.detail;
+    EXPECT_EQ(run.report.sdc_detected, 1u) << c.spec;
+    EXPECT_EQ(run.report.rollbacks, 1u) << c.spec;
+    EXPECT_EQ(run.report.rollback_depth, c.depth) << c.spec;
+    EXPECT_EQ(run.report.replayed_steps, c.replayed) << c.spec;
+  }
+}
+
 TEST(ChaosSdc, ScriptedSdcFamiliesNeverViolate) {
   for (const Topology topology : {Topology::Pairs, Topology::Triples}) {
     const auto config = sdc_campaign(topology, 3);
@@ -614,22 +642,10 @@ TEST(ChaosSdc, RandomizedSdcCampaignNeverViolates) {
 
 // ----------------------------------------- mutation-style oracle checks
 //
-// classify_run with a deliberately tampered prediction: if flipping one SDC
-// counter by one does NOT flip the outcome to Violated, that counter is not
-// actually guarded by the classifier and a silent-survival bug could hide
-// behind it.
-
-struct SdcCounterMutation {
-  const char* name;
-  std::uint64_t chaos::ShadowPrediction::* field;
-};
-
-constexpr SdcCounterMutation kSdcMutations[] = {
-    {"sdc_injected", &chaos::ShadowPrediction::sdc_injected},
-    {"verifications_run", &chaos::ShadowPrediction::verifications_run},
-    {"sdc_detected", &chaos::ShadowPrediction::sdc_detected},
-    {"rollback_depth", &chaos::ShadowPrediction::rollback_depth},
-};
+// classify_run with a deliberately tampered prediction: if flipping one
+// oracle counter by one does NOT flip the outcome to Violated, that counter
+// is not actually guarded by the classifier and a silent-survival bug could
+// hide behind it. Each test tampers every entry of chaos::kOracleCounters.
 
 TEST(ChaosSdcMutation, EachCounterIsGuardedOnSurvivableSchedule) {
   const auto config = sdc_campaign(Topology::Pairs, 3);
@@ -641,15 +657,15 @@ TEST(ChaosSdcMutation, EachCounterIsGuardedOnSurvivableSchedule) {
   const auto clean =
       chaos::classify_run(config, schedule, predicted, reference);
   ASSERT_EQ(clean.outcome, chaos::ChaosOutcome::Survived) << clean.detail;
-  for (const auto& mutation : kSdcMutations) {
+  for (const auto& counter : chaos::kOracleCounters) {
     auto tampered = predicted;
-    tampered.*(mutation.field) += 1;
+    tampered.*(counter.field) += 1;
     const auto run =
         chaos::classify_run(config, schedule, tampered, reference);
     EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated)
-        << "counter " << mutation.name
+        << "counter " << counter.name
         << " not guarded: tampering it went unnoticed";
-    EXPECT_NE(run.detail.find(mutation.name), std::string::npos)
+    EXPECT_NE(run.detail.find(counter.name), std::string::npos)
         << "violation detail should name the diverging counter; got: "
         << run.detail;
   }
@@ -667,14 +683,206 @@ TEST(ChaosSdcMutation, EachCounterIsGuardedOnFatalSchedule) {
       chaos::classify_run(config, schedule, predicted, reference);
   ASSERT_EQ(clean.outcome, chaos::ChaosOutcome::FatalDetected)
       << clean.detail;
-  for (const auto& mutation : kSdcMutations) {
+  for (const auto& counter : chaos::kOracleCounters) {
     auto tampered = predicted;
-    tampered.*(mutation.field) += 1;
+    tampered.*(counter.field) += 1;
     const auto run =
         chaos::classify_run(config, schedule, tampered, reference);
     EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated)
-        << "counter " << mutation.name << " not guarded on the fatal path";
+        << "counter " << counter.name << " not guarded on the fatal path";
   }
+}
+
+// ------------------------------------ the runtime/oracle shared contract
+//
+// The oracle predicts a runtime::RunReport, the classifier and the JSONL
+// export walk chaos::kOracleCounters, and both sides reject injections
+// through runtime::validate_injections.
+
+TEST(ChaosOracleCounters, CoverTwentySixFieldsInRunReportOrder) {
+  // RunReport order keeps the counter a violation names first stable;
+  // strictly rising offsets also mean no field is listed twice.
+  ASSERT_EQ(std::size(chaos::kOracleCounters), 26u);
+  const runtime::RunReport report;
+  const auto* base = reinterpret_cast<const char*>(&report);
+  std::ptrdiff_t previous = -1;
+  for (const auto& counter : chaos::kOracleCounters) {
+    const std::ptrdiff_t offset =
+        reinterpret_cast<const char*>(&(report.*counter.field)) - base;
+    EXPECT_GT(offset, previous) << counter.name;
+    previous = offset;
+  }
+}
+
+TEST(ChaosOracleCounters, ViolationNamesTheFirstDivergingCounter) {
+  // Tamper each counter together with the last one: the diagnosis names
+  // the earlier counter, with the runtime's and the oracle's values.
+  const auto config = small_campaign(Topology::Pairs);
+  const auto schedule = chaos::ChaosSchedule::parse("25:0");
+  const std::uint64_t reference = chaos::reference_run(config).final_hash;
+  const auto predicted =
+      chaos::predict_outcome(config.shadow(), schedule.failures);
+  const auto& last = std::end(chaos::kOracleCounters)[-1];
+  for (const auto& counter : chaos::kOracleCounters) {
+    auto tampered = predicted;
+    tampered.*(counter.field) += 1;
+    if (&counter != &last) tampered.*(last.field) += 1;
+    const auto run =
+        chaos::classify_run(config, schedule, tampered, reference);
+    const std::uint64_t value = predicted.*(counter.field);
+    EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated) << counter.name;
+    EXPECT_EQ(run.detail, "accounting diverges from the oracle (" +
+                              std::string(counter.name) + ": runtime " +
+                              std::to_string(value) + ", oracle " +
+                              std::to_string(value + 1) + ")");
+  }
+}
+
+TEST(ChaosOracle, PredictionLeavesUnmodeledFieldsAtDefaults) {
+  // The oracle moves no data: bytes, COW copies, the final hash, the
+  // degraded flag and the fatal reason are the runtime's alone to report.
+  const auto config = small_campaign(Topology::Pairs).shadow();
+  for (const bool fatal : {false, true}) {
+    // 50:2,50:3 loses both members of a pair in one step.
+    const auto schedule =
+        chaos::ChaosSchedule::parse(fatal ? "50:2,50:3" : "25:0");
+    const auto predicted = chaos::predict_outcome(config, schedule.failures);
+    EXPECT_EQ(predicted.fatal, fatal);
+    EXPECT_EQ(predicted.bytes_replicated, 0u);
+    EXPECT_EQ(predicted.cow_copies, 0u);
+    EXPECT_EQ(predicted.final_hash, 0u);
+    EXPECT_FALSE(predicted.degraded);
+    EXPECT_EQ(predicted.fatal_reason, "");
+    if (fatal) {
+      EXPECT_EQ(predicted.fatal_step, 50u);
+      EXPECT_TRUE(predicted.fatal_node == 2 || predicted.fatal_node == 3)
+          << predicted.fatal_node;
+    }
+  }
+}
+
+TEST(ChaosOracle, RejectsInjectionsWithTheRuntimesMessage) {
+  // One validator: the oracle refuses what the runtime refuses, in the same
+  // words (`dckpt chaos --schedule=999:0` prints the first one).
+  const auto config = small_campaign(Topology::Triples).shadow();
+  for (const char* spec : {"999:0", "10:9", "10:corrupt:0:0",
+                           "10:corrupt:3:0", "10:sdc:0", "10:torndelta:0:1"}) {
+    const auto failures = chaos::ChaosSchedule::parse(spec).failures;
+    std::string want;
+    try {
+      runtime::validate_injections(failures, config);
+    } catch (const std::invalid_argument& error) {
+      want = error.what();
+    }
+    ASSERT_NE(want, "") << spec;
+    try {
+      (void)chaos::predict_outcome(config, failures);
+      ADD_FAILURE() << spec << ": the oracle accepted it";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), want) << spec;
+    }
+  }
+}
+
+TEST(ChaosCampaign, ClassifyRejectsAnInvalidScheduleUpFront) {
+  // A bad injection is the caller's error: classify_run throws the
+  // validator's message before it runs anything, instead of reporting the
+  // runtime's exception as a violation.
+  const auto config = small_campaign(Topology::Pairs);
+  const auto schedule = chaos::ChaosSchedule::parse("10:corrupt:2:0");
+  const runtime::RunReport predicted;
+  try {
+    (void)chaos::classify_run(config, schedule, predicted, 0);
+    ADD_FAILURE() << "classify_run accepted a target that holds nothing";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "FailureInjection: corrupt target does not hold the owner's "
+              "replica");
+  }
+}
+
+TEST(ChaosExport, EachCounterIsExportedUnderItsOwnName) {
+  // Distinct values, read back through an independent spelling of the
+  // 26 fields: a table entry that pairs a name with the wrong field shows
+  // up here even where a fixture reads 0 for both.
+  chaos::ChaosRunResult run;
+  std::uint64_t next = 1;
+  for (const auto& counter : chaos::kOracleCounters) {
+    run.predicted.*(counter.field) = next;
+    run.report.*(counter.field) = 100 + next;
+    ++next;
+  }
+  const auto field_values = [](const runtime::RunReport& r) {
+    return std::map<std::string, std::uint64_t>{
+        {"steps_executed", r.steps_executed},
+        {"replayed_steps", r.replayed_steps},
+        {"checkpoints", r.checkpoints},
+        {"failures", r.failures},
+        {"rollbacks", r.rollbacks},
+        {"recoveries", r.recoveries},
+        {"rereplications", r.rereplications},
+        {"risk_steps", r.risk_steps},
+        {"failovers", r.failovers},
+        {"transfer_retries", r.transfer_retries},
+        {"corrupt_images_detected", r.corrupt_images_detected},
+        {"degraded_steps", r.degraded_steps},
+        {"hash_verified_recoveries", r.hash_verified_recoveries},
+        {"sdc_injected", r.sdc_injected},
+        {"verifications_run", r.verifications_run},
+        {"sdc_detected", r.sdc_detected},
+        {"rollback_depth", r.rollback_depth},
+        {"alarms_raised", r.alarms_raised},
+        {"proactive_ckpts", r.proactive_ckpts},
+        {"true_predictions", r.true_predictions},
+        {"missed_failures", r.missed_failures},
+        {"delta_commits", r.delta_commits},
+        {"full_commits", r.full_commits},
+        {"chain_replays", r.chain_replays},
+        {"chain_replay_depth", r.chain_replay_depth},
+        {"torn_chain_failovers", r.torn_chain_failovers},
+    };
+  };
+  const auto record = chaos::to_json(run);
+  for (const char* side : {"predicted", "report"}) {
+    const auto& exported = record.at(side);
+    const auto expected = field_values(
+        std::string(side) == "predicted" ? run.predicted : run.report);
+    ASSERT_EQ(expected.size(), std::size(chaos::kOracleCounters));
+    for (const auto& [name, value] : expected) {
+      ASSERT_TRUE(exported.contains(name)) << side << "." << name;
+      EXPECT_EQ(exported.at(name).as_number(), static_cast<double>(value))
+          << side << "." << name;
+    }
+  }
+}
+
+TEST(ChaosExport, FatalRecordsKeepTheirKeys) {
+  // The prediction exports its fatal node under the older key and none of
+  // the fields the oracle does not model; the runtime's report carries
+  // those and its own fatal coordinates.
+  const auto config = small_campaign(Topology::Pairs);
+  const auto run =
+      chaos::run_one(config, chaos::ChaosSchedule::parse("50:2,50:3"),
+                     chaos::reference_run(config).final_hash);
+  ASSERT_EQ(run.outcome, chaos::ChaosOutcome::FatalDetected) << run.detail;
+  const auto record = chaos::to_json(run);
+  const auto& predicted = record.at("predicted");
+  EXPECT_TRUE(predicted.at("fatal").as_bool());
+  EXPECT_EQ(predicted.at("fatal_step").as_number(), 50.0);
+  EXPECT_EQ(predicted.at("unrecoverable_node").as_number(),
+            static_cast<double>(run.predicted.fatal_node));
+  for (const char* key : {"fatal_node", "fatal_reason", "degraded",
+                          "final_hash", "bytes_replicated", "cow_copies"}) {
+    EXPECT_FALSE(predicted.contains(key)) << "predicted." << key;
+  }
+  const auto& report = record.at("report");
+  EXPECT_TRUE(report.at("fatal").as_bool());
+  EXPECT_TRUE(report.at("degraded").as_bool());
+  EXPECT_EQ(report.at("fatal_node").as_number(),
+            static_cast<double>(run.report.fatal_node));
+  EXPECT_EQ(report.at("fatal_step").as_number(), 50.0);
+  EXPECT_EQ(report.at("fatal_reason").as_string(), run.report.fatal_reason);
+  EXPECT_FALSE(report.contains("unrecoverable_node"));
 }
 
 // ------------------------------------- differential checkpoints (dcp)
@@ -718,19 +926,19 @@ TEST(ChaosDcp, ValidateRequiresDcpAndBoundsTheDepth) {
   const auto dcp_config = dcp_campaign(Topology::Pairs).runtime;
   const auto plain_config = small_campaign(Topology::Pairs).runtime;
   const auto schedule = chaos::ChaosSchedule::parse("25:torndelta:0:1");
-  EXPECT_NO_THROW(chaos::validate_schedule(schedule, dcp_config));
+  EXPECT_NO_THROW(runtime::validate_injections(schedule.failures, dcp_config));
   // Without dcp there are no chains to tear.
-  EXPECT_THROW(chaos::validate_schedule(schedule, plain_config),
+  EXPECT_THROW(runtime::validate_injections(schedule.failures, plain_config),
                std::invalid_argument);
   // Depth 0 and depth >= K address no layer a K-chain can hold.
-  EXPECT_THROW(
-      chaos::validate_schedule(chaos::ChaosSchedule::parse("25:torndelta:0:0"),
-                               dcp_config),
-      std::invalid_argument);
-  EXPECT_THROW(
-      chaos::validate_schedule(chaos::ChaosSchedule::parse("25:torndelta:0:3"),
-                               dcp_config),
-      std::invalid_argument);
+  EXPECT_THROW(runtime::validate_injections(
+                   chaos::ChaosSchedule::parse("25:torndelta:0:0").failures,
+                   dcp_config),
+               std::invalid_argument);
+  EXPECT_THROW(runtime::validate_injections(
+                   chaos::ChaosSchedule::parse("25:torndelta:0:3").failures,
+                   dcp_config),
+               std::invalid_argument);
 }
 
 TEST(ChaosDcp, TornChainFailsOverCounterForCounter) {
@@ -805,14 +1013,6 @@ TEST(ChaosDcp, RandomizedDcpCampaignNeverViolates) {
   }
 }
 
-constexpr SdcCounterMutation kDcpMutations[] = {
-    {"delta_commits", &chaos::ShadowPrediction::delta_commits},
-    {"full_commits", &chaos::ShadowPrediction::full_commits},
-    {"chain_replays", &chaos::ShadowPrediction::chain_replays},
-    {"chain_replay_depth", &chaos::ShadowPrediction::chain_replay_depth},
-    {"torn_chain_failovers", &chaos::ShadowPrediction::torn_chain_failovers},
-};
-
 TEST(ChaosDcpMutation, EachCounterIsGuardedOnTornChainSchedule) {
   const auto config = dcp_campaign(Topology::Triples);
   const auto schedule = chaos::ChaosSchedule::parse("25:torndelta:0:1,25:0");
@@ -822,15 +1022,15 @@ TEST(ChaosDcpMutation, EachCounterIsGuardedOnTornChainSchedule) {
   const auto clean =
       chaos::classify_run(config, schedule, predicted, reference);
   ASSERT_EQ(clean.outcome, chaos::ChaosOutcome::Survived) << clean.detail;
-  for (const auto& mutation : kDcpMutations) {
+  for (const auto& counter : chaos::kOracleCounters) {
     auto tampered = predicted;
-    tampered.*(mutation.field) += 1;
+    tampered.*(counter.field) += 1;
     const auto run =
         chaos::classify_run(config, schedule, tampered, reference);
     EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated)
-        << "counter " << mutation.name
+        << "counter " << counter.name
         << " not guarded: tampering it went unnoticed";
-    EXPECT_NE(run.detail.find(mutation.name), std::string::npos)
+    EXPECT_NE(run.detail.find(counter.name), std::string::npos)
         << "violation detail should name the diverging counter; got: "
         << run.detail;
   }

@@ -108,35 +108,11 @@ class DriftingBandKernel final : public GridKernel {
 // ------------------------------------------------- sparse runs vs oracle
 
 /// Every counter the shadow oracle predicts, plus the fatal flag.
-void expect_matches_oracle(const RunReport& r,
-                           const dckpt::chaos::ShadowPrediction& p) {
+void expect_matches_oracle(const RunReport& r, const RunReport& p) {
   EXPECT_EQ(r.fatal, p.fatal);
-  EXPECT_EQ(r.steps_executed, p.steps_executed);
-  EXPECT_EQ(r.replayed_steps, p.replayed_steps);
-  EXPECT_EQ(r.checkpoints, p.checkpoints);
-  EXPECT_EQ(r.failures, p.failures);
-  EXPECT_EQ(r.rollbacks, p.rollbacks);
-  EXPECT_EQ(r.recoveries, p.recoveries);
-  EXPECT_EQ(r.rereplications, p.rereplications);
-  EXPECT_EQ(r.risk_steps, p.risk_steps);
-  EXPECT_EQ(r.failovers, p.failovers);
-  EXPECT_EQ(r.transfer_retries, p.transfer_retries);
-  EXPECT_EQ(r.corrupt_images_detected, p.corrupt_images_detected);
-  EXPECT_EQ(r.degraded_steps, p.degraded_steps);
-  EXPECT_EQ(r.hash_verified_recoveries, p.hash_verified_recoveries);
-  EXPECT_EQ(r.sdc_injected, p.sdc_injected);
-  EXPECT_EQ(r.verifications_run, p.verifications_run);
-  EXPECT_EQ(r.sdc_detected, p.sdc_detected);
-  EXPECT_EQ(r.rollback_depth, p.rollback_depth);
-  EXPECT_EQ(r.alarms_raised, p.alarms_raised);
-  EXPECT_EQ(r.proactive_ckpts, p.proactive_ckpts);
-  EXPECT_EQ(r.true_predictions, p.true_predictions);
-  EXPECT_EQ(r.missed_failures, p.missed_failures);
-  EXPECT_EQ(r.delta_commits, p.delta_commits);
-  EXPECT_EQ(r.full_commits, p.full_commits);
-  EXPECT_EQ(r.chain_replays, p.chain_replays);
-  EXPECT_EQ(r.chain_replay_depth, p.chain_replay_depth);
-  EXPECT_EQ(r.torn_chain_failovers, p.torn_chain_failovers);
+  for (const auto& counter : dckpt::chaos::kOracleCounters) {
+    EXPECT_EQ(r.*counter.field, p.*counter.field) << counter.name;
+  }
 }
 
 /// dcp K = 3 with a commit every 4 steps: the set committed at step 12 is

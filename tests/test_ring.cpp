@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace {
 
@@ -86,6 +87,52 @@ TEST(GroupAssignmentTest, BuddiesStayInGroup) {
     EXPECT_NE(triples.secondary_buddy(node), node);
     EXPECT_NE(triples.preferred_buddy(node), triples.secondary_buddy(node));
   }
+}
+
+TEST(GroupAssignmentTest, HoldersFollowThePlacementRule) {
+  // Pairs keep an image locally and on the buddy; triples keep it on the
+  // preferred, then the secondary buddy (paper Sec. IV).
+  for (const Topology topology : {Topology::Pairs, Topology::Triples}) {
+    const GroupAssignment groups(12, topology);
+    for (std::uint64_t owner = 0; owner < 12; ++owner) {
+      const auto holders = groups.holders(owner);
+      if (topology == Topology::Pairs) {
+        EXPECT_EQ(holders[0], owner);
+        EXPECT_EQ(holders[1], groups.preferred_buddy(owner));
+      } else {
+        EXPECT_EQ(holders[0], groups.preferred_buddy(owner));
+        EXPECT_EQ(holders[1], groups.secondary_buddy(owner));
+      }
+      for (const std::uint64_t holder : holders) {
+        if (holder == owner) continue;
+        const auto held = groups.stored_for(holder);
+        EXPECT_NE(std::find(held.begin(), held.end(), owner), held.end())
+            << "owner " << owner << " holder " << holder;
+      }
+    }
+  }
+}
+
+TEST(GroupAssignmentTest, EveryNodeHoldsExactlyTwoImages) {
+  // The memory cost of both protocols: pairs hold their own image and the
+  // buddy's, triples the images of their two group peers.
+  for (const Topology topology : {Topology::Pairs, Topology::Triples}) {
+    const GroupAssignment groups(12, topology);
+    std::vector<int> held(12, 0);
+    for (std::uint64_t owner = 0; owner < 12; ++owner) {
+      for (const std::uint64_t holder : groups.holders(owner)) ++held[holder];
+    }
+    for (std::uint64_t node = 0; node < 12; ++node) {
+      EXPECT_EQ(held[node], 2) << "node " << node;
+    }
+  }
+}
+
+TEST(GroupAssignmentTest, HoldersRejectAnUnknownOwner) {
+  EXPECT_THROW(GroupAssignment(4, Topology::Pairs).holders(4),
+               std::out_of_range);
+  EXPECT_THROW(GroupAssignment(6, Topology::Triples).holders(6),
+               std::out_of_range);
 }
 
 TEST(GroupAssignmentTest, Validation) {

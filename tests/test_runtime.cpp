@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 
 #include "runtime/runtime_api.hpp"
 
@@ -326,6 +328,132 @@ TEST(RuntimeTest, InjectionNodeOutOfRangeThrows) {
   Coordinator coordinator(config, std::make_unique<HeatKernel>());
   const FailureInjection failures[] = {{3, 99}};
   EXPECT_THROW(coordinator.run(failures), std::invalid_argument);
+}
+
+// ------------------------------------------------- injection validation
+//
+// validate_injections is the one check shared by both drivers, the chaos
+// oracle and the chaos schedule generators.
+
+/// What validate_injections says about `failure` under `policy` ("" when
+/// it accepts the injection).
+std::string rejection(const CheckpointPolicy& policy,
+                      const FailureInjection& failure) {
+  try {
+    validate_injections(std::span(&failure, 1), policy);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(InjectionValidationTest, CorruptTargetMustHoldTheOwnersImage) {
+  // Spelled here independently of GroupAssignment::holders: a pair member
+  // holds its own image and its buddy's, a triple member the images of its
+  // two group peers but never its own.
+  for (const Topology topology : {Topology::Pairs, Topology::Triples}) {
+    const CheckpointPolicy policy = small_config(topology);
+    const std::uint64_t size = topology == Topology::Pairs ? 2 : 3;
+    for (std::uint64_t owner = 0; owner < policy.nodes; ++owner) {
+      for (std::uint64_t node = 0; node < policy.nodes; ++node) {
+        const bool holds = node / size == owner / size &&
+                           (topology == Topology::Pairs || node != owner);
+        const FailureInjection corrupt{10, node, InjectionKind::CorruptReplica,
+                                       owner};
+        EXPECT_EQ(rejection(policy, corrupt).empty(), holds)
+            << "holder " << node << " owner " << owner;
+      }
+    }
+  }
+}
+
+TEST(InjectionValidationTest, EachRuleNamesItselfInTheMessage) {
+  CheckpointPolicy policy = small_config(Topology::Pairs);
+  policy.dcp_stack_size = 3;
+  CheckpointPolicy plain = small_config(Topology::Pairs);
+  CheckpointPolicy verified = small_config(Topology::Pairs);
+  verified.verify_every = 2;
+  const std::uint64_t last_step = policy.total_steps - 1;
+  struct Case {
+    const CheckpointPolicy* policy;
+    FailureInjection failure;
+    const char* message;  ///< "" = accepted
+  };
+  const Case cases[] = {
+      {&policy, {last_step, policy.nodes - 1}, ""},
+      {&policy, {0, policy.nodes}, "node out of range"},
+      {&policy, {policy.total_steps, 0}, "step out of range"},
+      // The node is checked first, so a bad node wins over a bad step.
+      {&policy, {policy.total_steps, policy.nodes}, "node out of range"},
+      // With verification off a silent error is never observed, and the
+      // schedule would pass vacuously.
+      {&policy, {5, 1, InjectionKind::SilentError}, "requires verification"},
+      {&verified, {5, 1, InjectionKind::SilentError}, ""},
+      {&policy, {5, 0, InjectionKind::TornDelta, 0, 2}, ""},
+      {&plain, {5, 0, InjectionKind::TornDelta, 0, 1}, "requires dcp enabled"},
+      {&policy, {5, 0, InjectionKind::TornDelta, 0, 0}, "torn-delta depth"},
+      {&policy, {5, 0, InjectionKind::TornDelta, 0, 3}, "torn-delta depth"},
+      {&policy, {5, 1, InjectionKind::CorruptReplica, 0}, ""},
+      {&policy,
+       {5, 1, InjectionKind::CorruptReplica, policy.nodes},
+       "owner out of range"},
+      {&policy,
+       {5, 2, InjectionKind::CorruptReplica, 0},
+       "does not hold the owner's replica"},
+      {&policy, {5, 3, InjectionKind::TornTransfer}, ""},
+      {&policy, {5, 3, InjectionKind::FailTransfer}, ""},
+      {&policy, {5, 3, InjectionKind::Alarm, 0, 4}, ""},
+  };
+  for (const Case& c : cases) {
+    const std::string got = rejection(*c.policy, c.failure);
+    const std::string want = c.message;
+    if (want.empty()) {
+      EXPECT_EQ(got, "") << "step " << c.failure.step << " node "
+                         << c.failure.node;
+    } else {
+      EXPECT_EQ(got.rfind("FailureInjection: ", 0), 0u) << got;
+      EXPECT_NE(got.find(want), std::string::npos)
+          << "want '" << want << "', got '" << got << "'";
+    }
+  }
+}
+
+TEST(InjectionValidationTest, DriversRejectWithTheValidatorsMessage) {
+  // Both runtimes refuse a bad schedule up front, with the validator's own
+  // words (what `dckpt chaos --schedule` prints).
+  const RuntimeConfig chain = small_config(Topology::Pairs);
+  GridConfig grid;
+  grid.block_rows = 8;
+  grid.block_cols = 8;
+  grid.checkpoint_interval = chain.checkpoint_interval;
+  grid.total_steps = chain.total_steps;
+  grid.threads = 2;
+  ASSERT_EQ(grid.nodes(), chain.nodes);
+  const FailureInjection bad[] = {
+      {chain.total_steps, 0},
+      {3, chain.nodes},
+      {3, 2, InjectionKind::CorruptReplica, 0},
+      {3, 0, InjectionKind::SilentError},
+  };
+  for (const FailureInjection& failure : bad) {
+    const std::string message = rejection(chain, failure);
+    ASSERT_NE(message, "");
+    const std::span<const FailureInjection> one(&failure, 1);
+    Coordinator coordinator(chain, std::make_unique<HeatKernel>());
+    try {
+      coordinator.run(one);
+      ADD_FAILURE() << "chain runtime accepted: " << message;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), message);
+    }
+    GridCoordinator grid_coordinator(grid, std::make_unique<HeatKernel2D>());
+    try {
+      grid_coordinator.run(one);
+      ADD_FAILURE() << "grid runtime accepted: " << message;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), message);
+    }
+  }
 }
 
 // Re-replication delay: the runtime realization of the model's risk window.

@@ -6,102 +6,6 @@ namespace {
 
 using namespace dckpt::ckpt;
 
-TransferSpec base_spec() {
-  // The paper's Base scenario hardware: 512 MB image, 128 MB/s network.
-  TransferSpec spec;
-  spec.image_bytes = 512.0 * 1024 * 1024;
-  spec.network_bandwidth = 128.0 * 1024 * 1024;
-  spec.alpha = 10.0;
-  spec.page_bytes = 4096.0;
-  spec.dirty_rate = 0.0;
-  return spec;
-}
-
-TEST(TransferTest, BlockingTimeIsImageOverBandwidth) {
-  EXPECT_DOUBLE_EQ(blocking_transfer_time(base_spec()), 4.0);
-}
-
-TEST(TransferTest, PlanEndpointsMatchOverlapModel) {
-  const auto spec = base_spec();
-  const auto blocking = plan_transfer(spec, 4.0);
-  EXPECT_DOUBLE_EQ(blocking.theta, 4.0);
-  EXPECT_DOUBLE_EQ(blocking.theta_min, 4.0);
-  const auto overlapped = plan_transfer(spec, 0.0);
-  EXPECT_DOUBLE_EQ(overlapped.theta, 44.0);  // (1 + alpha) * theta_min
-}
-
-TEST(TransferTest, PlanRejectsOutOfDomainPhi) {
-  EXPECT_THROW(plan_transfer(base_spec(), -0.1), std::invalid_argument);
-  EXPECT_THROW(plan_transfer(base_spec(), 4.1), std::invalid_argument);
-}
-
-TEST(TransferTest, CowPressureGrowsWithStretchedTransfers) {
-  auto spec = base_spec();
-  spec.dirty_rate = 1000.0;  // pages/s
-  const auto fast = plan_transfer(spec, 4.0);
-  const auto slow = plan_transfer(spec, 0.0);
-  EXPECT_LT(fast.expected_cow_pages, slow.expected_cow_pages);
-  // theta * rate / 4.
-  EXPECT_DOUBLE_EQ(fast.expected_cow_pages, 1000.0);
-  EXPECT_DOUBLE_EQ(slow.expected_cow_pages, 11000.0);
-}
-
-TEST(TransferTest, CowPressureCappedByImageSize) {
-  auto spec = base_spec();
-  spec.image_bytes = 8192.0;  // 2 pages
-  spec.network_bandwidth = 8192.0;
-  spec.dirty_rate = 1e9;
-  const auto plan = plan_transfer(spec, 0.0);
-  EXPECT_DOUBLE_EQ(plan.expected_cow_pages, 2.0);
-}
-
-TEST(TransferTest, PhiForDeadlineInvertsTheta) {
-  const auto spec = base_spec();
-  for (double phi : {0.5, 1.0, 2.0, 3.5}) {
-    const auto plan = plan_transfer(spec, phi);
-    EXPECT_NEAR(phi_for_deadline(spec, plan.theta), phi, 1e-9);
-  }
-}
-
-TEST(TransferTest, PhiForDeadlineEdges) {
-  const auto spec = base_spec();
-  // Exactly the blocking time: full overhead.
-  EXPECT_DOUBLE_EQ(phi_for_deadline(spec, 4.0), 4.0);
-  // Beyond theta_max: overhead-free.
-  EXPECT_DOUBLE_EQ(phi_for_deadline(spec, 100.0), 0.0);
-  // Too tight: impossible.
-  EXPECT_THROW(phi_for_deadline(spec, 3.9), std::invalid_argument);
-}
-
-TEST(TransferTest, AlphaZeroMeansAlwaysBlocking) {
-  auto spec = base_spec();
-  spec.alpha = 0.0;
-  EXPECT_DOUBLE_EQ(phi_for_deadline(spec, 4.0), 4.0);
-  EXPECT_DOUBLE_EQ(phi_for_deadline(spec, 50.0), 4.0);
-}
-
-TEST(TransferTest, SpecValidation) {
-  auto spec = base_spec();
-  spec.image_bytes = 0.0;
-  EXPECT_THROW(blocking_transfer_time(spec), std::invalid_argument);
-  spec = base_spec();
-  spec.network_bandwidth = -1.0;
-  EXPECT_THROW(plan_transfer(spec, 1.0), std::invalid_argument);
-  spec = base_spec();
-  spec.page_bytes = 0.0;
-  EXPECT_THROW(plan_transfer(spec, 1.0), std::invalid_argument);
-}
-
-TEST(TransferTest, ExaScenarioNumbers) {
-  // Exa: ~60 s blocking remote transfer of the per-node image.
-  TransferSpec spec;
-  spec.image_bytes = 7.5e12;           // bytes
-  spec.network_bandwidth = 1.25e11;    // 1 Tb/s in bytes/s
-  spec.alpha = 10.0;
-  EXPECT_DOUBLE_EQ(blocking_transfer_time(spec), 60.0);
-  EXPECT_DOUBLE_EQ(plan_transfer(spec, 0.0).theta, 660.0);
-}
-
 // ------------------------------------------- retry policy (re-replication)
 
 TEST(RetryPolicyTest, ValidateRejectsZeroAttempts) {
@@ -131,17 +35,6 @@ TEST(RetryPolicyTest, BackoffSaturatesInsteadOfOverflowing) {
   EXPECT_EQ(policy.backoff_steps(65), ~std::uint64_t{0});  // shift >= 64
   EXPECT_EQ(policy.backoff_steps(64), ~std::uint64_t{0});  // 3 << 63 overflows
   EXPECT_EQ(policy.backoff_steps(63), std::uint64_t{3} << 62);  // still exact
-}
-
-TEST(RetryPolicyTest, ExpectedAttemptsIsTruncatedGeometric) {
-  const RetryPolicy policy{/*max_attempts=*/3, /*base_delay_steps=*/1};
-  EXPECT_DOUBLE_EQ(policy.expected_transfer_attempts(0.0), 1.0);
-  // 1 + p + p^2 with p = 0.5.
-  EXPECT_DOUBLE_EQ(policy.expected_transfer_attempts(0.5), 1.75);
-  EXPECT_THROW(policy.expected_transfer_attempts(1.0),
-               std::invalid_argument);
-  EXPECT_THROW(policy.expected_transfer_attempts(-0.1),
-               std::invalid_argument);
 }
 
 }  // namespace
