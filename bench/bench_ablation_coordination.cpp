@@ -8,8 +8,8 @@
 //
 // The gap grows with platform size and failure rate -- the quantitative
 // motivation for the hybrid protocols the conclusion proposes. (The
-// independent column excludes the message-logging overhead beta; see
-// model/message_logging for the model that includes it.)
+// independent column excludes the message-logging overhead such a hybrid
+// would pay.)
 #include "bench_common.hpp"
 
 #include "sim/independent.hpp"

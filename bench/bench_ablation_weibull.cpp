@@ -63,8 +63,9 @@ int main(int argc, char** argv) {
                                                       opt.period,
                                                       config.t_base);
       const auto clustered = [&](double shape) {
-        return model::waste(protocol, params, opt.period,
-                            model::Extensions{}.with_weibull({shape, horizon}));
+        model::Extensions ext;
+        ext.weibull = {shape, horizon};
+        return model::waste(protocol, params, opt.period, ext);
       };
       const double m07 = clustered(0.7);
       const double m05 = clustered(0.5);

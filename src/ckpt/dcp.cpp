@@ -151,26 +151,6 @@ BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
       .layer;
 }
 
-BlockDelta make_block_delta(const Snapshot& base,
-                            const std::vector<std::uint64_t>& base_hashes,
-                            const Snapshot& current, std::size_t block_size) {
-  if (base.owner() != current.owner()) {
-    throw std::invalid_argument("make_block_delta: owner mismatch");
-  }
-  if (base.size_bytes() != current.size_bytes() ||
-      base.page_count() != current.page_count()) {
-    throw std::invalid_argument("make_block_delta: layout mismatch");
-  }
-  return make_block_delta(base_hashes, base.version(), base.content_hash(),
-                          current, block_size);
-}
-
-BlockDelta make_block_delta(const Snapshot& base, const Snapshot& current,
-                            std::size_t block_size) {
-  return make_block_delta(base, block_hashes(base, block_size), current,
-                          block_size);
-}
-
 Snapshot apply_block_delta(const Snapshot& base, const BlockDelta& delta) {
   if (base.owner() != delta.owner()) {
     throw std::invalid_argument("apply_block_delta: owner mismatch");

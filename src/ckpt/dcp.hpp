@@ -134,18 +134,6 @@ BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
                             std::uint64_t base_hash, const Snapshot& current,
                             std::size_t block_size);
 
-/// Diffs `current` against `base` by per-block content hash.
-/// `base_hashes` must be block_hashes(base, block_size) -- callers cache it
-/// across commits so each diff scans only the new image. Both snapshots must
-/// share owner and layout, with base.version() < current.version().
-BlockDelta make_block_delta(const Snapshot& base,
-                            const std::vector<std::uint64_t>& base_hashes,
-                            const Snapshot& current, std::size_t block_size);
-
-/// Convenience overload that rescans `base` for its hash array.
-BlockDelta make_block_delta(const Snapshot& base, const Snapshot& current,
-                            std::size_t block_size);
-
 /// Replays one layer: base + delta = the image `delta` was diffed from.
 /// The result shares every base page no dirty block touches; a touched page
 /// is a fresh copy. Verifies owner, layout and version chaining

@@ -7,7 +7,6 @@
 #include "model/dcp.hpp"          // IWYU pragma: export
 #include "model/efficiency.hpp"   // IWYU pragma: export
 #include "model/hierarchical.hpp" // IWYU pragma: export
-#include "model/message_logging.hpp"  // IWYU pragma: export
 #include "model/nonexponential.hpp"  // IWYU pragma: export
 #include "model/overlap.hpp"      // IWYU pragma: export
 #include "model/parameters.hpp"   // IWYU pragma: export

@@ -22,25 +22,4 @@ double OverlapModel::theta_of_phi(double phi) const {
   return theta_min_ + alpha_ * (theta_min_ - phi);
 }
 
-double OverlapModel::phi_of_theta(double theta) const {
-  if (alpha_ == 0.0) {
-    // Degenerate law: the transfer cannot be stretched; only theta_min is
-    // feasible and it is fully blocking.
-    if (theta != theta_min_) {
-      throw std::invalid_argument("OverlapModel: alpha=0 admits only theta_min");
-    }
-    return theta_min_;
-  }
-  if (theta < theta_min_ || theta > theta_max()) {
-    throw std::invalid_argument(
-        "OverlapModel: theta outside [theta_min, theta_max]");
-  }
-  return theta_min_ - (theta - theta_min_) / alpha_;
-}
-
-double OverlapModel::work_rate_during_transfer(double phi) const {
-  const double theta = theta_of_phi(phi);
-  return (theta - phi) / theta;
-}
-
 }  // namespace dckpt::model

@@ -29,14 +29,6 @@ class OverlapModel {
   /// Requires phi in [0, theta_min].
   double theta_of_phi(double phi) const;
 
-  /// Inverse map: overhead produced by a transfer stretched to `theta`.
-  /// Requires theta in [theta_min, theta_max] (alpha > 0).
-  double phi_of_theta(double theta) const;
-
-  /// Fraction of full application speed sustained during a transfer of
-  /// duration theta(phi): (theta - phi) / theta.
-  double work_rate_during_transfer(double phi) const;
-
  private:
   double theta_min_;
   double alpha_;

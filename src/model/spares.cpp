@@ -65,22 +65,4 @@ Parameters with_spare_pool(const Parameters& params,
   return out;
 }
 
-std::uint64_t size_spare_pool(const SparePoolSpec& spec, double platform_mtbf,
-                              double max_wait) {
-  if (!(max_wait > 0.0)) {
-    throw std::invalid_argument("size_spare_pool: max_wait must be > 0");
-  }
-  SparePoolSpec candidate = spec;
-  for (candidate.spares = 1; candidate.spares <= kMaxSpares;
-       ++candidate.spares) {
-    const double lambda = 1.0 / platform_mtbf;
-    const double mu = 1.0 / candidate.repair_time;
-    if (lambda / mu >= static_cast<double>(candidate.spares)) continue;
-    if (expected_replacement_wait(candidate, platform_mtbf) <= max_wait) {
-      return candidate.spares;
-    }
-  }
-  throw std::runtime_error("size_spare_pool: unachievable wait target");
-}
-
 }  // namespace dckpt::model

@@ -21,8 +21,7 @@
 
 namespace dckpt::model {
 
-/// Largest pool the model evaluates: erlang_c costs one step per spare, and
-/// size_spare_pool searches up to here.
+/// Largest pool the model evaluates: erlang_c costs one step per spare.
 inline constexpr std::uint64_t kMaxSpares = 1000000;
 
 struct SparePoolSpec {
@@ -48,10 +47,5 @@ double effective_downtime(const SparePoolSpec& spec, double platform_mtbf);
 /// Copy of `params` with downtime derived from the spare pool.
 Parameters with_spare_pool(const Parameters& params,
                            const SparePoolSpec& spec);
-
-/// Smallest spare count keeping the expected wait below `max_wait`.
-/// Throws if even kMaxSpares spares cannot achieve it (repair too slow).
-std::uint64_t size_spare_pool(const SparePoolSpec& spec, double platform_mtbf,
-                              double max_wait);
 
 }  // namespace dckpt::model

@@ -203,30 +203,6 @@ ReExecution expected_reexecution(Protocol protocol, const Parameters& params,
   return re;
 }
 
-Extensions Extensions::with_weibull(const WeibullFailures& spec) const {
-  Extensions ext = *this;
-  ext.weibull = spec;
-  return ext;
-}
-
-Extensions Extensions::with_sdc(const SdcSpec& spec) const {
-  Extensions ext = *this;
-  ext.sdc = spec;
-  return ext;
-}
-
-Extensions Extensions::with_predictor(const PredictorSpec& spec) const {
-  Extensions ext = *this;
-  ext.predictor = spec;
-  return ext;
-}
-
-Extensions Extensions::with_dcp(const DcpSpec& spec) const {
-  Extensions ext = *this;
-  ext.dcp = spec;
-  return ext;
-}
-
 void Extensions::validate() const {
   weibull.validate();
   sdc.validate();

@@ -85,13 +85,6 @@ struct Extensions {
   PredictorSpec predictor;  ///< fault prediction; off at recall 0
   DcpSpec dcp;              ///< differential checkpoints; off at stack 0
 
-  /// Copies with one axis replaced, like Parameters::with_mtbf:
-  /// Extensions{}.with_sdc(spec) is the silent-error axis alone.
-  Extensions with_weibull(const WeibullFailures& spec) const;
-  Extensions with_sdc(const SdcSpec& spec) const;
-  Extensions with_predictor(const PredictorSpec& spec) const;
-  Extensions with_dcp(const DcpSpec& spec) const;
-
   /// Throws std::invalid_argument when any axis's spec is invalid.
   void validate() const;
 };

@@ -14,11 +14,6 @@ void CentralizedParams::validate() const {
   if (!ok) throw std::invalid_argument("CentralizedParams: out of domain");
 }
 
-double young_period(const CentralizedParams& params) {
-  params.validate();
-  return std::sqrt(2.0 * params.mtbf * params.checkpoint) + params.checkpoint;
-}
-
 double daly_period(const CentralizedParams& params) {
   params.validate();
   return std::sqrt(2.0 * (params.mtbf + params.downtime + params.recovery) *
@@ -44,11 +39,6 @@ double centralized_waste(const CentralizedParams& params, double period) {
   const double fail = centralized_failure_cost(params, period) / params.mtbf;
   if (ff >= 1.0 || fail >= 1.0) return 1.0;
   return std::clamp(1.0 - (1.0 - fail) * (1.0 - ff), 0.0, 1.0);
-}
-
-double centralized_waste_at_optimum(const CentralizedParams& params) {
-  const double period = std::max(daly_period(params), params.checkpoint);
-  return centralized_waste(params, period);
 }
 
 }  // namespace dckpt::model

@@ -1,10 +1,9 @@
 // Centralized-stable-storage baselines (paper Sec. VII).
 //
 // Classic coordinated checkpointing writes the *whole application footprint*
-// to remote stable storage every period. Young's and Daly's first-order
-// optimal periods are
+// to remote stable storage every period. Daly's first-order optimal period,
+// which refines Young's sqrt(2 M C) + C, is
 //
-//   T_young = sqrt(2 M C) + C
 //   T_daly  = sqrt(2 (M + D + R_c) C) + C
 //
 // with C the (global) checkpoint time. The paper contrasts these with buddy
@@ -27,9 +26,6 @@ struct CentralizedParams {
   void validate() const;
 };
 
-/// Young's first-order optimal period.
-double young_period(const CentralizedParams& params);
-
 /// Daly's refined first-order optimal period.
 double daly_period(const CentralizedParams& params);
 
@@ -41,8 +37,5 @@ double centralized_failure_cost(const CentralizedParams& params,
 /// Product-form waste for blocking centralized checkpointing with period P:
 /// 1 - (1 - (D + R_c + P/2)/M)(1 - C/P), clamped to [0, 1].
 double centralized_waste(const CentralizedParams& params, double period);
-
-/// Waste at Daly's period -- headline baseline number.
-double centralized_waste_at_optimum(const CentralizedParams& params);
 
 }  // namespace dckpt::model

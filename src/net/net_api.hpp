@@ -2,6 +2,5 @@
 // measurement experiment.
 #pragma once
 
-#include "net/flow_sim.hpp"            // IWYU pragma: export
 #include "net/network.hpp"             // IWYU pragma: export
 #include "net/overlap_experiment.hpp"  // IWYU pragma: export

@@ -8,7 +8,7 @@
 //    (superposition theorem) and costs O(1) per failure even at n = 10^6.
 //
 //  * PerNodeInjector -- n independent renewal processes with an arbitrary
-//    inter-arrival Distribution (Weibull, LogNormal, ...), maintained as a
+//    inter-arrival Distribution (Weibull in every shipped run), kept as a
 //    min-heap of per-node next-failure times. A failed node is replaced
 //    after the downtime; the replacement's clock restarts (renewal with
 //    rebirth). O(log n) per failure. reset() restarts the whole fleet on a

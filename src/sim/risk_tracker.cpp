@@ -58,14 +58,4 @@ bool RiskTracker::on_failure(std::uint64_t node, double time,
   return false;
 }
 
-std::size_t RiskTracker::open_windows(double now) const {
-  std::size_t count = 0;
-  for (const auto& [group, windows] : open_) {
-    count += static_cast<std::size_t>(
-        std::count_if(windows.begin(), windows.end(),
-                      [now](const Window& w) { return w.expiry > now; }));
-  }
-  return count;
-}
-
 }  // namespace dckpt::sim

@@ -27,9 +27,6 @@ class RiskTracker {
   /// Returns true when this failure is fatal (all group copies endangered).
   bool on_failure(std::uint64_t node, double time, double risk_window);
 
-  /// Number of currently-open windows for diagnostics/tests.
-  std::size_t open_windows(double now) const;
-
   std::uint64_t group_of(std::uint64_t node) const noexcept {
     return node / static_cast<std::uint64_t>(group_size_);
   }

@@ -2,45 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/parse.hpp"
 
 namespace dckpt::sim {
-
-TraceInjector::TraceInjector(std::vector<FailureEvent> events,
-                             std::uint64_t nodes)
-    : events_(std::move(events)), nodes_(nodes) {
-  if (nodes == 0) throw std::invalid_argument("TraceInjector: zero nodes");
-  double previous = -std::numeric_limits<double>::infinity();
-  for (const auto& event : events_) {
-    if (event.time < previous) {
-      throw std::invalid_argument("TraceInjector: events not time-sorted");
-    }
-    if (event.node >= nodes) {
-      throw std::invalid_argument("TraceInjector: node id out of range");
-    }
-    previous = event.time;
-  }
-}
-
-FailureEvent TraceInjector::peek() {
-  if (cursor_ >= events_.size()) {
-    return {std::numeric_limits<double>::infinity(), 0};
-  }
-  return events_[cursor_];
-}
-
-void TraceInjector::pop() {
-  if (cursor_ < events_.size()) ++cursor_;
-}
-
-void TraceInjector::on_node_replaced(std::uint64_t, double, double) {
-  // A recorded trace already reflects whatever replacement policy the
-  // original system had; nothing to reschedule.
-}
 
 std::vector<FailureEvent> load_failure_trace(const std::string& path) {
   std::ifstream in(path);

@@ -1,7 +1,6 @@
-// Trace-driven failure injection: replay recorded failure logs through the
-// simulator instead of sampling a distribution. HPC failure studies publish
-// such logs; this makes the simulator consumable for them and makes runs
-// exactly reproducible across tools.
+// Failure logs: read, write and synthesize the recorded failure traces that
+// HPC failure studies publish. `dckpt trace-gen` writes one and
+// `dckpt trace-fit` fits a failure law to one; no simulation replays them.
 //
 // File format: one event per line, `<time_seconds> <node_id>`, '#' comments
 // and blank lines ignored; times must be non-decreasing.
@@ -15,27 +14,6 @@
 #include "util/rng.hpp"
 
 namespace dckpt::sim {
-
-/// Replays a fixed schedule; after the last event the source goes silent
-/// (next failure at +infinity).
-class TraceInjector final : public FailureInjector {
- public:
-  /// `events` must be time-sorted; `nodes` bounds the node ids.
-  TraceInjector(std::vector<FailureEvent> events, std::uint64_t nodes);
-
-  FailureEvent peek() override;
-  void pop() override;
-  void on_node_replaced(std::uint64_t node, double failure_time,
-                        double rebirth_time) override;
-  std::uint64_t node_count() const override { return nodes_; }
-
-  std::size_t remaining() const noexcept { return events_.size() - cursor_; }
-
- private:
-  std::vector<FailureEvent> events_;
-  std::size_t cursor_ = 0;
-  std::uint64_t nodes_;
-};
 
 /// Parses a failure-log file: one `<time_seconds> <node_id>` event per line
 /// (a finite time >= 0 and an unsigned node id, each a whole number in the

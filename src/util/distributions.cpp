@@ -1,7 +1,6 @@
 #include "util/distributions.hpp"
 
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace dckpt::util {
@@ -13,13 +12,6 @@ void require(bool ok, const char* what) {
 }
 
 }  // namespace
-
-double sample_standard_normal(Xoshiro256ss& rng) {
-  const double u1 = rng.next_double_open_zero();
-  const double u2 = rng.next_double();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
 
 // ---------------------------------------------------------------- Exponential
 
@@ -94,78 +86,6 @@ std::string Weibull::name() const {
 
 std::unique_ptr<Distribution> Weibull::clone() const {
   return std::make_unique<Weibull>(*this);
-}
-
-// ------------------------------------------------------------------ LogNormal
-
-LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
-  require(sigma > 0.0 && std::isfinite(sigma), "LogNormal: sigma must be > 0");
-  require(std::isfinite(mu), "LogNormal: mu must be finite");
-}
-
-LogNormal LogNormal::from_mean(double sigma, double mean_value) {
-  require(mean_value > 0.0, "LogNormal: mean must be > 0");
-  // mean = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2
-  return LogNormal(std::log(mean_value) - sigma * sigma / 2.0, sigma);
-}
-
-double LogNormal::sample(Xoshiro256ss& rng) const {
-  return std::exp(mu_ + sigma_ * sample_standard_normal(rng));
-}
-
-double LogNormal::mean() const {
-  return std::exp(mu_ + sigma_ * sigma_ / 2.0);
-}
-
-double LogNormal::variance() const {
-  const double s2 = sigma_ * sigma_;
-  return (std::exp(s2) - 1.0) * std::exp(2.0 * mu_ + s2);
-}
-
-double LogNormal::cdf(double x) const {
-  if (x <= 0.0) return 0.0;
-  return 0.5 * std::erfc(-(std::log(x) - mu_) /
-                         (sigma_ * std::numbers::sqrt2));
-}
-
-std::string LogNormal::name() const {
-  return "LogNormal(mu=" + std::to_string(mu_) +
-         ",sigma=" + std::to_string(sigma_) + ")";
-}
-
-std::unique_ptr<Distribution> LogNormal::clone() const {
-  return std::make_unique<LogNormal>(*this);
-}
-
-// ---------------------------------------------------------------- UniformReal
-
-UniformReal::UniformReal(double lo, double hi) : lo_(lo), hi_(hi) {
-  require(lo >= 0.0 && hi > lo, "UniformReal: need 0 <= lo < hi");
-}
-
-double UniformReal::sample(Xoshiro256ss& rng) const {
-  return lo_ + (hi_ - lo_) * rng.next_double();
-}
-
-double UniformReal::mean() const { return (lo_ + hi_) / 2.0; }
-
-double UniformReal::variance() const {
-  const double w = hi_ - lo_;
-  return w * w / 12.0;
-}
-
-double UniformReal::cdf(double x) const {
-  if (x <= lo_) return 0.0;
-  if (x >= hi_) return 1.0;
-  return (x - lo_) / (hi_ - lo_);
-}
-
-std::string UniformReal::name() const {
-  return "Uniform(" + std::to_string(lo_) + "," + std::to_string(hi_) + ")";
-}
-
-std::unique_ptr<Distribution> UniformReal::clone() const {
-  return std::make_unique<UniformReal>(*this);
 }
 
 }  // namespace dckpt::util

@@ -3,9 +3,9 @@
 // The paper assumes exponentially distributed inter-failure times (constant
 // hazard rate lambda = 1/MTBF). Field studies of HPC failure logs, cited in
 // the paper's related work, favour Weibull with shape < 1; we implement both
-// plus LogNormal so the simulator can quantify how far the exponential
-// assumption stretches. Each distribution exposes its analytic mean and
-// variance so statistical tests can assert sampler correctness.
+// so the simulator can quantify how far the exponential assumption
+// stretches. Each distribution exposes its analytic mean and variance so
+// statistical tests can assert sampler correctness.
 #pragma once
 
 #include <memory>
@@ -78,45 +78,5 @@ class Weibull final : public Distribution {
   double shape_;
   double scale_;
 };
-
-/// LogNormal(mu, sigma) of the underlying normal.
-class LogNormal final : public Distribution {
- public:
-  LogNormal(double mu, double sigma);
-
-  /// LogNormal with the given sigma whose mean equals `mean_value`.
-  static LogNormal from_mean(double sigma, double mean_value);
-
-  double sample(Xoshiro256ss& rng) const override;
-  double mean() const override;
-  double variance() const override;
-  double cdf(double x) const override;
-  std::string name() const override;
-  std::unique_ptr<Distribution> clone() const override;
-
- private:
-  double mu_;
-  double sigma_;
-};
-
-/// Uniform(lo, hi), lo >= 0. Used for tests and synthetic workloads.
-class UniformReal final : public Distribution {
- public:
-  UniformReal(double lo, double hi);
-
-  double sample(Xoshiro256ss& rng) const override;
-  double mean() const override;
-  double variance() const override;
-  double cdf(double x) const override;
-  std::string name() const override;
-  std::unique_ptr<Distribution> clone() const override;
-
- private:
-  double lo_;
-  double hi_;
-};
-
-/// Standard-normal sample via Box-Muller (single value, spare discarded).
-double sample_standard_normal(Xoshiro256ss& rng);
 
 }  // namespace dckpt::util

@@ -167,10 +167,6 @@ RootResult find_root_bisection(const std::function<double(double)>& f,
   return result;
 }
 
-bool approx_equal(double a, double b, double rtol, double atol) {
-  return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
-}
-
 double clamp(double x, double lo, double hi) {
   assert(lo <= hi);
   return std::min(std::max(x, lo), hi);
@@ -189,22 +185,6 @@ std::vector<double> log_space(double lo, double hi, int count) {
   for (int i = 0; i < count; ++i) {
     const double t = static_cast<double>(i) / (count - 1);
     grid.push_back(std::exp(lerp(llo, lhi, t)));
-  }
-  return grid;
-}
-
-std::vector<double> lin_space(double lo, double hi, int count) {
-  if (hi < lo) throw std::invalid_argument("lin_space: bad range");
-  if (count <= 0) throw std::invalid_argument("lin_space: count <= 0");
-  std::vector<double> grid;
-  grid.reserve(static_cast<std::size_t>(count));
-  if (count == 1) {
-    grid.push_back(lo);
-    return grid;
-  }
-  for (int i = 0; i < count; ++i) {
-    const double t = static_cast<double>(i) / (count - 1);
-    grid.push_back(lerp(lo, hi, t));
   }
   return grid;
 }

@@ -71,9 +71,6 @@ class KahanSum {
   double compensation_ = 0.0;
 };
 
-/// True when |a - b| <= atol + rtol * max(|a|, |b|).
-bool approx_equal(double a, double b, double rtol = 1e-9, double atol = 1e-12);
-
 /// Clamps x into [lo, hi] (asserts lo <= hi).
 double clamp(double x, double lo, double hi);
 
@@ -85,8 +82,5 @@ constexpr double lerp(double a, double b, double t) noexcept {
 /// Log-spaced grid of `count` points covering [lo, hi], lo > 0.
 /// count == 1 yields {lo}.
 std::vector<double> log_space(double lo, double hi, int count);
-
-/// Linearly spaced grid of `count` points covering [lo, hi].
-std::vector<double> lin_space(double lo, double hi, int count);
 
 }  // namespace dckpt::util

@@ -47,29 +47,4 @@ void Xoshiro256ss::fill(std::uint64_t* out, std::size_t n) noexcept {
   state_ = {s0, s1, s2, s3};
 }
 
-void Xoshiro256ss::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (std::uint64_t{1} << b)) {
-        s0 ^= state_[0];
-        s1 ^= state_[1];
-        s2 ^= state_[2];
-        s3 ^= state_[3];
-      }
-      (*this)();
-    }
-  }
-  state_ = {s0, s1, s2, s3};
-}
-
-Xoshiro256ss Xoshiro256ss::split(std::uint64_t stream_index) const noexcept {
-  Xoshiro256ss child = *this;
-  for (std::uint64_t i = 0; i <= stream_index; ++i) child.jump();
-  return child;
-}
-
 }  // namespace dckpt::util

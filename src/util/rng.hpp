@@ -1,4 +1,4 @@
-// Deterministic, splittable pseudo-random number generation.
+// Deterministic pseudo-random number generation.
 //
 // Monte-Carlo experiments must be reproducible across runs and across
 // parallel trial execution. We therefore implement our own small PRNG stack
@@ -8,8 +8,12 @@
 //  * Xoshiro256ss -- xoshiro256** 1.0 (Blackman & Vigna 2018), the workhorse
 //                    generator; 2^256-1 period, passes BigCrush.
 //
-// `Xoshiro256ss::jump()` advances the state by 2^128 steps, giving each
-// parallel trial a provably non-overlapping subsequence from one master seed.
+// Parallel trials get their streams by seed mixing: trial k seeds a
+// generator with `seed ^ (golden-ratio constant * (k + 1))`, which
+// the constructor expands through SplitMix64 (sim/runner.cpp). Both engines
+// seed each further per-trial purpose (silent errors, predictions, false
+// alarms) with that seed xor a fixed salt (sim/engine_geometry.hpp). Trial
+// k thus draws the same streams at any chunking or thread count.
 #pragma once
 
 #include <array>
@@ -75,13 +79,6 @@ class Xoshiro256ss {
   /// locals so wide fills pipeline instead of round-tripping through memory
   /// per draw -- the batched simulator pre-samples variate blocks with this.
   void fill(std::uint64_t* out, std::size_t n) noexcept;
-
-  /// Advances the state by 2^128 generator steps.
-  void jump() noexcept;
-
-  /// Returns a generator `stream_index + 1` jumps ahead of `*this`,
-  /// leaving `*this` untouched. Stream i and stream j never overlap.
-  [[nodiscard]] Xoshiro256ss split(std::uint64_t stream_index) const noexcept;
 
   bool operator==(const Xoshiro256ss&) const noexcept = default;
 

@@ -1,11 +1,8 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
-
-#include "util/format.hpp"
 
 namespace dckpt::util {
 
@@ -19,14 +16,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
     throw std::invalid_argument("TextTable: row arity mismatch");
   }
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::add_row_numeric(const std::vector<double>& cells,
-                                int decimals) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (double v : cells) row.push_back(format_fixed(v, decimals));
-  add_row(std::move(row));
 }
 
 std::string TextTable::render() const {
@@ -59,10 +48,6 @@ std::string TextTable::render() const {
   out << std::string(total, '-') << "\n";
   for (const auto& row : rows_) emit_row(row);
   return out.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const TextTable& table) {
-  return os << table.render();
 }
 
 }  // namespace dckpt::util

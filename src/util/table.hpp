@@ -3,7 +3,7 @@
 // and diffable across runs.
 #pragma once
 
-#include <iosfwd>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -16,15 +16,10 @@ class TextTable {
   /// Appends a row; must have the same arity as the header.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with `decimals` places.
-  void add_row_numeric(const std::vector<double>& cells, int decimals = 4);
-
   std::size_t row_count() const noexcept { return rows_.size(); }
 
   /// Renders with a header underline and 2-space column gutters.
   std::string render() const;
-
-  friend std::ostream& operator<<(std::ostream& os, const TextTable& table);
 
  private:
   std::vector<std::string> headers_;

@@ -35,11 +35,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::packaged_task<void()> task;
@@ -50,14 +45,8 @@ void ThreadPool::worker_loop() {
       if (stopping_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_;
     }
     task();  // packaged_task captures exceptions into the future
-    {
-      std::lock_guard lock(mutex_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) idle_.notify_all();
-    }
   }
 }
 

@@ -3,8 +3,8 @@
 // The Monte-Carlo runner fans independent trials across cores. Trials are
 // embarrassingly parallel and coarse (milliseconds each), so a simple mutex-
 // guarded queue is fully adequate; no work stealing needed. parallel_for
-// deliberately uses deterministic static chunking so per-chunk RNG streams
-// (split by chunk index) give bit-identical results at any thread count.
+// deliberately uses deterministic static chunking, so results that depend on
+// the chunk split stay bit-identical at any thread count.
 #pragma once
 
 #include <condition_variable>
@@ -32,9 +32,6 @@ class ThreadPool {
   /// Enqueues a task; the future resolves when it has run.
   std::future<void> submit(std::function<void()> task);
 
-  /// Blocks until every task enqueued so far has finished.
-  void wait_idle();
-
  private:
   void worker_loop();
 
@@ -42,8 +39,6 @@ class ThreadPool {
   std::queue<std::packaged_task<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable idle_;
-  std::size_t active_ = 0;
   bool stopping_ = false;
 };
 
@@ -54,7 +49,7 @@ std::size_t chunk_begin(std::size_t n, std::size_t chunks, std::size_t c);
 
 /// Runs body(chunk_index, begin, end) over [0, n) split into `chunks` ranges
 /// on `pool`. Chunk boundaries depend only on (n, chunks), never on thread
-/// count or scheduling: reproducibility contract for RNG splitting.
+/// count or scheduling: the runners' reproducibility contract.
 void parallel_for_chunked(
     ThreadPool& pool, std::size_t n, std::size_t chunks,
     const std::function<void(std::size_t chunk_index, std::size_t begin,

@@ -129,6 +129,12 @@ TEST(BuddyStoreTest, ZeroCapacityRejected) {
   EXPECT_THROW(BuddyStore(0, 0), std::invalid_argument);
 }
 
+TEST(BuddyStoreTest, ZeroRetentionRejected) {
+  // keep-last-0 would retain no committed set at all.
+  EXPECT_THROW(BuddyStore(0, 2, 0), std::invalid_argument);
+  EXPECT_NO_THROW(BuddyStore(0, 2, 1));
+}
+
 TEST(BuddyStoreTest, DiscardAfterPartialStageLeavesNoResidue) {
   // A node that fails mid-exchange leaves a half-filled staging set; the
   // rollback's discard must drop it entirely while the committed set (and

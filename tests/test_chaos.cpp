@@ -235,6 +235,12 @@ TEST(ChaosSchedule, RandomSchedulesAreSeedDeterministicAndValid) {
             chaos::random_schedule(config, 2).spec());
 }
 
+TEST(ChaosSchedule, RandomScheduleNeedsAFailureBudget) {
+  const auto config = small_campaign(Topology::Pairs).runtime;
+  EXPECT_THROW(chaos::random_schedule(config, 1, 0), std::invalid_argument);
+  EXPECT_EQ(chaos::random_schedule(config, 1, 1).failures.size(), 1u);
+}
+
 // ----------------------------------------------- scripted danger cases
 
 std::map<std::string, chaos::ChaosRunResult> run_scripted(
@@ -799,6 +805,122 @@ TEST(ChaosCampaign, ClassifyRejectsAnInvalidScheduleUpFront) {
               "FailureInjection: corrupt target does not hold the owner's "
               "replica");
   }
+}
+
+// classify_run's verdicts beyond the counter table: each tampers the
+// prediction (or the reference) one way and expects the verdict that names
+// that disagreement.
+
+struct Verdict {
+  chaos::ChaosCampaignConfig config = small_campaign(Topology::Pairs);
+  std::uint64_t reference = chaos::reference_run(config).final_hash;
+
+  chaos::ChaosRunResult classify(const std::string& spec,
+                                 const runtime::RunReport& predicted,
+                                 std::uint64_t reference_hash) const {
+    return chaos::classify_run(config, chaos::ChaosSchedule::parse(spec),
+                               predicted, reference_hash);
+  }
+  runtime::RunReport predict(const std::string& spec) const {
+    return chaos::predict_outcome(config.shadow(),
+                                  chaos::ChaosSchedule::parse(spec).failures);
+  }
+};
+
+constexpr const char* kSurvivable = "17:0";
+constexpr const char* kBuddyLoss = "17:0,18:1";  // inside 0's risk window
+
+TEST(ChaosCampaign, ClassifierFlagsSurvivalOfAPredictedLoss) {
+  const Verdict verdict;
+  auto predicted = verdict.predict(kSurvivable);
+  ASSERT_EQ(verdict.classify(kSurvivable, predicted, verdict.reference).outcome,
+            chaos::ChaosOutcome::Survived);
+  predicted.fatal = true;
+  predicted.fatal_node = 1;
+  const auto run = verdict.classify(kSurvivable, predicted, verdict.reference);
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated);
+  EXPECT_NE(run.detail.find("runtime claims survival"), std::string::npos)
+      << run.detail;
+}
+
+TEST(ChaosCampaign, ClassifierFlagsAFinalStateOffTheReference) {
+  const Verdict verdict;
+  const auto predicted = verdict.predict(kSurvivable);
+  const auto run =
+      verdict.classify(kSurvivable, predicted, verdict.reference ^ 1);
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated);
+  EXPECT_NE(run.detail.find("final state diverges"), std::string::npos)
+      << run.detail;
+}
+
+TEST(ChaosCampaign, ClassifierFlagsLossOnAPredictedSurvival) {
+  const Verdict verdict;
+  auto predicted = verdict.predict(kBuddyLoss);
+  ASSERT_TRUE(predicted.fatal);
+  ASSERT_EQ(verdict.classify(kBuddyLoss, predicted, verdict.reference).outcome,
+            chaos::ChaosOutcome::FatalDetected);
+  predicted.fatal = false;
+  const auto run = verdict.classify(kBuddyLoss, predicted, verdict.reference);
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated);
+  EXPECT_NE(run.detail.find("lost data on a survivable schedule"),
+            std::string::npos)
+      << run.detail;
+}
+
+TEST(ChaosCampaign, ClassifierFlagsAWrongFatalReport) {
+  const Verdict verdict;
+  auto predicted = verdict.predict(kBuddyLoss);
+  ASSERT_TRUE(predicted.fatal);
+  predicted.fatal_step += 1;
+  const auto run = verdict.classify(kBuddyLoss, predicted, verdict.reference);
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::Violated);
+  EXPECT_NE(run.detail.find("wrong fatal report"), std::string::npos)
+      << run.detail;
+}
+
+TEST(ChaosCampaign, ConfigRejectsKernelsTheTargetCannotRun) {
+  auto config = small_campaign(Topology::Pairs);
+  EXPECT_NO_THROW(config.validate());
+  config.kernel = "banana";
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  // The wave kernel packs two time levels per cell pair.
+  config.kernel = "wave";
+  EXPECT_NO_THROW(config.validate());
+  config.runtime.cells_per_node = 47;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  // Grid campaigns run the one 2-D kernel.
+  config = small_campaign(Topology::Pairs);
+  runtime::GridConfig grid;
+  grid.grid_rows = 2;
+  grid.grid_cols = 2;
+  config.grid = grid;
+  EXPECT_NO_THROW(config.validate());
+  config.kernel = "counter";
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(ChaosCampaign, RandomRunsNeedAFailureBudget) {
+  auto config = small_campaign(Topology::Pairs);
+  config.max_failures = 0;
+  EXPECT_NO_THROW(config.validate());  // scripted schedules only
+  config.random_runs = 1;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(ChaosCampaign, KernelFactoriesBuildEveryNamedKernel) {
+  EXPECT_EQ(chaos::make_kernel("heat")->name(), "heat-diffusion-1d");
+  EXPECT_EQ(chaos::make_kernel("wave")->name(), "wave-1d-leapfrog");
+  EXPECT_EQ(chaos::make_kernel("counter")->name(), "counter");
+  EXPECT_THROW(chaos::make_kernel("banana"), std::invalid_argument);
+  EXPECT_EQ(chaos::make_grid_kernel("heat")->name(), "heat-diffusion-2d");
+  EXPECT_THROW(chaos::make_grid_kernel("wave"), std::invalid_argument);
+}
+
+TEST(ChaosExport, UnwritablePathIsAnError) {
+  const chaos::ChaosCampaignSummary summary;
+  EXPECT_THROW(
+      chaos::save_campaign_jsonl("/nonexistent-dir/chaos.jsonl", summary),
+      std::runtime_error);
 }
 
 TEST(ChaosExport, EachCounterIsExportedUnderItsOwnName) {

@@ -43,6 +43,13 @@ PageStore make_memory(unsigned value = 1) {
   return memory;
 }
 
+/// Diffs `current` against `base`, rescanning base for its hash array.
+BlockDelta delta_between(const Snapshot& base, const Snapshot& current,
+                         std::size_t block_size) {
+  return make_block_delta(block_hashes(base, block_size), base.version(),
+                          base.content_hash(), current, block_size);
+}
+
 TEST(BlockHashesTest, OneHashPerBlockIncludingShortTail) {
   auto memory = make_memory();
   const auto image = memory.snapshot(0);
@@ -75,7 +82,7 @@ TEST(BlockDeltaTest, DetectsDirtyBlocksByContentNotByWrite) {
   memory.write(2 * kPage, fill(kPage, 1));
   memory.write(5 * kPage, fill(1, 0xAB));
   const auto current = memory.snapshot(0);
-  const auto delta = make_block_delta(base, current, kPage);
+  const auto delta = delta_between(base, current, kPage);
   // The identical rewrite is *not* dirty -- content hashes, not COW.
   ASSERT_EQ(delta.dirty_blocks(), 1u);
   EXPECT_EQ(delta.blocks().front().index, 5u);
@@ -90,7 +97,7 @@ TEST(BlockDeltaTest, CoarseBlocksAmplifySmallWrites) {
   const auto base = memory.snapshot(0);
   memory.write(0, fill(1, 0xAB));  // one byte touched
   const auto current = memory.snapshot(0);
-  const auto delta = make_block_delta(base, current, 2 * kPage);
+  const auto delta = delta_between(base, current, 2 * kPage);
   // The whole two-page block ships for a one-byte write.
   ASSERT_EQ(delta.dirty_blocks(), 1u);
   EXPECT_EQ(delta.delta_bytes(), 2 * kPage);
@@ -102,7 +109,7 @@ TEST(BlockDeltaTest, CachedHashArrayOverloadMatchesRescan) {
   const auto hashes = block_hashes(base, kPage);
   memory.write(kPage, fill(kPage, 7));
   const auto current = memory.snapshot(0);
-  const auto rescan = make_block_delta(base, current, kPage);
+  const auto rescan = delta_between(base, current, kPage);
   const auto cached = make_block_delta(hashes, base.version(),
                                        base.content_hash(), current, kPage);
   ASSERT_EQ(cached.dirty_blocks(), rescan.dirty_blocks());
@@ -118,8 +125,8 @@ TEST(BlockDeltaTest, ApplyRoundTripsAcrossChainedLayers) {
   const auto v2 = memory.snapshot(0);
   memory.write(6 * kPage, fill(10, 3));
   const auto v3 = memory.snapshot(0);
-  const auto d12 = make_block_delta(v1, v2, kPage);
-  const auto d23 = make_block_delta(v2, v3, kPage);
+  const auto d12 = delta_between(v1, v2, kPage);
+  const auto d23 = delta_between(v2, v3, kPage);
   const auto r2 = apply_block_delta(v1, d12);
   EXPECT_EQ(r2.content_hash(), v2.content_hash());
   EXPECT_TRUE(r2.verify(d12.result_hash()));
@@ -135,13 +142,68 @@ TEST(BlockDeltaTest, ApplyRejectsStructuralMismatches) {
   const auto v2 = memory.snapshot(0);
   memory.write(0, fill(1, 10));
   const auto v3 = memory.snapshot(0);
-  const auto d23 = make_block_delta(v2, v3, kPage);
+  const auto d23 = delta_between(v2, v3, kPage);
   // Version chaining: v1 is not d23's base.
   EXPECT_THROW(apply_block_delta(v1, d23), std::invalid_argument);
-  // Owner mismatch.
+}
+
+/// The message apply_block_delta throws for `base` + `delta` ("" if none).
+std::string apply_error(const Snapshot& base, const BlockDelta& delta) {
+  try {
+    apply_block_delta(base, delta);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(BlockDeltaTest, ApplyRejectsAForeignOwnerOrLayout) {
+  auto memory = make_memory();
+  const auto v1 = memory.snapshot(0);
+  memory.write(kPage, fill(1, 9));
+  const auto d12 = delta_between(v1, memory.snapshot(0), kPage);
+  ASSERT_EQ(apply_error(v1, d12), "");
   PageStore other(kBytes, kPage);
-  const auto foreign = other.snapshot(1);
-  EXPECT_THROW(make_block_delta(foreign, v3, kPage), std::invalid_argument);
+  EXPECT_NE(apply_error(other.snapshot(1), d12).find("owner mismatch"),
+            std::string::npos);
+  PageStore wide(2 * kBytes, kPage);
+  EXPECT_NE(apply_error(wide.snapshot(0), d12).find("layout mismatch"),
+            std::string::npos);
+}
+
+TEST(BlockDeltaTest, ApplyRejectsABlockPastTheImage) {
+  // A layer whose block lands outside the base (a damaged or forged
+  // record) is refused before any byte is copied.
+  auto memory = make_memory();
+  const auto base = memory.snapshot(0);
+  const auto layer_with = [&](std::size_t index, std::size_t payload) {
+    std::vector<DcpBlock> blocks{{index, fill(payload, 2)}};
+    return BlockDelta(0, base.version(), base.version() + 1, kBytes, kPage,
+                      base.content_hash(), 0, std::move(blocks));
+  };
+  const auto refused = [&](std::size_t index, std::size_t payload) {
+    const std::string error = apply_error(base, layer_with(index, payload));
+    return error.find("exceeds the image") != std::string::npos;
+  };
+  EXPECT_EQ(apply_error(base, layer_with(7, kPage)), "");  // the last block
+  EXPECT_TRUE(refused(8, kPage));      // one block past the end
+  EXPECT_TRUE(refused(7, 2 * kPage));  // the last block, overrun
+  // An index whose byte offset wraps around.
+  EXPECT_TRUE(refused(std::numeric_limits<std::size_t>::max() / kPage + 2, 1));
+}
+
+TEST(BlockDeltaTest, ZeroBlockSizeIsRejected) {
+  auto memory = make_memory();
+  const auto base = memory.snapshot(0);
+  memory.write(0, fill(1, 3));
+  const auto current = memory.snapshot(0);
+  EXPECT_THROW(block_hashes(base, 0), std::invalid_argument);
+  EXPECT_THROW(make_block_delta(block_hashes(base, kPage), base.version(),
+                                base.content_hash(), current, 0),
+               std::invalid_argument);
+  EXPECT_THROW(BlockDelta(0, base.version(), current.version(), kBytes, 0,
+                          base.content_hash(), current.content_hash(), {}),
+               std::invalid_argument);
 }
 
 TEST(BlockDeltaTest, TornLayerCopyFailsSelfVerification) {
@@ -149,18 +211,18 @@ TEST(BlockDeltaTest, TornLayerCopyFailsSelfVerification) {
   const auto v1 = memory.snapshot(0);
   memory.write(kPage, fill(kPage, 2));
   const auto v2 = memory.snapshot(0);
-  const auto delta = make_block_delta(v1, v2, kPage);
+  const auto delta = delta_between(v1, v2, kPage);
   ASSERT_TRUE(delta.verify_self());
   EXPECT_FALSE(torn_layer_copy(delta).verify_self());
   // An empty delta (nothing dirty) still tears detectably.
-  const auto empty = make_block_delta(v2, memory.snapshot(0), kPage);
+  const auto empty = delta_between(v2, memory.snapshot(0), kPage);
   ASSERT_EQ(empty.dirty_blocks(), 0u);
   ASSERT_TRUE(empty.verify_self());
   EXPECT_FALSE(torn_layer_copy(empty).verify_self());
   // Six dirty blocks: the torn last payload is hashed after the first
   // four-payload group.
   memory.write(0, fill(6 * kPage, 4));
-  const auto wide = make_block_delta(v2, memory.snapshot(0), kPage);
+  const auto wide = delta_between(v2, memory.snapshot(0), kPage);
   ASSERT_EQ(wide.dirty_blocks(), 6u);
   ASSERT_TRUE(wide.verify_self());
   EXPECT_FALSE(torn_layer_copy(wide).verify_self());
@@ -178,7 +240,7 @@ TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
   EXPECT_EQ(hashes.front(), fnv1a(base.to_bytes()));
   memory.write(3 * kPage + 5, fill(1, 0xEE));
   const auto current = memory.snapshot(0);
-  const auto delta = make_block_delta(base, current, kMax);
+  const auto delta = delta_between(base, current, kMax);
   ASSERT_EQ(delta.dirty_blocks(), 1u);
   EXPECT_EQ(delta.blocks().front().index, 0u);
   EXPECT_EQ(delta.delta_bytes(), kBytes);
@@ -382,19 +444,15 @@ TEST(BlockWalkTest, PropertyMatchesTheFlatCopyReference) {
 }
 
 TEST(BlockDeltaTest, DiffRejectsAForeignOwnerLayoutOrLineageOrder) {
-  PageStore a(kBytes, kPage), b(kBytes, kPage), wide(2 * kBytes, kPage),
-      coarse(kBytes, 2 * kPage);
+  PageStore a(kBytes, kPage), wide(2 * kBytes, kPage);
   const auto a1 = a.snapshot(1);
   const auto a2 = a.snapshot(1);
-  EXPECT_THROW(make_block_delta(a1, b.snapshot(2), kPage),
-               std::invalid_argument);  // owner
-  EXPECT_THROW(make_block_delta(a1, wide.snapshot(1), kPage),
-               std::invalid_argument);  // size
-  EXPECT_THROW(make_block_delta(a1, coarse.snapshot(1), kPage),
-               std::invalid_argument);  // page count
-  EXPECT_THROW(make_block_delta(a2, a1, kPage),
+  wide.snapshot(1);  // so that the wide image below postdates a1
+  EXPECT_THROW(delta_between(a1, wide.snapshot(1), kPage),
+               std::invalid_argument);  // size: a1's hash array is short
+  EXPECT_THROW(delta_between(a2, a1, kPage),
                std::invalid_argument);  // base newer than current
-  EXPECT_THROW(make_block_delta(a1, a1, kPage),
+  EXPECT_THROW(delta_between(a1, a1, kPage),
                std::invalid_argument);  // same version
 }
 
@@ -410,7 +468,7 @@ TEST(BlockDeltaTest, DiffsOrderAfterARestore) {
   replacement.restore(committed);
   replacement.write(kPage, fill(1, 9));
   const auto next = replacement.snapshot(1);
-  const auto after_failover = make_block_delta(committed, next, kPage);
+  const auto after_failover = delta_between(committed, next, kPage);
   ASSERT_EQ(after_failover.dirty_blocks(), 1u);
   EXPECT_EQ(after_failover.blocks().front().index, 1u);
   EXPECT_TRUE(apply_block_delta(committed, after_failover)
@@ -421,7 +479,7 @@ TEST(BlockDeltaTest, DiffsOrderAfterARestore) {
   source.restore(base);
   source.write(3 * kPage, fill(1, 8));
   const auto current = source.snapshot(1);
-  const auto after_rollback = make_block_delta(base, current, kPage);
+  const auto after_rollback = delta_between(base, current, kPage);
   ASSERT_EQ(after_rollback.dirty_blocks(), 1u);
   EXPECT_EQ(after_rollback.blocks().front().index, 3u);
   EXPECT_TRUE(apply_block_delta(base, after_rollback)
@@ -436,7 +494,7 @@ TEST(BlockDeltaTest, ReplaySharesEveryUntouchedPage) {
   memory.write(7 * kPage, fill(kPage, 7));   // the last page
   const auto current = memory.snapshot(0);
   for (const std::size_t block : {kPage / 2, kPage, 2 * kPage}) {
-    const auto delta = make_block_delta(base, current, block);
+    const auto delta = delta_between(base, current, block);
     const auto tip = apply_block_delta(base, delta);
     EXPECT_EQ(tip.to_bytes(), current.to_bytes()) << "block " << block;
     EXPECT_TRUE(tip.verify(delta.result_hash())) << "block " << block;
@@ -623,7 +681,7 @@ TEST(BuddyStoreChainTest, ChainNeedsABaseAndClearsOnPromote) {
   const auto v1 = memory.snapshot(0);
   memory.write(0, fill(1, 5));
   const auto v2 = memory.snapshot(0);
-  const auto delta = make_block_delta(v1, v2, kPage);
+  const auto delta = delta_between(v1, v2, kPage);
   // No committed base yet: the layer is refused.
   EXPECT_FALSE(store.append_delta(delta));
   store.stage(v1);
@@ -648,8 +706,8 @@ TEST(BuddyStoreChainTest, CorruptDeltaTearsExactlyTheAddressedLayer) {
   const auto v2 = memory.snapshot(0);
   memory.write(kPage, fill(1, 3));
   const auto v3 = memory.snapshot(0);
-  ASSERT_TRUE(store.append_delta(make_block_delta(v1, v2, kPage)));
-  ASSERT_TRUE(store.append_delta(make_block_delta(v2, v3, kPage)));
+  ASSERT_TRUE(store.append_delta(delta_between(v1, v2, kPage)));
+  ASSERT_TRUE(store.append_delta(delta_between(v2, v3, kPage)));
   // Depth past the chain: refused, nothing damaged.
   EXPECT_FALSE(store.corrupt_delta(0, 3));
   ASSERT_TRUE(store.corrupt_delta(0, 2));
@@ -678,7 +736,7 @@ struct ChainedCluster {
     memories[0]->write(2 * kPage, fill(kPage, 0xCD));
     const auto current = memories[0]->snapshot(0);
     tip_hash = current.content_hash();
-    const auto delta = make_block_delta(base, current, kPage);
+    const auto delta = delta_between(base, current, kPage);
     for (const std::uint64_t holder : {std::uint64_t{0}, std::uint64_t{1}}) {
       EXPECT_TRUE(stores[holder]->append_delta(delta)) << holder;
     }
@@ -802,8 +860,8 @@ TEST(DcpModelTest, VolumeAndRecoveryMultipliers) {
 
 TEST(DcpModelTest, WasteReducesToFailStopWhenDisabled) {
   const auto params = dckpt::model::base_scenario().params;
-  dckpt::model::DcpSpec off;
-  const auto ext = dckpt::model::Extensions{}.with_dcp(off);
+  dckpt::model::Extensions ext;
+  ext.dcp = dckpt::model::DcpSpec{};
   for (const auto protocol : dckpt::model::kPaperProtocols) {
     EXPECT_EQ(dckpt::model::waste(protocol, params, 600.0, ext),
               dckpt::model::waste(protocol, params, 600.0))
@@ -819,16 +877,15 @@ TEST(DcpModelTest, SmallDirtyFractionCutsWaste) {
   dckpt::model::DcpSpec spec;
   spec.stack_size = 8;
   spec.dirty_fraction = 0.05;
+  dckpt::model::Extensions ext;
+  ext.dcp = spec;
   const double full = dckpt::model::waste(protocol, params, period);
-  const double dcp = dckpt::model::waste(
-      protocol, params, period, dckpt::model::Extensions{}.with_dcp(spec));
+  const double dcp = dckpt::model::waste(protocol, params, period, ext);
   EXPECT_LT(dcp, full);
   // Dirtier workloads pay more; d = 1 costs at least the full-image waste
   // (the chain replay makes recovery strictly dearer).
-  spec.dirty_fraction = 1.0;
-  EXPECT_GE(dckpt::model::waste(protocol, params, period,
-                                dckpt::model::Extensions{}.with_dcp(spec)),
-            full);
+  ext.dcp.dirty_fraction = 1.0;
+  EXPECT_GE(dckpt::model::waste(protocol, params, period, ext), full);
 }
 
 TEST(DcpModelTest, NumericOptimumBeatsTheFullImagePeriod) {
@@ -837,7 +894,8 @@ TEST(DcpModelTest, NumericOptimumBeatsTheFullImagePeriod) {
   dckpt::model::DcpSpec spec;
   spec.stack_size = 8;
   spec.dirty_fraction = 0.1;
-  const auto ext = dckpt::model::Extensions{}.with_dcp(spec);
+  dckpt::model::Extensions ext;
+  ext.dcp = spec;
   const auto opt = dckpt::model::optimal_period_numeric(protocol, params, ext);
   ASSERT_TRUE(opt.feasible);
   const double at_opt = dckpt::model::waste(protocol, params, opt.period, ext);
@@ -858,6 +916,9 @@ TEST(DcpModelTest, SpecValidation) {
   spec.block_size = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec.block_size = 4096;
+  spec.page_size = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.page_size = 4096;
   spec.hash_overhead = -0.1;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }

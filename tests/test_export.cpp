@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "model/scenario.hpp"
 #include "util/json.hpp"
@@ -58,6 +65,83 @@ TEST(JsonTest, ParseJsonlSkipsBlankLines) {
   const auto docs = parse_jsonl("{\"a\":1}\n\n{\"a\":2}\n");
   ASSERT_EQ(docs.size(), 2u);
   EXPECT_DOUBLE_EQ(docs[1].at("a").as_number(), 2.0);
+}
+
+TEST(JsonTest, DumpEscapesQuotesBackslashesAndControlCharacters) {
+  const std::string text = "a\"b\\c\nd\te\rf\x01g";
+  const std::string dumped = JsonValue(text).dump();
+  EXPECT_EQ(dumped, "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\"");
+  EXPECT_EQ(parse_json(dumped).as_string(), text);
+}
+
+TEST(JsonTest, ParsesEveryEscapeSequence) {
+  EXPECT_EQ(parse_json(R"("\"\\\/\n\t\r\b\fA")").as_string(),
+            "\"\\/\n\t\r\b\fA");
+}
+
+TEST(JsonTest, RejectsMalformedEscapes) {
+  // A short and a non-hex unicode escape, a non-ASCII code point, an
+  // unknown escape, and a string or escape cut off by the end of the text.
+  EXPECT_THROW(parse_json(R"("\u12")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\uZZZZ")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\u00e9")"), std::invalid_argument);
+  EXPECT_THROW(parse_json(R"("\q")"), std::invalid_argument);
+  EXPECT_THROW(parse_json("\"abc"), std::invalid_argument);
+  EXPECT_THROW(parse_json("\"abc\\"), std::invalid_argument);
+}
+
+TEST(JsonTest, NonFiniteNumbersDumpAsNull) {
+  // JSON has no Inf or NaN literal.
+  EXPECT_EQ(JsonValue(std::numeric_limits<double>::infinity()).dump(),
+            "null");
+  EXPECT_EQ(JsonValue(std::nan("")).dump(), "null");
+  auto doc = JsonValue::object();
+  doc.set("x", -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(doc.dump(), "{\"x\":null}");
+}
+
+TEST(JsonTest, NullAndEmptyContainersRoundTrip) {
+  EXPECT_EQ(JsonValue().dump(), "null");
+  for (const char* text : {"[]", "{}", "[null,1]", "{\"a\":[],\"b\":{}}"}) {
+    EXPECT_EQ(parse_json(text).dump(), text);
+  }
+  EXPECT_EQ(parse_json(" [ ] ").size(), 0u);
+  EXPECT_EQ(parse_json(" { } ").size(), 0u);
+}
+
+TEST(JsonTest, AccessorsRejectTheWrongType) {
+  const JsonValue number(1.0);
+  const JsonValue text("x");
+  auto array = JsonValue::array();
+  auto object = JsonValue::object();
+  EXPECT_THROW(text.as_number(), std::invalid_argument);
+  EXPECT_THROW(number.as_bool(), std::invalid_argument);
+  EXPECT_THROW(JsonValue(true).as_string(), std::invalid_argument);
+  EXPECT_THROW(object.items(), std::invalid_argument);
+  EXPECT_THROW(array.members(), std::invalid_argument);
+  EXPECT_THROW(array.at("k"), std::invalid_argument);
+  EXPECT_THROW(object.push_back(1), std::invalid_argument);
+  EXPECT_THROW(array.set("k", 1), std::invalid_argument);
+  try {
+    number.size();
+    FAIL() << "a number has no size";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "JsonValue: not a container");
+  }
+}
+
+TEST(JsonTest, MissingKeyIsOutOfRangeAndNamed) {
+  auto doc = JsonValue::object();
+  doc.set("present", 1);
+  EXPECT_TRUE(doc.contains("present"));
+  EXPECT_FALSE(doc.contains("absent"));
+  EXPECT_FALSE(JsonValue(1.0).contains("present"));
+  try {
+    doc.at("absent");
+    FAIL() << "at() returned a missing key";
+  } catch (const std::out_of_range& error) {
+    EXPECT_NE(std::string(error.what()).find("'absent'"), std::string::npos);
+  }
 }
 
 // ----------------------------------------------------------- round trips
@@ -220,7 +304,8 @@ TEST(ExportTest, TraceKindIdsAreStableAndParseable) {
         TraceKind::Failure, TraceKind::Rollback, TraceKind::DowntimeEnd,
         TraceKind::RecoveryEnd, TraceKind::ReexecutionEnd,
         TraceKind::RiskWindowOpen, TraceKind::RiskWindowClose,
-        TraceKind::FatalFailure, TraceKind::ApplicationDone}) {
+        TraceKind::FatalFailure, TraceKind::ApplicationDone,
+        TraceKind::Alarm, TraceKind::ProactiveCommit}) {
     const auto parsed = parse_trace_kind_id(trace_kind_id(kind));
     ASSERT_TRUE(parsed.has_value()) << trace_kind_id(kind);
     EXPECT_EQ(*parsed, kind);
@@ -231,6 +316,31 @@ TEST(ExportTest, TraceKindIdsAreStableAndParseable) {
 TEST(ExportTest, SaveFunctionsRejectBadPath) {
   const auto result = quick_result();
   EXPECT_THROW(save_metrics_jsonl("/nonexistent-dir/x.jsonl", result),
+               std::runtime_error);
+}
+
+TEST(ExportTest, SaveJsonlWritesOneParseableLinePerValue) {
+  std::vector<JsonValue> lines;
+  for (int i = 0; i < 3; ++i) {
+    auto doc = JsonValue::object();
+    doc.set("record", "probe");
+    doc.set("i", i);
+    lines.push_back(std::move(doc));
+  }
+  const std::string path = ::testing::TempDir() + "save_jsonl_probe.jsonl";
+  save_jsonl(path, lines);
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  const auto back = parse_jsonl(text);
+  ASSERT_EQ(back.size(), lines.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].dump(), lines[i].dump());
+  }
+  std::remove(path.c_str());
+  EXPECT_THROW(save_jsonl("/nonexistent-dir/x.jsonl", lines),
                std::runtime_error);
 }
 

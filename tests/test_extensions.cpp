@@ -92,19 +92,28 @@ DcpSpec parity_dcp() {
 
 TEST(ExtensionsParityTest, EveryAxisMatchesItsFormerFunction) {
   const auto params = parity_params();
-  const Extensions none;
   for (const auto& row : kParity) {
     const auto at = [&](const Extensions& ext) {
       return waste(row.protocol, params, row.period, ext);
     };
     SCOPED_TRACE(std::string(protocol_name(row.protocol)) +
                  " P=" + std::to_string(row.period));
-    EXPECT_EQ(at(none.with_weibull({0.5, 50000.0})), row.weibull_low);
-    EXPECT_EQ(at(none.with_weibull({1.5, 50000.0})), row.weibull_high);
-    EXPECT_EQ(at(none.with_sdc(kSdc)), row.sdc);
-    EXPECT_EQ(at(none.with_predictor(kJustInTime)), row.predictor_jit);
-    EXPECT_EQ(at(none.with_predictor(kWindowed)), row.predictor_windowed);
-    const double dcp = at(none.with_dcp(parity_dcp()));
+    Extensions ext;  // one axis on at a time
+    ext.weibull = {0.5, 50000.0};
+    EXPECT_EQ(at(ext), row.weibull_low);
+    ext.weibull = {1.5, 50000.0};
+    EXPECT_EQ(at(ext), row.weibull_high);
+    ext = {};
+    ext.sdc = kSdc;
+    EXPECT_EQ(at(ext), row.sdc);
+    ext = {};
+    ext.predictor = kJustInTime;
+    EXPECT_EQ(at(ext), row.predictor_jit);
+    ext.predictor = kWindowed;
+    EXPECT_EQ(at(ext), row.predictor_windowed);
+    ext = {};
+    ext.dcp = parity_dcp();
+    const double dcp = at(ext);
     if (row.protocol == Protocol::DoubleBof ||
         row.protocol == Protocol::TripleBof) {
       // The former dcp function grouped m (theta - phi) (and TripleBoF's
@@ -124,13 +133,12 @@ TEST(ExtensionsParityTest, AxesSwitchedOffAreThePaperModel) {
   // Each axis's off switch (shape 1, verify_every 0, recall 0, stack 0)
   // leaves the paper's model bit for bit, whatever its other fields say.
   const auto params = parity_params();
-  DcpSpec dcp = parity_dcp();
-  dcp.stack_size = 0;
-  const auto off = Extensions{}
-                       .with_weibull({1.0, 50000.0})
-                       .with_sdc({0.0, 10.0, 0})
-                       .with_predictor({0.7, 0.0, 60.0, 10.0})
-                       .with_dcp(dcp);
+  Extensions off;
+  off.weibull = {1.0, 50000.0};
+  off.sdc = {0.0, 10.0, 0};
+  off.predictor = {0.7, 0.0, 60.0, 10.0};
+  off.dcp = parity_dcp();
+  off.dcp.stack_size = 0;
   for (const auto& row : kParity) {
     EXPECT_EQ(waste(row.protocol, params, row.period, off),
               waste(row.protocol, params, row.period));
@@ -147,19 +155,20 @@ TEST(ExtensionsCompositionTest, SdcFactorFollowsTheDcpWaste) {
   const auto params = parity_params();
   const auto dcp = parity_dcp();
   const double g = recovery_multiplier(dcp);
+  Extensions dcp_only;
+  dcp_only.dcp = dcp;
+  Extensions dcp_and_sdc = dcp_only;
+  dcp_and_sdc.sdc = kSdc;
   const double k = static_cast<double>(kSdc.verify_every);
   for (const auto protocol : kAllProtocols) {
     for (const double period : {100.0, 400.0, 1200.0}) {
-      const double inner =
-          waste(protocol, params, period, Extensions{}.with_dcp(dcp));
+      const double inner = waste(protocol, params, period, dcp_only);
       const double rollback =
           recovery_transfers(protocol) * g * params.recovery();
       const double expected =
           1.0 - (1.0 - inner) * (1.0 - kSdc.verify_cost / (k * period)) *
                     (1.0 - kSdc.rate * (rollback + (k + 1.0) * period / 2.0));
-      EXPECT_EQ(waste(protocol, params, period,
-                      Extensions{}.with_dcp(dcp).with_sdc(kSdc)),
-                expected)
+      EXPECT_EQ(waste(protocol, params, period, dcp_and_sdc), expected)
           << protocol_name(protocol) << " P=" << period;
     }
   }

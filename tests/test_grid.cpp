@@ -74,6 +74,38 @@ TEST(HeatKernel2DTest, HaloCouplesNeighbourBlocks) {
   for (int c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(hot[4 + c], cold[4 + c]);
 }
 
+TEST(HeatKernel2DTest, InitializationTilesTheGlobalField) {
+  // A block's initial state depends only on global coordinates, so the
+  // blocks of any layout tile one field: the 2x2 block at (2, 2) is the
+  // lower-right corner of the 4x4 block at the origin.
+  HeatKernel2D kernel(0.2);
+  std::vector<double> whole(16), corner(4);
+  kernel.initialize(0, 0, 4, 4, whole);
+  kernel.initialize(2, 2, 2, 2, corner);
+  EXPECT_EQ(corner[0], whole[2 * 4 + 2]);
+  EXPECT_EQ(corner[1], whole[2 * 4 + 3]);
+  EXPECT_EQ(corner[2], whole[3 * 4 + 2]);
+  EXPECT_EQ(corner[3], whole[3 * 4 + 3]);
+  EXPECT_NE(whole[0], whole[1]);  // the field is not uniform
+  EXPECT_EQ(kernel.name(), "heat-diffusion-2d");
+}
+
+TEST(HeatKernel2DTest, RejectsMismatchedBlockAndHaloSizes) {
+  HeatKernel2D kernel(0.2);
+  std::vector<double> state(12);
+  EXPECT_THROW(kernel.initialize(0, 0, 4, 4, state), std::invalid_argument);
+  std::vector<double> prev(12, 0.0), next(12);
+  const std::vector<double> row(4, 0.0), col(3, 0.0);  // 3 rows x 4 cols
+  EXPECT_NO_THROW(kernel.step(prev, next, 3, 4, row, row, col, col));
+  std::vector<double> short_next(11);
+  EXPECT_THROW(kernel.step(prev, short_next, 3, 4, row, row, col, col),
+               std::invalid_argument);
+  EXPECT_THROW(kernel.step(prev, next, 3, 4, col, row, col, col),
+               std::invalid_argument);  // north halo is a column's length
+  EXPECT_THROW(kernel.step(prev, next, 3, 4, row, row, row, col),
+               std::invalid_argument);  // west halo is a row's length
+}
+
 TEST(GridConfigTest, Validation) {
   auto config = small_grid();
   config.grid_rows = 0;
@@ -230,6 +262,16 @@ TEST(GridCoordinatorTest, FailureBeforeFirstCheckpoint) {
   ASSERT_FALSE(report.fatal);
   EXPECT_EQ(report.replayed_steps, 3u);
   EXPECT_EQ(report.final_hash, expected);
+}
+
+TEST(GridCoordinatorTest, FinalHashIsTheStateHashOfTheGlobalState) {
+  // run() chains the hash block by block; global_state() concatenates the
+  // blocks in the same order, so the two hashes must agree.
+  GridCoordinator coordinator(small_grid(), std::make_unique<HeatKernel2D>());
+  const FailureInjection failures[] = {{10, 3}};
+  const auto report = coordinator.run(failures);
+  ASSERT_FALSE(report.fatal) << report.fatal_reason;
+  EXPECT_EQ(report.final_hash, state_hash(coordinator.global_state()));
 }
 
 TEST(GridCoordinatorTest, GlobalStateHasExpectedSize) {

@@ -29,7 +29,9 @@ struct Probe {
 
 /// Weibull clustering alone: `shape` over `horizon`.
 Extensions clustered(double shape, double horizon) {
-  return Extensions{}.with_weibull({shape, horizon});
+  Extensions ext;
+  ext.weibull = {shape, horizon};
+  return ext;
 }
 
 Probe probe_for(Protocol protocol) {
@@ -208,7 +210,8 @@ TEST(NonexponentialWasteTest, CorrectionShiftsLossTermExactly) {
   // that over M -- the documented first-order decomposition.
   const auto probe = probe_for(Protocol::DoubleNbl);
   const WeibullFailures failures{0.7, probe.horizon};
-  const auto ext = Extensions{}.with_weibull(failures);
+  Extensions ext;
+  ext.weibull = failures;
   const auto corr = cluster_correction(probe.params, failures);
   const double eta = corr.loss_coefficient;
   const double base =
@@ -232,7 +235,8 @@ TEST(NonexponentialWasteTest, WasteFailureNeverNegative) {
   const auto probe = probe_for(Protocol::DoubleNbl);
   const WeibullFailures failures{2.0, 0.06 * probe.params.node_mtbf()};
   ASSERT_LT(cluster_correction(probe.params, failures).rate_factor, 0.1);
-  const auto ext = Extensions{}.with_weibull(failures);
+  Extensions ext;
+  ext.weibull = failures;
   const double lo = min_period(Protocol::DoubleNbl, probe.params);
   EXPECT_LT(expected_failure_cost(Protocol::DoubleNbl, probe.params, lo, ext),
             0.0);

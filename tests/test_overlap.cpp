@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace {
 
 using dckpt::model::OverlapModel;
@@ -22,55 +24,47 @@ TEST(OverlapModelTest, LinearInterpolation) {
   EXPECT_DOUBLE_EQ(overlap.theta_of_phi(3.0), 4.0 + 10.0 * 1.0);
 }
 
-TEST(OverlapModelTest, PhiOfThetaIsInverse) {
-  const OverlapModel overlap(60.0, 10.0);
-  for (double phi : {0.0, 10.0, 33.3, 59.9, 60.0}) {
-    EXPECT_NEAR(overlap.phi_of_theta(overlap.theta_of_phi(phi)), phi, 1e-9);
-  }
-}
-
-TEST(OverlapModelTest, WorkRateDuringTransfer) {
-  const OverlapModel overlap(4.0, 10.0);
-  // Fully blocking: zero application progress.
-  EXPECT_DOUBLE_EQ(overlap.work_rate_during_transfer(4.0), 0.0);
-  // Fully overlapped: full speed.
-  EXPECT_DOUBLE_EQ(overlap.work_rate_during_transfer(0.0), 1.0);
-  // Intermediate: (theta - phi)/theta in (0, 1).
-  const double rate = overlap.work_rate_during_transfer(2.0);
-  EXPECT_GT(rate, 0.0);
-  EXPECT_LT(rate, 1.0);
-}
-
-TEST(OverlapModelTest, WorkRateIsMonotoneInOverlap) {
-  const OverlapModel overlap(60.0, 10.0);
-  double previous = -1.0;
-  for (double phi = 60.0; phi >= 0.0; phi -= 5.0) {
-    const double rate = overlap.work_rate_during_transfer(phi);
-    EXPECT_GT(rate, previous);
-    previous = rate;
-  }
-}
-
 TEST(OverlapModelTest, AlphaZeroDegenerate) {
   const OverlapModel overlap(4.0, 0.0);
   EXPECT_DOUBLE_EQ(overlap.theta_max(), 4.0);
   EXPECT_DOUBLE_EQ(overlap.theta_of_phi(0.0), 4.0);
-  EXPECT_DOUBLE_EQ(overlap.phi_of_theta(4.0), 4.0);
-  EXPECT_THROW(overlap.phi_of_theta(5.0), std::invalid_argument);
 }
 
 TEST(OverlapModelTest, RejectsOutOfDomain) {
   const OverlapModel overlap(4.0, 10.0);
   EXPECT_THROW(overlap.theta_of_phi(-0.1), std::invalid_argument);
   EXPECT_THROW(overlap.theta_of_phi(4.1), std::invalid_argument);
-  EXPECT_THROW(overlap.phi_of_theta(3.9), std::invalid_argument);
-  EXPECT_THROW(overlap.phi_of_theta(44.1), std::invalid_argument);
+}
+
+TEST(OverlapModelTest, ApplicationShareOfTheTransferGrowsWithOverlap) {
+  // During a transfer stretched to theta(phi) the application is blocked
+  // for phi seconds, so it keeps (theta - phi) / theta of full speed: 0 for
+  // the blocking transfer, 1 at full overlap, strictly increasing between.
+  const OverlapModel overlap(60.0, 10.0);
+  const auto share = [&overlap](double phi) {
+    const double theta = overlap.theta_of_phi(phi);
+    return (theta - phi) / theta;
+  };
+  EXPECT_DOUBLE_EQ(share(60.0), 0.0);
+  EXPECT_DOUBLE_EQ(share(0.0), 1.0);
+  double previous = -1.0;
+  for (double phi = 60.0; phi >= 0.0; phi -= 5.0) {
+    const double rate = share(phi);
+    EXPECT_GT(rate, previous) << "phi " << phi;
+    previous = rate;
+  }
 }
 
 TEST(OverlapModelTest, RejectsBadConstruction) {
   EXPECT_THROW(OverlapModel(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(OverlapModel(-1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(OverlapModel(1.0, -0.5), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(OverlapModel(inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(OverlapModel(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(OverlapModel(1.0, inf), std::invalid_argument);
+  EXPECT_THROW(OverlapModel(1.0, nan), std::invalid_argument);
 }
 
 }  // namespace

@@ -282,6 +282,30 @@ TEST(SnapshotTest, TornCopyFailsVerifyEvenOnAllZeroTail) {
   EXPECT_EQ(torn.to_bytes().size(), snap.to_bytes().size());
 }
 
+TEST(SnapshotTest, TornCopyKeepsOnlyThePrefix) {
+  // A torn delivery keeps the first half of the pages (the first byte
+  // mangled as a torn stream header) and reads the rest back as zeros; a
+  // one-page image loses the second half of that page.
+  for (const std::size_t pages : {std::size_t{4}, std::size_t{1}}) {
+    PageStore store(pages * 256, 256);
+    store.write(0, std::vector<std::byte>(pages * 256, std::byte{0x11}));
+    const auto torn = torn_copy(store.snapshot(1)).to_bytes();
+    ASSERT_EQ(torn.size(), pages * 256);
+    const std::size_t kept = pages == 1 ? 128 : pages / 2 * 256;
+    EXPECT_EQ(torn[0], std::byte{0x11} ^ std::byte{0xa5}) << pages;
+    for (std::size_t i = 1; i < torn.size(); ++i) {
+      ASSERT_EQ(torn[i], i < kept ? std::byte{0x11} : std::byte{0})
+          << "byte " << i << " of a " << pages << "-page image";
+    }
+  }
+}
+
+TEST(SnapshotTest, EmptyImageCannotBeCorruptedOrTorn) {
+  const Snapshot empty;
+  EXPECT_THROW(corrupt_copy(empty), std::invalid_argument);
+  EXPECT_THROW(torn_copy(empty), std::invalid_argument);
+}
+
 // ------------------------------------------- adversarial verification
 //
 // Snapshot::verify backs the verified-checkpoint machinery: a hash that can

@@ -22,7 +22,9 @@ Parameters pred_params(double mtbf = 3600.0) {
 
 /// The predictor axis alone.
 model::Extensions predictor_only(const PredictorSpec& spec) {
-  return model::Extensions{}.with_predictor(spec);
+  model::Extensions ext;
+  ext.predictor = spec;
+  return ext;
 }
 
 TEST(PredictorSpecTest, ValidateAcceptsReasonableSpecs) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "model/scenario.hpp"
@@ -276,6 +279,37 @@ TEST(TraceTest, DisabledTraceRecordsNothing) {
   EXPECT_TRUE(trace.events().empty());
 }
 
+TEST(TraceTest, EveryKindHasItsOwnLabel) {
+  // TraceKind counts up from 0 and is extended at the end only.
+  const int kinds = static_cast<int>(TraceKind::ProactiveCommit) + 1;
+  std::set<std::string> labels;
+  for (int k = 0; k < kinds; ++k) {
+    const std::string label = trace_kind_name(static_cast<TraceKind>(k));
+    EXPECT_NE(label, "?") << "kind " << k;
+    labels.insert(label);
+  }
+  EXPECT_EQ(labels.size(), static_cast<std::size_t>(kinds));
+}
+
+TEST(TraceTest, RenderPrintsOneLinePerEvent) {
+  Trace trace(true);
+  trace.record(1.5, TraceKind::Failure, 5, 0.25);
+  trace.record(12.0, TraceKind::Rollback, 5, 0.0);
+  trace.record(40.0, TraceKind::ApplicationDone, 0, 100.0);
+  const std::string text = trace.render();
+  std::string expected;
+  for (const TraceEvent& event : trace.events()) {
+    expected += event.to_string() + "\n";
+  }
+  EXPECT_EQ(text, expected);
+  const std::string first = trace.events().front().to_string();
+  EXPECT_NE(first.find("t=       1.500"), std::string::npos) << first;
+  EXPECT_NE(first.find("failure"), std::string::npos) << first;
+  EXPECT_NE(first.find("node=5"), std::string::npos) << first;
+  EXPECT_NE(first.find("work=0.250"), std::string::npos) << first;
+  EXPECT_EQ(Trace(false).render(), "");
+}
+
 // ------------------------------------------------------------- edge cases
 
 TEST(EdgeCaseTest, DivergenceGuardTriggers) {
@@ -296,6 +330,11 @@ TEST(EdgeCaseTest, ValidationRejectsBadConfigs) {
   config = make_config(Protocol::Triple, 100.0, 97.0);
   config.params.nodes = 4;  // not divisible by 3
   EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(EdgeCaseTest, NullInjectorRejected) {
+  const auto config = make_config(Protocol::DoubleNbl, 100.0, 97.0);
+  EXPECT_THROW(ProtocolSimulation(config, nullptr), std::invalid_argument);
 }
 
 TEST(EdgeCaseTest, InjectorNodeCountMismatchRejected) {
@@ -355,7 +394,7 @@ TEST(EdgeCaseTest, FailureDuringReexecutionDoublesTheBill) {
 
 TEST(EdgeCaseTest, TraceAndExponentialInjectorsAgreeOnSchedule) {
   // Feeding the exponential injector's exact failure times through a
-  // TraceInjector must reproduce the same makespan.
+  // ScriptedInjector must reproduce the same makespan.
   auto config = make_config(Protocol::DoubleNbl, 100.0, 2000.0);
   config.params.mtbf = 700.0;
   Trace trace(true);

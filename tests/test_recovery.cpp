@@ -305,4 +305,72 @@ TEST(RecoveryTest, DirectoryValidation) {
                std::invalid_argument);
 }
 
+TEST(RecoveryTest, ExpectedHashDirectoryMustCoverEveryNode) {
+  Cluster cluster(4, Topology::Pairs);
+  cluster.checkpoint_round();
+  auto dir = cluster.directory();
+  const auto all = cluster.hashes();
+  const auto short_hashes = all.first(all.size() - 1);
+  EXPECT_THROW(restore_replicas(0, cluster.groups(), dir, short_hashes),
+               std::invalid_argument);
+  EXPECT_THROW(set_restorable(0, cluster.groups(), dir, short_hashes),
+               std::invalid_argument);
+}
+
+// set_restorable: may the run roll back to retained set `depth`?
+
+TEST(SetRestorableTest, CommittedRoundIsRestorable) {
+  for (const auto topology : {Topology::Pairs, Topology::Triples}) {
+    Cluster cluster(6, topology);
+    cluster.checkpoint_round();
+    auto dir = cluster.directory();
+    EXPECT_TRUE(set_restorable(0, cluster.groups(), dir, cluster.hashes()))
+        << static_cast<int>(topology);
+  }
+}
+
+TEST(SetRestorableTest, NothingCommittedIsNotRestorable) {
+  Cluster cluster(4, Topology::Pairs);
+  auto dir = cluster.directory();
+  EXPECT_FALSE(set_restorable(0, cluster.groups(), dir, cluster.hashes()));
+}
+
+TEST(SetRestorableTest, OneCleanHolderPerNodeIsEnough) {
+  // Node 0's store is gone, but every image it held has a copy on node 1.
+  Cluster cluster(4, Topology::Pairs);
+  cluster.checkpoint_round();
+  cluster.fail_node(0);
+  auto dir = cluster.directory();
+  EXPECT_TRUE(set_restorable(0, cluster.groups(), dir, cluster.hashes()));
+}
+
+TEST(SetRestorableTest, LosingEveryHolderOfOneNodeIsNotRestorable) {
+  Cluster cluster(4, Topology::Pairs);
+  cluster.checkpoint_round();
+  cluster.fail_node(2);
+  cluster.fail_node(3);
+  auto dir = cluster.directory();
+  EXPECT_FALSE(set_restorable(0, cluster.groups(), dir, cluster.hashes()));
+}
+
+TEST(SetRestorableTest, CorruptCopiesDoNotCount) {
+  // Node 1's two holders are itself and node 0: with its own copy lost and
+  // the buddy's corrupted, no verified image of node 1 is left.
+  Cluster cluster(4, Topology::Pairs);
+  cluster.checkpoint_round();
+  cluster.fail_node(1);
+  ASSERT_TRUE(cluster.store(0).corrupt_committed(1));
+  auto dir = cluster.directory();
+  EXPECT_FALSE(set_restorable(0, cluster.groups(), dir, cluster.hashes()));
+}
+
+TEST(SetRestorableTest, DepthBeyondTheRetainedSetsIsNotRestorable) {
+  // Default stores retain only the committed set.
+  Cluster cluster(4, Topology::Pairs);
+  cluster.checkpoint_round();
+  auto dir = cluster.directory();
+  EXPECT_TRUE(set_restorable(0, cluster.groups(), dir, cluster.hashes()));
+  EXPECT_FALSE(set_restorable(1, cluster.groups(), dir, cluster.hashes()));
+}
+
 }  // namespace

@@ -65,6 +65,20 @@ TEST(SuccessProbabilityTest, DegenerateCases) {
   EXPECT_DOUBLE_EQ(success_probability_double(1.0, 10.0, 10.0, 10), 0.0);
   EXPECT_THROW(success_probability_double(-1.0, 1.0, 1.0, 2),
                std::invalid_argument);
+  EXPECT_THROW(success_probability_double(1e-9, -1.0, 1.0, 2),
+               std::invalid_argument);
+  EXPECT_THROW(success_probability_double(1e-9, 1.0, -1.0, 2),
+               std::invalid_argument);
+  EXPECT_THROW(success_probability_triple(-1e-9, 1.0, 1.0, 3),
+               std::invalid_argument);
+  EXPECT_THROW(success_probability_triple(1e-9, -1.0, 1.0, 3),
+               std::invalid_argument);
+  EXPECT_THROW(success_probability_triple(1e-9, 1.0, -1.0, 3),
+               std::invalid_argument);
+  EXPECT_THROW(success_probability_no_checkpoint(-1e-9, 1.0, 1),
+               std::invalid_argument);
+  EXPECT_THROW(success_probability_no_checkpoint(1e-9, -1.0, 1),
+               std::invalid_argument);
 }
 
 TEST(SuccessProbabilityTest, ProtectionBeatsNoCheckpointing) {

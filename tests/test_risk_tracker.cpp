@@ -75,15 +75,6 @@ TEST(RiskTrackerTripleTest, ThirdFailureOfSameMemberIsSafe) {
   EXPECT_TRUE(tracker.on_failure(2, 103.0, 50.0));
 }
 
-TEST(RiskTrackerTest, OpenWindowAccounting) {
-  RiskTracker tracker(8, 2);
-  EXPECT_EQ(tracker.open_windows(0.0), 0u);
-  tracker.on_failure(0, 100.0, 10.0);
-  tracker.on_failure(2, 100.0, 10.0);
-  EXPECT_EQ(tracker.open_windows(105.0), 2u);
-  EXPECT_EQ(tracker.open_windows(111.0), 0u);
-}
-
 TEST(RiskTrackerTest, GroupMapping) {
   RiskTracker pairs(8, 2);
   EXPECT_EQ(pairs.group_of(0), 0u);

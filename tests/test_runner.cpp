@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "model/scenario.hpp"
 
 namespace {
@@ -118,6 +123,39 @@ TEST(MonteCarloTest, MetricsSpecIsValidated) {
   options.metrics->bins = 0;
   EXPECT_THROW(run_monte_carlo(quick_config(), options),
                std::invalid_argument);
+  EXPECT_NO_THROW(MetricsSpec{}.validate());
+  for (const double slowdown : {1.0, 0.5, std::nan("")}) {
+    MetricsSpec spec;
+    spec.max_slowdown = slowdown;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << slowdown;
+  }
+  for (const double failures : {0.0, -1.0, std::nan("")}) {
+    MetricsSpec spec;
+    spec.max_failures = failures;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << failures;
+  }
+}
+
+TEST(MonteCarloTest, EngineFromEnvironmentNamesAnEngineOrFallsBack) {
+  // DCKPT_ENGINE picks the default engine; anything else keeps the
+  // fallback. Restores the variable: CI runs the suite under it.
+  const char* saved = std::getenv("DCKPT_ENGINE");
+  const std::optional<std::string> original =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  ::unsetenv("DCKPT_ENGINE");
+  EXPECT_EQ(engine_from_env(SimEngine::kScalar), SimEngine::kScalar);
+  EXPECT_EQ(engine_from_env(), SimEngine::kBatched);
+  ::setenv("DCKPT_ENGINE", "scalar", 1);
+  EXPECT_EQ(engine_from_env(SimEngine::kBatched), SimEngine::kScalar);
+  ::setenv("DCKPT_ENGINE", "batched", 1);
+  EXPECT_EQ(engine_from_env(SimEngine::kScalar), SimEngine::kBatched);
+  ::setenv("DCKPT_ENGINE", "Scalar", 1);  // names are case-sensitive
+  EXPECT_EQ(engine_from_env(SimEngine::kBatched), SimEngine::kBatched);
+  if (original) {
+    ::setenv("DCKPT_ENGINE", original->c_str(), 1);
+  } else {
+    ::unsetenv("DCKPT_ENGINE");
+  }
 }
 
 TEST(MonteCarloTest, DegenerateTrialsAreCountedNotRecorded) {

@@ -3,9 +3,12 @@
 // failure-free execution.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "runtime/runtime_api.hpp"
 
@@ -321,6 +324,10 @@ TEST(RuntimeTest, ConfigValidation) {
                std::invalid_argument);
   config = small_config(Topology::Pairs);
   EXPECT_THROW(Coordinator(config, nullptr), std::invalid_argument);
+  config.cells_per_node = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(Coordinator(config, std::make_unique<HeatKernel>()),
+               std::invalid_argument);
 }
 
 TEST(RuntimeTest, InjectionNodeOutOfRangeThrows) {
@@ -828,6 +835,121 @@ TEST(CheckpointPolicyTest, BothConfigsConvertEveryProtocolField) {
   EXPECT_EQ(from_grid.keep_last, 6u);
   EXPECT_EQ(from_grid.dcp_stack_size, 23u);
   EXPECT_EQ(from_grid.dcp_block_size, 320u);
+}
+
+TEST(CheckpointPolicyTest, DefaultAndBoundaryPoliciesValidate) {
+  EXPECT_NO_THROW(CheckpointPolicy().validate());
+  CheckpointPolicy policy;
+  policy.staging_steps = policy.checkpoint_interval;  // back-to-back
+  EXPECT_NO_THROW(policy.validate());
+  policy = CheckpointPolicy();
+  policy.topology = Topology::Triples;
+  policy.nodes = 6;
+  policy.dcp_stack_size = 4;  // dcp with the one-set ladder it needs
+  EXPECT_NO_THROW(policy.validate());
+}
+
+/// One rule of CheckpointPolicy::validate(): a policy that breaks only that
+/// rule, and a fragment of the message it must throw.
+struct PolicyRule {
+  std::string name;
+  CheckpointPolicy policy;
+  std::string message;
+};
+
+void PrintTo(const PolicyRule& rule, std::ostream* out) { *out << rule.name; }
+
+std::vector<PolicyRule> policy_rules() {
+  std::vector<PolicyRule> rules;
+  CheckpointPolicy p;
+  p.nodes = 0;
+  rules.push_back({"ZeroNodes", p, "multiple of the group size"});
+  p = CheckpointPolicy();
+  p.nodes = 5;
+  rules.push_back({"OddPairs", p, "multiple of the group size"});
+  p = CheckpointPolicy();
+  p.topology = Topology::Triples;
+  p.nodes = 4;
+  rules.push_back({"TriplesOfFour", p, "multiple of the group size"});
+  p = CheckpointPolicy();
+  p.checkpoint_interval = 0;
+  rules.push_back({"ZeroInterval", p, "checkpoint_interval must be > 0"});
+  p = CheckpointPolicy();
+  p.total_steps = 0;
+  rules.push_back({"ZeroSteps", p, "total_steps must be > 0"});
+  p = CheckpointPolicy();
+  p.staging_steps = p.checkpoint_interval + 1;
+  rules.push_back({"StagingPastInterval", p, "staging_steps must be <="});
+  p = CheckpointPolicy();
+  p.keep_last = 0;
+  rules.push_back({"ZeroKeepLast", p, "keep_last must be >= 1"});
+  p = CheckpointPolicy();
+  p.dcp_stack_size = 2;
+  p.dcp_block_size = 0;
+  rules.push_back({"DcpZeroBlock", p, "dcp_block_size must be > 0"});
+  p = CheckpointPolicy();
+  p.dcp_stack_size = 2;
+  p.staging_steps = 1;
+  rules.push_back({"DcpWithStaging", p, "dcp requires"});
+  p = CheckpointPolicy();
+  p.dcp_stack_size = 2;
+  p.verify_every = 3;
+  rules.push_back({"DcpWithVerification", p, "dcp requires"});
+  p = CheckpointPolicy();
+  p.dcp_stack_size = 2;
+  p.keep_last = 2;
+  rules.push_back({"DcpWithDeeperLadder", p, "dcp requires"});
+  p = CheckpointPolicy();
+  p.transfer_retry.max_attempts = 0;
+  rules.push_back({"ZeroTransferAttempts", p, "max_attempts must be >= 1"});
+  return rules;
+}
+
+std::string rule_name(const ::testing::TestParamInfo<PolicyRule>& info) {
+  return info.param.name;
+}
+
+class CheckpointPolicyRuleTest : public ::testing::TestWithParam<PolicyRule> {};
+
+TEST_P(CheckpointPolicyRuleTest, RejectsWithItsMessage) {
+  try {
+    GetParam().policy.validate();
+    FAIL() << "accepted a policy that breaks " << GetParam().name;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(GetParam().message),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rules, CheckpointPolicyRuleTest,
+                         ::testing::ValuesIn(policy_rules()), rule_name);
+
+TEST(RuntimeTest, FinalHashIsTheStateHashOfTheGlobalState) {
+  // run() chains the hash across the nodes' cells instead of hashing a
+  // concatenated copy; the two must agree, with and without failures.
+  for (const bool with_failure : {false, true}) {
+    Coordinator coordinator(small_config(Topology::Pairs),
+                            std::make_unique<HeatKernel>());
+    const FailureInjection failures[] = {{13, 2}};
+    const auto report = with_failure ? coordinator.run(failures)
+                                     : coordinator.run();
+    ASSERT_FALSE(report.fatal) << report.fatal_reason;
+    EXPECT_EQ(report.final_hash, state_hash(coordinator.global_state()))
+        << "with_failure=" << with_failure;
+  }
+}
+
+TEST(StateHashTest, SeesEveryValueAndItsPosition) {
+  const std::vector<double> state{1.0, 2.0, 3.0, 4.0};
+  const std::uint64_t hash = state_hash(state);
+  EXPECT_EQ(hash, state_hash(std::vector<double>(state)));
+  auto changed = state;
+  changed[3] = std::nextafter(4.0, 5.0);  // one ulp in the last value
+  EXPECT_NE(state_hash(changed), hash);
+  const std::vector<double> swapped{2.0, 1.0, 3.0, 4.0};
+  EXPECT_NE(state_hash(swapped), hash);
+  EXPECT_NE(state_hash(std::span(state).first(3)), hash);
 }
 
 }  // namespace

@@ -22,7 +22,9 @@ Parameters sdc_params(double mtbf = 3600.0) {
 
 /// The silent-error axis alone.
 model::Extensions sdc_only(const SdcSpec& spec) {
-  return model::Extensions{}.with_sdc(spec);
+  model::Extensions ext;
+  ext.sdc = spec;
+  return ext;
 }
 
 TEST(SdcSpecTest, ValidateAcceptsReasonableSpecs) {

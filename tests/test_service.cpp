@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "model/model_api.hpp"
 #include "proptest.hpp"
@@ -184,6 +185,53 @@ TEST(EvalService, RejectsNonFiniteAndNonCastableNumerics) {
     EXPECT_EQ(v.at("record").as_string(), "eval_error") << line;
     EXPECT_EQ(v.at("code").as_string(), "parse") << line;
   }
+}
+
+TEST(EvalService, MalformedRequestsNameTheirFault) {
+  sim::EvalService service;
+  const std::pair<const char*, const char*> cases[] = {
+      {"EVAL kind=waste mtbf", "expected key=value, got 'mtbf'"},
+      {"EVAL kind=waste =3600", "expected key=value, got '=3600'"},
+      {"EVAL kind=waste colour=blue", "unknown key 'colour'"},
+      {"EVAL kind=waste scenario=mars", "scenario must be base or exa"},
+      {"EVAL mtbf=3600", "missing kind="},
+  };
+  for (const auto& [line, message] : cases) {
+    const auto v = respond(service, line);
+    EXPECT_EQ(v.at("record").as_string(), "eval_error") << line;
+    EXPECT_EQ(v.at("code").as_string(), "parse") << line;
+    EXPECT_NE(v.at("error").as_string().find(message), std::string::npos)
+        << line << ": " << v.at("error").as_string();
+  }
+}
+
+TEST(EvalService, StalledPlatformNeedsAnExplicitPeriod) {
+  // At M = 15 s no period makes progress (the paper's Sec. VI-A), so the
+  // closed-form optimum cannot stand in for a missing period=.
+  sim::EvalService service;
+  const auto v = respond(service, "EVAL kind=waste protocol=Triple mtbf=15");
+  EXPECT_EQ(v.at("record").as_string(), "eval_error");
+  EXPECT_NE(v.at("error").as_string().find("pass period= explicitly"),
+            std::string::npos)
+      << v.at("error").as_string();
+}
+
+TEST(EvalService, SimHonoursTheWeibullShape) {
+  sim::EvalServiceOptions options;
+  options.default_trials = 40;
+  sim::EvalService service(options);
+  const std::string line =
+      "EVAL kind=sim protocol=DoubleNBL mtbf=900 nodes=12 tbase=5000 "
+      "period=100 seed=3";
+  const auto exponential = respond(service, line);
+  const auto weibull = respond(service, line + " weibull-shape=0.5");
+  ASSERT_EQ(exponential.at("record").as_string(), "eval");
+  ASSERT_EQ(weibull.at("record").as_string(), "eval");
+  EXPECT_NE(weibull.at("waste_mean").as_number(),
+            exponential.at("waste_mean").as_number());
+  // The shape is part of the cache key: the second query was not a hit.
+  EXPECT_EQ(respond(service, "STATS").at("cache").at("hits").as_number(),
+            0.0);
 }
 
 TEST(EvalService, HostileCorpusAnswersParseErrors) {

@@ -190,14 +190,15 @@ TEST(SimVsModelTest, WeibullShapeBelowOneMatchesClusteredModel) {
       waste(Protocol::DoubleNbl, config.params, config.period);
   const double horizon = expected_makespan(Protocol::DoubleNbl, config.params,
                                            config.period, config.t_base);
+  Extensions clustered;
+  clustered.weibull = {0.7, horizon};
   const double model_waste =
-      waste(Protocol::DoubleNbl, config.params, config.period,
-            Extensions{}.with_weibull({0.7, horizon}));
+      waste(Protocol::DoubleNbl, config.params, config.period, clustered);
   // The correction must move in the clustering direction (more waste)...
   EXPECT_GT(model_waste, exp_waste);
   // ...and reduce bit-identically to the exponential closed form at k = 1.
-  EXPECT_EQ(waste(Protocol::DoubleNbl, config.params, config.period,
-                  Extensions{}.with_weibull({1.0, horizon})),
+  clustered.weibull = {1.0, horizon};
+  EXPECT_EQ(waste(Protocol::DoubleNbl, config.params, config.period, clustered),
             exp_waste);
   MonteCarloOptions options;
   options.trials = 80;
@@ -226,8 +227,10 @@ TEST(SimVsModelTest, VerifiedCheckpointWasteTracksSdcModel) {
     auto config = config_for(protocol, 1.0, 3600.0, 50000.0);
     config.sdc = {2e-4, 10.0, 2};
     config.keep_last = 3;
-    const double model_waste = waste(protocol, config.params, config.period,
-                                     Extensions{}.with_sdc(config.sdc));
+    Extensions ext;
+    ext.sdc = config.sdc;
+    const double model_waste =
+        waste(protocol, config.params, config.period, ext);
     ASSERT_LT(model_waste, 1.0) << protocol_name(protocol);
     const auto mc = monte_carlo(config, 80, 0x5dc);
     ASSERT_EQ(mc.diverged, 0u);
@@ -251,9 +254,10 @@ TEST(SimVsModelTest, FaultPredictionWasteTracksPredictorModel) {
   for (const Protocol protocol : {Protocol::DoubleNbl, Protocol::Triple}) {
     auto config = config_for(protocol, 1.0, 3600.0, 50000.0);
     config.predictor = {0.7, 0.6, /*window=*/0.0, 5.0};  // just in time
+    Extensions ext;
+    ext.predictor = config.predictor;
     const double model_waste =
-        waste(protocol, config.params, config.period,
-              Extensions{}.with_predictor(config.predictor));
+        waste(protocol, config.params, config.period, ext);
     ASSERT_LT(model_waste, 1.0) << protocol_name(protocol);
     const auto mc = monte_carlo(config, 80, 0x9ed);
     ASSERT_EQ(mc.diverged, 0u);
@@ -275,9 +279,10 @@ TEST(SimVsModelTest, WindowedPredictionWasteTracksPredictorModel) {
   // still lose the post-commit residual. Same 15% + 3 sigma band.
   auto config = config_for(Protocol::DoubleNbl, 1.0, 3600.0, 50000.0);
   config.predictor = {0.8, 0.7, 60.0, 10.0};
+  Extensions ext;
+  ext.predictor = config.predictor;
   const double model_waste =
-      waste(Protocol::DoubleNbl, config.params, config.period,
-            Extensions{}.with_predictor(config.predictor));
+      waste(Protocol::DoubleNbl, config.params, config.period, ext);
   ASSERT_LT(model_waste, 1.0);
   const auto mc = monte_carlo(config, 80, 0x9ee);
   ASSERT_EQ(mc.diverged, 0u);
@@ -298,9 +303,10 @@ TEST(SimVsModelTest, PureVerificationOverheadTracksSdcModel) {
   auto config = config_for(Protocol::DoubleNbl, 1.0, 2000.0, 50000.0);
   config.sdc = {0.0, 15.0, 3};
   config.keep_last = 2;
+  Extensions ext;
+  ext.sdc = config.sdc;
   const double model_waste =
-      waste(Protocol::DoubleNbl, config.params, config.period,
-            Extensions{}.with_sdc(config.sdc));
+      waste(Protocol::DoubleNbl, config.params, config.period, ext);
   const auto mc = monte_carlo(config, 80);
   ASSERT_EQ(mc.diverged, 0u);
   EXPECT_NEAR(mc.waste.mean(), model_waste,
@@ -323,8 +329,10 @@ TEST(SimVsModelTest, DifferentialCheckpointWasteTracksDcpModel) {
     config.dcp.dirty_fraction = 0.1;
     config.dcp.hash_overhead = 0.02;
     const double full_waste = waste(protocol, config.params, config.period);
-    const double model_waste = waste(protocol, config.params, config.period,
-                                     Extensions{}.with_dcp(config.dcp));
+    Extensions ext;
+    ext.dcp = config.dcp;
+    const double model_waste =
+        waste(protocol, config.params, config.period, ext);
     // A mostly-clean workload must beat the full-image waste outright.
     ASSERT_LT(model_waste, full_waste) << protocol_name(protocol);
     const auto mc = monte_carlo(config, 80, 0xdc9);
@@ -345,9 +353,10 @@ TEST(SimVsModelTest, FullyDirtyDcpReducesTowardTheFullImageModel) {
   auto config = config_for(Protocol::DoubleNbl, 1.0, 2000.0, 50000.0);
   config.dcp.stack_size = 4;
   config.dcp.dirty_fraction = 1.0;
+  Extensions ext;
+  ext.dcp = config.dcp;
   const double model_waste =
-      waste(Protocol::DoubleNbl, config.params, config.period,
-            Extensions{}.with_dcp(config.dcp));
+      waste(Protocol::DoubleNbl, config.params, config.period, ext);
   EXPECT_GE(model_waste,
             waste(Protocol::DoubleNbl, config.params, config.period));
   const auto mc = monte_carlo(config, 80, 0xdca);

@@ -60,6 +60,16 @@ TEST(ExpectedWaitTest, UnstablePoolRejected) {
   EXPECT_THROW(expected_replacement_wait(spec, 500.0), std::invalid_argument);
 }
 
+TEST(ExpectedWaitTest, RejectsNonPositivePlatformMtbf) {
+  SparePoolSpec spec;
+  spec.spares = 4;
+  spec.repair_time = 600.0;
+  for (const double mtbf : {0.0, -600.0, std::nan("")}) {
+    EXPECT_THROW(expected_replacement_wait(spec, mtbf), std::invalid_argument)
+        << mtbf;
+  }
+}
+
 TEST(ExpectedWaitTest, GenerousPoolWaitsNearZero) {
   SparePoolSpec spec;
   spec.spares = 64;
@@ -87,28 +97,6 @@ TEST(WithSparePoolTest, InjectsDowntimeIntoParameters) {
   // Other fields untouched.
   EXPECT_DOUBLE_EQ(params.mtbf, base.mtbf);
   EXPECT_DOUBLE_EQ(params.overhead, base.overhead);
-}
-
-TEST(SizeSparePoolTest, FindsMinimalPool) {
-  SparePoolSpec spec;
-  spec.repair_time = 900.0;
-  const double platform_mtbf = 300.0;  // offered load = 3
-  const auto count = size_spare_pool(spec, platform_mtbf, 5.0);
-  ASSERT_GE(count, 4u);  // stability alone needs > 3
-  // Minimality: one fewer spare misses the target (or is unstable).
-  SparePoolSpec smaller = spec;
-  smaller.spares = count - 1;
-  if (static_cast<double>(smaller.spares) > 3.0) {
-    EXPECT_GT(expected_replacement_wait(smaller, platform_mtbf), 5.0);
-  }
-  SparePoolSpec exact = spec;
-  exact.spares = count;
-  EXPECT_LE(expected_replacement_wait(exact, platform_mtbf), 5.0);
-}
-
-TEST(SizeSparePoolTest, RejectsBadTarget) {
-  SparePoolSpec spec;
-  EXPECT_THROW(size_spare_pool(spec, 600.0, 0.0), std::invalid_argument);
 }
 
 TEST(SparePoolSpecTest, Validation) {

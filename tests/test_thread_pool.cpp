@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -37,14 +38,102 @@ TEST(ThreadPoolTest, PropagatesExceptionsThroughFuture) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(ThreadPoolTest, WaitIdleBlocksUntilDrained) {
-  ThreadPool pool(2);
+TEST(ThreadPoolTest, DestructorRunsEveryQueuedTask) {
+  // Stopping drains the queue: a task still waiting when the pool is
+  // destroyed runs before the workers exit.
   std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&counter] { ++counter; });
+  {
+    ThreadPool pool(1);
+    const auto nap = std::chrono::milliseconds(20);
+    pool.submit([nap] { std::this_thread::sleep_for(nap); });
+    for (int i = 0; i < 20; ++i) {
+      pool.submit([&counter] { ++counter; });
+    }
   }
-  pool.wait_idle();
   EXPECT_EQ(counter.load(), 20);
+}
+
+TEST(ThreadPoolTest, WorkerOutlivesAThrowingTask) {
+  ThreadPool pool(1);
+  auto failing = pool.submit([] { throw std::runtime_error("task boom"); });
+  std::atomic<bool> ran{false};
+  auto next = pool.submit([&ran] { ran = true; });
+  EXPECT_THROW(failing.get(), std::runtime_error);
+  next.get();
+  EXPECT_TRUE(ran.load());
+}
+
+TEST(ThreadPoolTest, SingleWorkerRunsTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // one worker: no concurrent access
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
+  }
+  for (auto& f : futures) f.get();
+  std::vector<int> expected(32);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPoolTest, TaskMaySubmitAndAwaitAnotherTask) {
+  // No lock is held while a task runs, so a task can enqueue more work and
+  // wait for it while the second worker runs it.
+  ThreadPool pool(2);
+  std::atomic<int> inner_runs{0};
+  auto outer = pool.submit([&pool, &inner_runs] {
+    pool.submit([&inner_runs] { ++inner_runs; }).get();
+  });
+  EXPECT_EQ(outer.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  outer.get();
+  EXPECT_EQ(inner_runs.load(), 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentSubmittersEachTaskRunsOnce) {
+  ThreadPool pool(3);
+  static constexpr int kSubmitters = 4;
+  static constexpr int kTasksEach = 100;
+  std::vector<std::atomic<int>> runs(kSubmitters * kTasksEach);
+  std::vector<std::vector<std::future<void>>> futures(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int t = 0; t < kTasksEach; ++t) {
+        futures[s].push_back(
+            pool.submit([&runs, s, t] { ++runs[s * kTasksEach + t]; }));
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  for (auto& batch : futures) {
+    for (auto& f : batch) f.get();
+  }
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ThreadPoolTest, RunsTheRequestedNumberOfWorkers) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.thread_count(), 3u);
+  // Three tasks that each wait for the other two can only finish when
+  // three workers run them at once.
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(pool.submit([&arrived, &met] {
+      ++arrived;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < 3 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (arrived.load() == 3) ++met;
+    }));
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(met.load(), 3);
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {

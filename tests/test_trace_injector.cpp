@@ -2,46 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <string>
 
-#include "sim/protocol_sim.hpp"
-#include "model/scenario.hpp"
 #include "proptest.hpp"
 
 namespace {
 
 using namespace dckpt::sim;
-
-TEST(TraceInjectorTest, ReplaysScheduleThenGoesSilent) {
-  TraceInjector injector({{1.0, 0}, {2.5, 3}, {9.0, 1}}, 4);
-  EXPECT_EQ(injector.remaining(), 3u);
-  EXPECT_DOUBLE_EQ(injector.peek().time, 1.0);
-  injector.pop();
-  EXPECT_DOUBLE_EQ(injector.peek().time, 2.5);
-  EXPECT_EQ(injector.peek().node, 3u);
-  injector.pop();
-  injector.pop();
-  EXPECT_TRUE(std::isinf(injector.peek().time));
-  EXPECT_EQ(injector.remaining(), 0u);
-  injector.pop();  // idempotent past the end
-  EXPECT_TRUE(std::isinf(injector.peek().time));
-}
-
-TEST(TraceInjectorTest, ReplacementIsANoop) {
-  TraceInjector injector({{1.0, 0}}, 2);
-  injector.on_node_replaced(0, 1.0, 5.0);
-  EXPECT_DOUBLE_EQ(injector.peek().time, 1.0);
-}
-
-TEST(TraceInjectorTest, Validation) {
-  EXPECT_THROW(TraceInjector({{2.0, 0}, {1.0, 0}}, 2), std::invalid_argument);
-  EXPECT_THROW(TraceInjector({{1.0, 5}}, 2), std::invalid_argument);
-  EXPECT_THROW(TraceInjector({}, 0), std::invalid_argument);
-}
 
 class TraceFileTest : public ::testing::Test {
  protected:
@@ -172,30 +142,6 @@ TEST(GenerateFailureTraceTest, Validation) {
   EXPECT_THROW(
       generate_failure_trace(dist, 2, 0.0, dckpt::util::Xoshiro256ss(1)),
       std::invalid_argument);
-}
-
-TEST(TraceDrivenSimulationTest, TraceFeedsProtocolSimulation) {
-  // End-to-end: generate a synthetic log, replay it through the simulator,
-  // and check the failures were actually consumed.
-  SimConfig config;
-  config.protocol = dckpt::model::Protocol::DoubleNbl;
-  config.params = dckpt::model::base_scenario().params.with_overhead(1.0);
-  config.params.nodes = 8;
-  config.params.mtbf = 500.0;  // documents intent; trace drives failures
-  config.period = 100.0;
-  config.t_base = 2000.0;
-  config.stop_on_fatal = false;
-
-  const auto dist = dckpt::util::Exponential::from_mean(
-      500.0 * 8);  // per-node mean matching M = 500 s
-  auto events = generate_failure_trace(dist, 8, 1e5,
-                                       dckpt::util::Xoshiro256ss(11));
-  const auto injector = std::make_unique<TraceInjector>(events, 8);
-  ProtocolSimulation simulation(
-      config, std::make_unique<TraceInjector>(std::move(events), 8));
-  const auto result = simulation.run();
-  EXPECT_GT(result.failures, 0u);
-  EXPECT_GT(result.makespan, config.t_base);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "model/scenario.hpp"
@@ -155,6 +156,21 @@ TEST(WasteTest, ProductComposition) {
   const double fail = waste_failure(Protocol::DoubleNbl, p, period);
   const double total = waste(Protocol::DoubleNbl, p, period);
   EXPECT_NEAR(total, ff + fail - ff * fail, 1e-12);
+}
+
+TEST(WasteTest, RejectsNonFiniteAndTooShortPeriods) {
+  const auto p = base_params(1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Protocol protocol : kPaperProtocols) {
+    const double too_short = 0.5 * min_period(protocol, p);
+    for (const double period : {inf, std::nan(""), too_short}) {
+      EXPECT_THROW(waste(protocol, p, period), std::invalid_argument)
+          << protocol_name(protocol) << " at P = " << period;
+      EXPECT_THROW(waste_fault_free(protocol, p, period),
+                   std::invalid_argument)
+          << protocol_name(protocol) << " at P = " << period;
+    }
+  }
 }
 
 TEST(WasteTest, BoundsRespected) {

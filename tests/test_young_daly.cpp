@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace {
@@ -17,12 +18,6 @@ CentralizedParams make_params() {
   return p;
 }
 
-TEST(YoungDalyTest, YoungFormula) {
-  const auto p = make_params();
-  EXPECT_NEAR(young_period(p),
-              std::sqrt(2.0 * 86400.0 * 600.0) + 600.0, 1e-9);
-}
-
 TEST(YoungDalyTest, DalyFormula) {
   const auto p = make_params();
   EXPECT_NEAR(daly_period(p),
@@ -31,7 +26,28 @@ TEST(YoungDalyTest, DalyFormula) {
 
 TEST(YoungDalyTest, DalyRefinementExceedsYoung) {
   const auto p = make_params();
-  EXPECT_GT(daly_period(p), young_period(p));
+  // Young's first-order period: sqrt(2 M C) + C.
+  const double young = std::sqrt(2.0 * p.mtbf * p.checkpoint) + p.checkpoint;
+  EXPECT_GT(daly_period(p), young);
+}
+
+TEST(YoungDalyTest, DalyReducesToYoungWithoutDowntimeOrRecovery) {
+  // Daly's refinement charges the downtime and recovery of each failure:
+  // without them the period is Young's sqrt(2 M C) + C, and it grows with
+  // either.
+  auto p = make_params();
+  p.downtime = 0.0;
+  p.recovery = 0.0;
+  EXPECT_NEAR(daly_period(p),
+              std::sqrt(2.0 * p.mtbf * p.checkpoint) + p.checkpoint, 1e-9);
+  double previous = daly_period(p);
+  for (const double recovery : {60.0, 600.0, 6000.0}) {
+    p.recovery = recovery;
+    EXPECT_GT(daly_period(p), previous) << "R = " << recovery;
+    previous = daly_period(p);
+  }
+  p.downtime = 60.0;
+  EXPECT_GT(daly_period(p), previous);
 }
 
 TEST(YoungDalyTest, FailureCost) {
@@ -72,9 +88,13 @@ TEST(YoungDalyTest, Validation) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p = make_params();
   p.mtbf = -1.0;
-  EXPECT_THROW(young_period(p), std::invalid_argument);
+  EXPECT_THROW(daly_period(p), std::invalid_argument);
   p = make_params();
   EXPECT_THROW(centralized_waste(p, 10.0), std::invalid_argument);
+  EXPECT_THROW(centralized_failure_cost(p, 0.0), std::invalid_argument);
+  EXPECT_THROW(centralized_failure_cost(p, -1.0), std::invalid_argument);
+  EXPECT_THROW(centralized_failure_cost(p, std::nan("")),
+               std::invalid_argument);
 }
 
 TEST(YoungDalyTest, BuddyCheckpointingBeatsCentralizedAtScale) {
@@ -86,7 +106,8 @@ TEST(YoungDalyTest, BuddyCheckpointingBeatsCentralizedAtScale) {
   central.recovery = 1000.0;
   central.downtime = 60.0;
   central.mtbf = 3600.0;
-  const double centralized = centralized_waste_at_optimum(central);
+  const double centralized = centralized_waste(
+      central, std::max(daly_period(central), central.checkpoint));
   EXPECT_GT(centralized, 0.5);  // unusable regime
 }
 
