@@ -58,4 +58,11 @@ CAMPAIGNS=(
   "grid 4x4 pairs dcp, scripted + 40 random|--topology=pairs --grid=4x4 --block=6 --steps=64 --interval=8 --rerepl-delay=6 --dcp-stack=3 --runs=40 --seed=20260812"
   "grid 3x3 triples dcp, scripted + 40 random|--topology=triples --grid=3x3 --block=6 --steps=64 --interval=8 --rerepl-delay=6 --dcp-stack=3 --runs=40 --seed=20260812"
   "torn-chain failover repro|--topology=triples --nodes=9 --cells=48 --steps=96 --interval=12 --rerepl-delay=8 --dcp-stack=3 --schedule=25:torndelta:0:1,25:0"
+  # A verification rollback while a node is still lost (its only copies
+  # were corrupt): to a retained set with an immediate or a delayed refill,
+  # to the virtual initial entry, and on the grid. All fatal-detected.
+  "sdc rollback over a lost node, immediate refill|--topology=pairs --nodes=4 --steps=40 --interval=4 --verify-every=1 --keep-last=2 --rerepl-delay=0 --schedule=9:corrupt:1:0,9:0,10:sdc:2"
+  "sdc rollback over a lost node, delayed refill|--topology=pairs --nodes=4 --steps=40 --interval=4 --verify-every=1 --keep-last=2 --rerepl-delay=5 --schedule=9:corrupt:1:0,9:0,10:sdc:2"
+  "sdc rollback to the initial entry over a lost node|--topology=pairs --nodes=4 --steps=40 --interval=4 --verify-every=3 --keep-last=3 --rerepl-delay=0 --schedule=1:sdc:2,9:corrupt:1:0,9:0"
+  "grid sdc rollback over a lost node, immediate refill|--topology=triples --grid=2x3 --block=6 --steps=40 --interval=4 --verify-every=1 --keep-last=2 --rerepl-delay=0 --schedule=9:corrupt:1:0,9:corrupt:2:0,9:0,10:sdc:4"
 )

@@ -617,6 +617,80 @@ TEST(ChaosSdc, RollbackPicksTheShallowestCleanSet) {
   }
 }
 
+// A verification rollback that overlaps an unrefilled node loss: a corrupt
+// buddy copy plus a loss of its owner leave node 0 lost (blank restart,
+// fatal-detected), and a later silent error sends the verification back
+// through the ladder while node 0 is still lost. The chain's runs of the
+// same schedules in scripts/chaos_smoke_campaigns.sh, as `dckpt chaos`
+// builds them.
+chaos::ChaosCampaignConfig lost_node_campaign(std::uint64_t verify_every,
+                                              std::size_t keep_last,
+                                              std::uint64_t delay) {
+  chaos::ChaosCampaignConfig config;
+  config.runtime.topology = Topology::Pairs;
+  config.runtime.nodes = 4;
+  config.runtime.cells_per_node = 64;
+  config.runtime.checkpoint_interval = 4;
+  config.runtime.total_steps = 40;
+  config.runtime.rereplication_delay_steps = delay;
+  config.runtime.verify_every = verify_every;
+  config.runtime.keep_last = keep_last;
+  config.random_runs = 0;
+  config.threads = 2;
+  return config;
+}
+
+chaos::ChaosRunResult run_lost_node(const chaos::ChaosCampaignConfig& config,
+                                    const char* spec) {
+  return chaos::run_one(config, chaos::ChaosSchedule::parse(spec),
+                        chaos::reference_run(config).final_hash);
+}
+
+TEST(ChaosSdc, VerifiedRollbackReadmitsALostNodeAndRefillsAtOnce) {
+  // The verification at step 12 cannot install the set of step 8 (node 0's
+  // only copy is corrupt), so it drops one rung to the set of step 4. That
+  // readmits node 0 after 4 degraded steps (8..11) and empties its store
+  // (it was refilled at depth 0 only), which a zero delay refills inside
+  // the rollback: one refill after the loss, one after the verification.
+  const auto run = run_lost_node(lost_node_campaign(1, 2, 0),
+                                 "9:corrupt:1:0,9:0,10:sdc:2");
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::FatalDetected) << run.detail;
+  EXPECT_EQ(run.report.fatal_node, 0u);
+  EXPECT_EQ(run.report.sdc_detected, 1u);
+  EXPECT_EQ(run.report.rollback_depth, 1u);
+  EXPECT_EQ(run.report.degraded_steps, 4u);
+  EXPECT_EQ(run.report.rereplications, 2u);
+  EXPECT_EQ(run.report.risk_steps, 0u);
+}
+
+TEST(ChaosSdc, VerifiedRollbackReschedulesADelayedRefill) {
+  // The same schedule with a 5-step refill delay: the loss's refill is
+  // still pending when the verification rolls back, which cancels it and
+  // schedules node 0's emptied store again. The commit at step 8 of the
+  // replay re-creates every replica first, so no refill is ever delivered.
+  const auto run = run_lost_node(lost_node_campaign(1, 2, 5),
+                                 "9:corrupt:1:0,9:0,10:sdc:2");
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::FatalDetected) << run.detail;
+  EXPECT_EQ(run.report.rollback_depth, 1u);
+  EXPECT_EQ(run.report.degraded_steps, 4u);
+  EXPECT_EQ(run.report.rereplications, 0u);
+  EXPECT_EQ(run.report.risk_steps, 8u);
+}
+
+TEST(ChaosSdc, RollbackToTheInitialEntryReadmitsALostNode) {
+  // A silent error at step 1 taints every retained set, so the
+  // verification at step 12 walks two rungs down to the virtual initial
+  // entry while node 0 is lost: every node re-initializes, node 0 rejoins,
+  // and the run replays from step 0.
+  const auto run = run_lost_node(lost_node_campaign(3, 3, 0),
+                                 "1:sdc:2,9:corrupt:1:0,9:0");
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::FatalDetected) << run.detail;
+  EXPECT_EQ(run.report.sdc_detected, 1u);
+  EXPECT_EQ(run.report.rollback_depth, 2u);
+  EXPECT_EQ(run.report.degraded_steps, 4u);
+  EXPECT_EQ(run.report.rereplications, 1u);
+}
+
 TEST(ChaosSdc, ScriptedSdcFamiliesNeverViolate) {
   for (const Topology topology : {Topology::Pairs, Topology::Triples}) {
     const auto config = sdc_campaign(topology, 3);

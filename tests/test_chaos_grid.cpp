@@ -393,6 +393,35 @@ TEST(GridChaosSdc, LatentStrikeMatchesTheChainLadderMath) {
       << fatal.detail;
 }
 
+TEST(GridChaosSdc, VerifiedRollbackReadmitsLostNodesAndRefillsAtOnce) {
+  // Both buddies of node 0's committed image are corrupt when node 0 dies
+  // at step 9, so it blank-restarts (fatal-detected). The verification at
+  // step 12 finds the silent error of step 10 and, with node 0's newest set
+  // unrestorable, drops one rung to the set of step 4: node 0 rejoins after
+  // 4 degraded steps, and its emptied store is refilled inside the
+  // rollback (delay 0). The schedule of the grid run in
+  // scripts/chaos_smoke_campaigns.sh.
+  auto config = grid_campaign(Topology::Triples);
+  config.grid->grid_rows = 2;
+  config.grid->grid_cols = 3;
+  config.grid->checkpoint_interval = 4;
+  config.grid->total_steps = 40;
+  config.grid->rereplication_delay_steps = 0;
+  config.grid->verify_every = 1;
+  config.grid->keep_last = 2;
+  const auto run = chaos::run_one(
+      config,
+      chaos::ChaosSchedule::parse(
+          "9:corrupt:1:0,9:corrupt:2:0,9:0,10:sdc:4"),
+      chaos::reference_run(config).final_hash);
+  EXPECT_EQ(run.outcome, chaos::ChaosOutcome::FatalDetected) << run.detail;
+  EXPECT_EQ(run.report.fatal_node, 0u);
+  EXPECT_EQ(run.report.sdc_detected, 1u);
+  EXPECT_EQ(run.report.rollback_depth, 1u);
+  EXPECT_EQ(run.report.degraded_steps, 4u);
+  EXPECT_EQ(run.report.rereplications, 2u);
+}
+
 TEST(GridChaosSdc, RandomizedSdcGridCampaignNeverViolates) {
   auto config = grid_campaign(Topology::Triples);
   config.grid->verify_every = 2;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,17 @@ TEST(LiveCopyTest, MatchesThePagesAfterEveryRestorePath) {
     EXPECT_EQ(chain.mismatches, 0u);
     EXPECT_EQ(chain.checks, (report.steps_executed + 1) * c.policy.nodes);
   }
+}
+
+TEST(LiveCopyTest, DriverRejectsAPolicyItCannotRun) {
+  // A subclass that skips its own validation still cannot build a driver
+  // with no retained set or no delivery attempt.
+  CheckpointPolicy no_retention;
+  no_retention.keep_last = 0;
+  EXPECT_THROW(CheckedChain(no_retention, 64), std::invalid_argument);
+  CheckpointPolicy no_attempts;
+  no_attempts.transfer_retry.max_attempts = 0;
+  EXPECT_THROW(CheckedChain(no_attempts, 64), std::invalid_argument);
 }
 
 }  // namespace
