@@ -3,6 +3,7 @@
 
 #include "sim/export.hpp"            // IWYU pragma: export
 #include "sim/failure_injector.hpp"  // IWYU pragma: export
+#include "sim/failure_log.hpp"       // IWYU pragma: export
 #include "sim/independent.hpp"       // IWYU pragma: export
 #include "sim/log_stats.hpp"         // IWYU pragma: export
 #include "sim/metrics.hpp"           // IWYU pragma: export
@@ -14,4 +15,3 @@
 #include "sim/service.hpp"           // IWYU pragma: export
 #include "sim/sweep.hpp"             // IWYU pragma: export
 #include "sim/trace.hpp"             // IWYU pragma: export
-#include "sim/trace_injector.hpp"    // IWYU pragma: export

@@ -504,9 +504,17 @@ int cmd_trace_fit(int argc, const char* const* argv) {
   table.add_row({"Weibull shape", util::format_fixed(weib_fit.shape, 3)});
   table.add_row({"Weibull KS", util::format_fixed(weib_fit.ks_statistic, 4)});
   std::printf("%s\n", table.render().c_str());
+  // Weibull only when the KS test rejects the exponential at the 5 % level
+  // (D > 1.358 / sqrt(n)) and the Weibull D is smaller: on an exponential
+  // log the fitted shape scatters around 1 and often fits a little closer
+  // by chance alone.
+  const bool exponential_rejected =
+      exp_fit.ks_statistic >
+      1.358 / std::sqrt(static_cast<double>(stats.events));
   std::printf("model hint: Parameters::mtbf = %.1f s; %s fits better\n",
               stats.platform_mtbf,
-              weib_fit.ks_statistic < exp_fit.ks_statistic * 0.9
+              exponential_rejected &&
+                      weib_fit.ks_statistic < exp_fit.ks_statistic
                   ? "Weibull (bursty -- expect worse waste than the model)"
                   : "exponential (the paper's assumption holds)");
   return 0;

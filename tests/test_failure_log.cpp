@@ -1,4 +1,4 @@
-#include "sim/trace_injector.hpp"
+#include "sim/failure_log.hpp"
 
 #include <gtest/gtest.h>
 

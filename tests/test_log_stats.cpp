@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/trace_injector.hpp"
 #include "model/scenario.hpp"
+#include "sim/failure_log.hpp"
 #include "util/rng.hpp"
 
 namespace {

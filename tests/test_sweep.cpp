@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "model/scenario.hpp"
+#include "model/waste.hpp"
 
 namespace {
 
@@ -107,6 +108,62 @@ TEST(SweepTest, ProgressReportsSkippedPoints) {
   };
   run_sweep(spec);
   EXPECT_EQ(skipped, 4u);
+}
+
+TEST(SweepTest, PeriodTheModelCannotRunIsSkipped) {
+  // A 250 s period at a 10 s MTBF: the closed form would be infeasible,
+  // but a custom period reaches the model, whose waste is 1 for both
+  // protocols -- the point is skipped rather than simulated.
+  auto spec = small_spec();
+  spec.mtbfs = {10.0};
+  spec.phi_ratios = {0.25};
+  spec.period = [](model::Protocol, const model::Parameters&) {
+    return 250.0;
+  };
+  std::size_t skipped = 0;
+  spec.progress = [&](const SweepProgress& p) {
+    skipped = p.points_skipped;
+    EXPECT_EQ(p.point, nullptr);
+  };
+  EXPECT_TRUE(run_sweep(spec).empty());
+  EXPECT_EQ(skipped, 2u);
+}
+
+TEST(SweepTest, WeibullAndPredictorColumnsAreEachAxisAlone) {
+  auto spec = small_spec();
+  spec.mtbfs = {4800.0};
+  spec.weibull_shape = 0.7;
+  spec.config.predictor.recall = 0.5;
+  const auto rows = run_sweep(spec);
+  ASSERT_EQ(rows.size(), 4u);
+  for (const auto& row : rows) {
+    SCOPED_TRACE(model::protocol_name(row.protocol));
+    // The simulated config of this point, as run_sweep builds it.
+    SimConfig config = spec.config;
+    config.protocol = row.protocol;
+    config.params = spec.config.params.with_mtbf(row.mtbf).with_overhead(
+        row.phi);
+    config.period = row.period;
+    config.t_base = spec.t_base_in_mtbfs * row.mtbf;
+    const auto axis_waste = [&](ModelAxis axis) {
+      return model::waste(row.protocol, config.params, row.period,
+                          axis_extensions(axis, config, spec.weibull_shape));
+    };
+    EXPECT_DOUBLE_EQ(row.weibull_shape, 0.7);
+    EXPECT_EQ(row.model_waste_weibull, axis_waste(ModelAxis::kWeibull));
+    EXPECT_EQ(row.model_waste_pred, axis_waste(ModelAxis::kPredictor));
+    EXPECT_NE(row.model_waste_weibull, row.model_waste);
+    EXPECT_NE(row.model_waste_pred, row.model_waste);
+    EXPECT_EQ(row.model_waste_sdc, row.model_waste);
+    EXPECT_EQ(row.model_waste_dcp, row.model_waste);
+  }
+  // The shape also reaches the failure sampler.
+  spec.weibull_shape = 0.0;
+  const auto exponential = run_sweep(spec);
+  ASSERT_EQ(exponential.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_NE(rows[i].result.waste.mean(), exponential[i].result.waste.mean());
+  }
 }
 
 TEST(SweepTest, MetricsSpecPropagatesToEveryPoint) {
