@@ -20,6 +20,12 @@
 # (so it reads the same under any demangler), then a `#` and the reason:
 # the test that compares shipped code against it.
 #
+# Blind spots: the gate sees links, not calls. A virtual override is
+# linked whenever its class's vtable is, so it counts as reached even when
+# only tests call it (util::Exponential::variance and Weibull::variance
+# pass this way). Header-inline functions have no library symbol and are
+# never listed. Only a call-graph check would see either kind.
+#
 # Usage:
 #   scripts/check_reachability.sh
 #

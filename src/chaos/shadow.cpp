@@ -65,7 +65,7 @@ runtime::RunReport predict_outcome(
   std::uint64_t snapshot_step = 0;
   std::uint64_t commit_at = 0;
 
-  // Silent-error mirror of the RecoveryEngine: live per-node corruption
+  // Silent-error mirror of the CheckpointDriver: live per-node corruption
   // epochs, the epochs the in-flight staged set captured, the retained-set
   // metadata ladder (front = committed, seeded with the virtual initial
   // entry), and -- mirroring the stores' keep-last ring -- the aged image
@@ -114,7 +114,7 @@ runtime::RunReport predict_outcome(
     return owners;
   };
 
-  // One refill delivery attempt; mirrors RecoveryEngine::attempt_delivery.
+  // One refill delivery attempt; mirrors CheckpointDriver::attempt_delivery.
   const auto attempt_delivery = [&](RefillEntry& entry) {
     auto& faults = armed[entry.node];
     if (!faults.empty()) {
@@ -432,9 +432,9 @@ runtime::RunReport predict_outcome(
     const bool boundary = step % config.checkpoint_interval == 0 &&
                           step < config.total_steps;
     if (config.verify_every > 0) {
-      // Mirror of RecoveryEngine::verify_checkpoints and the coordinators'
-      // cadence: every verify_every periods, after the period's commit and
-      // before the next set stages, plus a final audit at step == total.
+      // Mirror of CheckpointDriver::verify_checkpoints and its cadence:
+      // every verify_every periods, after the period's commit and before
+      // the next set stages, plus a final audit at step == total.
       if (boundary) ++periods_since_verify;
       const bool due =
           (boundary && periods_since_verify >= config.verify_every) ||

@@ -1,4 +1,4 @@
-// Bounded retry for checkpoint transfers: the policy the recovery engine
+// Bounded retry for checkpoint transfers: the policy the checkpoint driver
 // applies when a re-replication delivery fails or arrives torn.
 #pragma once
 

@@ -4,7 +4,10 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "ckpt/recovery.hpp"
 
 namespace dckpt::runtime {
 
@@ -103,23 +106,20 @@ void validate_injections(std::span<const FailureInjection> failures,
 
 namespace {
 
-/// Consumes (erases) every Alarm injection scheduled for `step`, returning
-/// how many fired. Alarms fire at the top of the step loop, before the
-/// step's other injections, so the proactive checkpoint they trigger can
-/// land ahead of the loss they predict (and, being erased, each alarm fires
-/// exactly once even across replays).
-std::uint64_t consume_alarms(std::vector<FailureInjection>& pending,
-                             std::uint64_t step) {
-  std::uint64_t fired = 0;
+/// Runs act(f) on every injection of `kind` scheduled for `step`, erasing
+/// each from `pending`: every injection fires exactly once, even across
+/// replays.
+template <typename Act>
+void fire(std::vector<FailureInjection>& pending, std::uint64_t step,
+          InjectionKind kind, Act&& act) {
   for (auto it = pending.begin(); it != pending.end();) {
-    if (it->kind == InjectionKind::Alarm && it->step == step) {
-      ++fired;
+    if (it->step == step && it->kind == kind) {
+      act(*it);
       it = pending.erase(it);
     } else {
       ++it;
     }
   }
-  return fired;
 }
 
 /// Static alarm <-> loss matching for the prediction scoreboard: each alarm
@@ -232,9 +232,9 @@ CheckpointDriver::CheckpointDriver(const CheckpointPolicy& policy,
     : policy_(policy), cells_(cells), groups_(policy.nodes, policy.topology),
       pool_(threads), next_(pool_.thread_count(), std::vector<double>(cells)),
       live_(policy.nodes, std::vector<double>(cells)),
-      committed_hashes_(policy.nodes, 0),
-      engine_(groups_, policy.rereplication_delay_steps,
-              policy.transfer_retry, policy.keep_last) {
+      committed_hashes_(policy.nodes, 0), armed_(policy.nodes),
+      lost_(policy.nodes, 0), sdc_epoch_(policy.nodes, 0) {
+  policy_.validate();
   memory_.reserve(policy_.nodes);
   stores_.reserve(policy_.nodes);
   for (std::uint64_t node = 0; node < policy_.nodes; ++node) {
@@ -246,8 +246,23 @@ CheckpointDriver::CheckpointDriver(const CheckpointPolicy& policy,
 
 void CheckpointDriver::initialize_all() {
   for (std::uint64_t node = 0; node < node_count(); ++node) {
+    stores_[node].discard_staged();
     reinitialize(node);
   }
+  // Re-initializing clears any latent corruption and re-creates every
+  // node's state, so the ladder is back to its virtual initial entry.
+  std::fill(sdc_epoch_.begin(), sdc_epoch_.end(), std::uint64_t{0});
+  RetainedSet initial;
+  initial.epochs = sdc_epoch_;
+  initial.initial = true;
+  sets_.assign(1, std::move(initial));
+  readmit_lost();
+  refill_.clear();
+  std::fill(committed_hashes_.begin(), committed_hashes_.end(),
+            std::uint64_t{0});
+  committed_step_ = 0;
+  has_commit_ = false;
+  staging_ = false;
 }
 
 void CheckpointDriver::read_cells(std::uint64_t node, std::size_t first,
@@ -324,8 +339,7 @@ void CheckpointDriver::begin_checkpoint(std::uint64_t step) {
   staging_version_ = images.front().version();
   staging_snapshot_step_ = step;
   staged_bytes_ = 0;
-  const auto epochs = engine_.current_epochs();
-  staging_epochs_.assign(epochs.begin(), epochs.end());
+  staging_epochs_ = sdc_epoch_;
   // Hash before staging, so every filed copy carries the cached digest the
   // restore paths verify against. With dcp on, the same walk refreshes the
   // per-node hash arrays for the full base the next deltas chain on. Safe
@@ -376,10 +390,17 @@ void CheckpointDriver::commit_checkpoint(RunReport& report) {
   // new base the next deltas diff against.
   dcp_layers_ = 0;
   dcp_tip_version_ = staging_version_;
-  // A committed exchange re-creates every replica: pending refills are
-  // subsumed, the risk window closes, lost nodes rejoin, and the set joins
-  // the rollback ladder with its snapshot-time corruption epochs.
-  engine_.on_commit(committed_step_, committed_hashes_, staging_epochs_);
+  // A committed exchange re-creates every replica: pending and abandoned
+  // refills are subsumed, the risk window closes, and lost nodes rejoin
+  // (their blank-restarted state is now the committed truth). The set
+  // becomes ladder depth 0 with the corruption epochs its images captured
+  // (a staged commit may have absorbed corruption the live epochs no longer
+  // show); older sets age one rung, and the ladder trims to the retention
+  // (the virtual initial entry ages out like any other set).
+  refill_.clear();
+  readmit_lost();
+  sets_.push_front({committed_step_, committed_hashes_, staging_epochs_});
+  while (sets_.size() > policy_.keep_last) sets_.pop_back();
 }
 
 void CheckpointDriver::commit_delta_checkpoint(RunReport& report,
@@ -411,10 +432,11 @@ void CheckpointDriver::commit_delta_checkpoint(RunReport& report,
   ++dcp_layers_;
   ++report.checkpoints;
   ++report.delta_commits;
-  // Deliberately *not* engine_.on_commit(): a delta exchange moves only
-  // dirty blocks, so it does not re-create every replica -- it neither
-  // closes a pending risk window, clears pending refills, nor readmits
-  // lost nodes. Only a full exchange does.
+  // Deliberately not what commit_checkpoint() does after promotion: a
+  // delta exchange moves only dirty blocks, so it does not re-create every
+  // replica -- it neither closes a pending risk window, clears pending
+  // refills, readmits lost nodes nor joins the rollback ladder (dcp keeps
+  // one retained set). Only a full exchange does.
 }
 
 void CheckpointDriver::proactive_checkpoint(RunReport& report,
@@ -432,27 +454,244 @@ void CheckpointDriver::proactive_checkpoint(RunReport& report,
   ++report.proactive_ckpts;
 }
 
+bool CheckpointDriver::fire_injections(std::vector<FailureInjection>& pending,
+                                       std::uint64_t step, RunReport& report) {
+  // Kind order within a step: silent corruption exists at rest before the
+  // crash that exposes it, and a transfer fault arms before the loss whose
+  // refill it will sabotage.
+  fire(pending, step, InjectionKind::SilentError,
+       [&](const FailureInjection& f) {
+         // Latent in-memory damage: the node keeps computing on the
+         // corrupted state and every snapshot from now on carries the epoch.
+         inject_sdc(f.node);
+         ++sdc_epoch_[f.node];
+         ++report.sdc_injected;
+       });
+  fire(pending, step, InjectionKind::CorruptReplica,
+       [&](const FailureInjection& f) {
+         // No-op when the holder has no committed image of the owner yet
+         // (e.g. before the first commit): nothing at rest to damage.
+         stores_[f.node].corrupt_committed(f.owner);
+       });
+  fire(pending, step, InjectionKind::TornDelta, [&](const FailureInjection& f) {
+    // Tears the layer at 1-based depth f.window in the victim's chain on its
+    // *first* ladder rung (pairs: the local copy; triples: the preferred
+    // buddy) -- the copy a restore consults first. No-op when the chain is
+    // shorter (e.g. right after a full commit).
+    stores_[groups_.holders(f.node)[0]].corrupt_delta(f.node, f.window);
+  });
+  const auto arm = [&](const FailureInjection& f) {
+    armed_[f.node].push_back(f.kind);
+  };
+  fire(pending, step, InjectionKind::TornTransfer, arm);
+  fire(pending, step, InjectionKind::FailTransfer, arm);
+  bool any_loss = false;
+  fire(pending, step, InjectionKind::NodeLoss, [&](const FailureInjection& f) {
+    destroy(f.node);
+    ++report.failures;
+    any_loss = true;
+  });
+  return any_loss;
+}
+
 void CheckpointDriver::rollback_all(RunReport& report, std::uint64_t step) {
   ++report.rollbacks;
-  // Any in-flight staging set is lost with its victims; abandon it and fall
-  // back to the last committed set (it will be retaken on replay).
-  staging_ = false;
   if (!has_commit_) {
     // The starting configuration is the implicit first checkpoint set.
-    for (std::uint64_t node = 0; node < node_count(); ++node) {
-      stores_[node].discard_staged();
-      reinitialize(node);
-    }
-    // Re-initializing clears any latent corruption too.
-    engine_.reset_to_initial();
+    initialize_all();
     return;
   }
-  engine_.rollback_and_refill(
-      step, directory_, committed_hashes_,
-      [&](std::uint64_t node, const ckpt::Snapshot& image) {
-        restore(node, image);
-      },
-      [&](std::uint64_t node) { reinitialize(node); }, report);
+  // Any in-flight staging set is lost with its victims, and in-flight
+  // refills die with the rollback: the set is re-derived below from
+  // whichever stores the failure left empty.
+  staging_ = false;
+  refill_.clear();
+  for (std::uint64_t node = 0; node < node_count(); ++node) {
+    stores_[node].discard_staged();
+    if (lost_[node]) {
+      // Already running degraded: the node has no committed image anywhere,
+      // so there is no ladder to walk until the next commit readmits it.
+      reinitialize(node);
+      sdc_epoch_[node] = 0;
+      continue;
+    }
+    auto outcome = ckpt::select_replica(node, groups_, directory_,
+                                        committed_hashes_[node]);
+    report.corrupt_images_detected += outcome.corrupt_skipped;
+    report.torn_chain_failovers += outcome.torn_skipped;
+    if (outcome.ok()) {
+      if (outcome.report.source != node) {
+        ++report.recoveries;
+        ++report.hash_verified_recoveries;
+      }
+      if (outcome.status == ckpt::RecoveryStatus::FailedOver) {
+        ++report.failovers;
+      }
+      if (outcome.replayed_layers > 0) {
+        ++report.chain_replays;
+        report.chain_replay_depth += outcome.replayed_layers;
+      }
+      restore(node, *outcome.image);
+      // The restored image carries whatever corruption the committed set
+      // captured -- the live epoch snaps back to the set's record.
+      sdc_epoch_[node] = sets_.front().epochs[node];
+      continue;
+    }
+    // Ladder exhausted: unrecoverable data loss. Mark the node lost, record
+    // the first loss as the fatal event, blank-restart it from the kernel's
+    // initial condition, and let the run continue in degraded mode.
+    ++report.recoveries;
+    lost_[node] = 1;
+    ++lost_count_;
+    if (!report.fatal) {
+      report.fatal = true;
+      report.degraded = true;
+      report.fatal_node = node;
+      report.fatal_step = step;
+      report.fatal_reason = "fatal failure: no surviving replica of node " +
+                            std::to_string(node);
+    }
+    reinitialize(node);
+    sdc_epoch_[node] = 0;  // a fresh initial condition carries no corruption
+  }
+  schedule_refills(report);
+}
+
+std::optional<std::uint64_t> CheckpointDriver::verify_checkpoints(
+    RunReport& report, std::uint64_t step) {
+  ++report.verifications_run;
+  const auto tainted = std::find_if(sdc_epoch_.begin(), sdc_epoch_.end(),
+                                    [](std::uint64_t e) { return e != 0; });
+  if (tainted == sdc_epoch_.end()) return std::nullopt;
+  ++report.sdc_detected;
+
+  // Walk the ladder newest -> oldest for a set captured before every live
+  // corruption epoch *and* fully restorable through the replica ladders.
+  // The virtual initial entry is always usable: re-initializing is a
+  // restore point that needs no stored images. `depth` is the number of
+  // newer sets to drop; it runs off the ladder when no set qualifies.
+  const auto usable = [&](std::size_t depth) {
+    const RetainedSet& set = sets_[depth];
+    if (set.initial) return true;
+    const bool untainted = std::all_of(set.epochs.begin(), set.epochs.end(),
+                                       [](std::uint64_t e) { return e == 0; });
+    return untainted &&
+           ckpt::set_restorable(depth, groups_, directory_, set.hashes);
+  };
+  std::size_t depth = 0;
+  while (depth < sets_.size() && !usable(depth)) ++depth;
+  if (depth == sets_.size()) {
+    // Detected but unrecoverable: accept the corrupted state as the new
+    // truth and run on degraded -- exactly the fail-stop data-loss policy,
+    // with the *detection* recorded instead of a silent wrong answer.
+    if (!report.fatal) {
+      const auto culprit =
+          static_cast<std::uint64_t>(tainted - sdc_epoch_.begin());
+      report.fatal = true;
+      report.degraded = true;
+      report.fatal_node = culprit;
+      report.fatal_step = step;
+      report.fatal_reason =
+          "silent corruption detected on node " + std::to_string(culprit) +
+          ": no clean retained checkpoint set";
+    }
+    std::fill(sdc_epoch_.begin(), sdc_epoch_.end(), std::uint64_t{0});
+    return std::nullopt;
+  }
+
+  ++report.rollbacks;
+  report.rollback_depth += depth;
+  // Any in-flight staging set was captured after the corruption (or is
+  // about to be replayed); it dies with the rollback.
+  for (ckpt::BuddyStore& store : stores_) {
+    store.discard_staged();
+    store.drop_newest(depth);
+  }
+  for (std::size_t i = 0; i < depth; ++i) sets_.pop_front();
+  if (sets_.front().initial) {
+    // Rolled all the way back to the starting configuration: every store
+    // is empty now and every node re-initializes.
+    initialize_all();
+    return 0;
+  }
+
+  // Install the selected set: set_restorable() already proved every node
+  // has a clean hash-verified image, so these walks cannot exhaust. Only
+  // the rollback counters move -- this is time travel, not peer recovery.
+  // In-flight refills die with the rollback and are re-derived below.
+  staging_ = false;
+  refill_.clear();
+  const RetainedSet& target = sets_.front();
+  for (std::uint64_t node = 0; node < node_count(); ++node) {
+    const auto selected =
+        ckpt::select_replica(node, groups_, directory_, target.hashes[node]);
+    restore(node, *selected.image);
+    sdc_epoch_[node] = target.epochs[node];
+  }
+  committed_hashes_ = target.hashes;
+  committed_step_ = target.step;
+  // Every node now runs verified committed data; nobody is blank. A store
+  // whose ring ran out of sets is empty after the drop (e.g. a replacement
+  // node refilled only at depth 0) and is refilled like any other.
+  readmit_lost();
+  schedule_refills(report);
+  return target.step;
+}
+
+void CheckpointDriver::schedule_refills(RunReport& report) {
+  for (std::uint64_t node = 0; node < node_count(); ++node) {
+    if (stores_[node].committed_count() == 0) {
+      refill_.push_back({node, policy_.rereplication_delay_steps});
+    }
+  }
+  if (policy_.rereplication_delay_steps == 0) deliver_due(report);
+}
+
+void CheckpointDriver::deliver_due(RunReport& report) {
+  for (auto it = refill_.begin(); it != refill_.end();) {
+    if (!it->abandoned && it->due == 0 && attempt_delivery(*it, report)) {
+      it = refill_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+bool CheckpointDriver::attempt_delivery(RefillEntry& entry,
+                                        RunReport& report) {
+  // An armed transfer fault consumes exactly one delivery attempt.
+  auto& faults = armed_[entry.node];
+  if (!faults.empty()) {
+    const InjectionKind fault = faults.front();
+    faults.erase(faults.begin());
+    if (fault == InjectionKind::TornTransfer) {
+      // The bundle arrived prefix-only; the receiver's hash check rejects
+      // the whole delivery rather than filing a silently damaged image.
+      ++report.corrupt_images_detected;
+    }
+    if (entry.attempt >= policy_.transfer_retry.max_attempts) {
+      // Out of retries: the store stays empty (and the risk window stays
+      // open) until the next committed exchange re-creates every replica.
+      entry.abandoned = true;
+      return false;
+    }
+    entry.due = policy_.transfer_retry.backoff_steps(entry.attempt);
+    ++entry.attempt;
+    ++report.transfer_retries;
+    return false;
+  }
+  const auto outcome = ckpt::restore_replicas(entry.node, groups_, directory_,
+                                              committed_hashes_);
+  report.corrupt_images_detected += outcome.corrupt_skipped;
+  if (outcome.restored > 0) ++report.rereplications;
+  report.chain_replays += outcome.chains_replayed;
+  report.chain_replay_depth += outcome.layers_replayed;
+  return true;
+}
+
+void CheckpointDriver::readmit_lost() {
+  std::fill(lost_.begin(), lost_.end(), char{0});
+  lost_count_ = 0;
 }
 
 RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
@@ -471,7 +710,9 @@ RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
     // Predictor alarms fire first: the proactive checkpoint they trigger
     // commits before this step's loss (if any) lands, which is exactly how
     // a same-step true prediction saves the work since the last commit.
-    const std::uint64_t alarms = consume_alarms(pending, step);
+    std::uint64_t alarms = 0;
+    fire(pending, step, InjectionKind::Alarm,
+         [&](const FailureInjection&) { ++alarms; });
     if (alarms > 0) {
       report.alarms_raised += alarms;
       proactive_checkpoint(report, step);
@@ -481,25 +722,28 @@ RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
     // then restores every node through its replica ladder -- skipping
     // corrupt images, failing over to later candidates, and
     // blank-restarting (degraded mode) any node whose ladder is exhausted.
-    const bool failed = engine_.fire_injections(
-        pending, step, directory_,
-        [&](std::uint64_t node) { destroy(node); },
-        [&](std::uint64_t node) { inject_sdc(node); }, report);
-    if (failed) {
+    if (fire_injections(pending, step, report)) {
       rollback_all(report, step);
-      const std::uint64_t resume = has_commit_ ? committed_step_ : 0;
-      report.replayed_steps += step - resume;
-      step = resume;
+      report.replayed_steps += step - committed_step_;
+      step = committed_step_;
       continue;
     }
 
     execute_step();
     ++step;
     ++report.steps_executed;
-    // Risk-window / refill / degraded-mode bookkeeping: due refills deliver
-    // (consuming any armed transfer faults, retrying with backoff), and
-    // every step some node runs blank-restarted counts as degraded.
-    engine_.tick(directory_, committed_hashes_, report);
+    // Risk-window / refill / degraded-mode bookkeeping: every step with a
+    // refill pending is at risk, due refills deliver (consuming any armed
+    // transfer faults, retrying with backoff), and every step some node
+    // runs blank-restarted counts as degraded.
+    if (!refill_.empty()) {
+      ++report.risk_steps;
+      for (RefillEntry& entry : refill_) {
+        if (!entry.abandoned && entry.due > 0) --entry.due;
+      }
+      deliver_due(report);
+    }
+    if (lost_count_ > 0) ++report.degraded_steps;
     // Commit an in-flight set before possibly starting the next one (the
     // two coincide when staging_steps == checkpoint_interval).
     if (staging_ && step == staging_commit_at_) {
@@ -518,22 +762,9 @@ RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
           step == policy_.total_steps;
       if (due) {
         periods_since_verify_ = 0;
-        const auto action = engine_.verify_checkpoints(
-            step, directory_, committed_hashes_,
-            [&](std::uint64_t node, const ckpt::Snapshot& image) {
-              restore(node, image);
-            },
-            [&](std::uint64_t node) { reinitialize(node); }, report);
-        if (action.rolled_back) {
-          staging_ = false;
-          committed_step_ = action.resume_step;
-          if (action.to_initial) {
-            has_commit_ = false;
-            std::fill(committed_hashes_.begin(), committed_hashes_.end(),
-                      std::uint64_t{0});
-          }
-          report.replayed_steps += step - action.resume_step;
-          step = action.resume_step;
+        if (const auto resume = verify_checkpoints(report, step)) {
+          report.replayed_steps += step - *resume;
+          step = *resume;
           continue;
         }
       }
@@ -543,11 +774,11 @@ RunReport CheckpointDriver::run(std::span<const FailureInjection> failures) {
       // only while the chain has room (K - 1 layers) and the platform is
       // whole. A lost node or a pending refill forces a full exchange,
       // because only a full commit re-creates every replica and closes the
-      // risk window (deltas skip engine_.on_commit()).
+      // risk window.
       const bool delta_commit =
           policy_.dcp_stack_size > 0 && has_commit_ &&
-          dcp_layers_ + 1 < policy_.dcp_stack_size && !engine_.any_lost() &&
-          !engine_.refill_pending();
+          dcp_layers_ + 1 < policy_.dcp_stack_size && lost_count_ == 0 &&
+          refill_.empty();
       if (delta_commit) {
         commit_delta_checkpoint(report, step);
       } else {

@@ -19,7 +19,16 @@
 // surviving replica (hash-verified), re-replicates what it stored for its
 // peers, and the lost steps are re-executed. Verified checkpoints, proactive
 // commits on predictor alarms and differential (dcp) commits ride on the
-// same loop; the rollback/refill machine is the RecoveryEngine.
+// same loop.
+//
+// The driver also runs everything after a failure: it walks each node's
+// replica ladder skipping corrupt images, blank-restarts nodes whose ladder
+// is exhausted (degraded mode -- the run continues), refills the stores the
+// failure emptied after the configured delay (retrying with backoff when a
+// transfer fails or arrives torn), counts every step of open risk window,
+// and rolls back through the retained sets when verification finds silent
+// corruption. The chaos shadow oracle is an independent reimplementation of
+// exactly this logic, and any divergence is classified `violated`.
 //
 // A topology adapter (the 1-D chain Coordinator, the 2-D GridCoordinator)
 // supplies only a node's initial condition and one Jacobi step: a halo
@@ -37,6 +46,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,7 +57,6 @@
 #include "ckpt/page_store.hpp"
 #include "ckpt/ring.hpp"
 #include "ckpt/transfer.hpp"  // RetryPolicy
-#include "runtime/recovery_engine.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dckpt::runtime {
@@ -183,7 +193,7 @@ std::uint64_t state_hash(std::span<const double> state);
 class CheckpointDriver {
  public:
   virtual ~CheckpointDriver() = default;
-  // The engine's store directory points into this object.
+  // The store directory points into this object.
   CheckpointDriver(const CheckpointDriver&) = delete;
   CheckpointDriver& operator=(const CheckpointDriver&) = delete;
 
@@ -198,13 +208,16 @@ class CheckpointDriver {
   std::vector<double> global_state() const;
 
  protected:
-  /// `policy` must be valid (adapters validate their config first); every
-  /// node holds `cells` doubles.
+  /// Throws std::invalid_argument unless `policy` is valid (adapters
+  /// validate their own config first); every node holds `cells` doubles.
   CheckpointDriver(const CheckpointPolicy& policy, std::size_t cells,
                    std::size_t threads);
 
-  /// Fills every node with its initial condition. Adapters call it at the
-  /// end of their constructor, once the hooks below can run.
+  /// The starting configuration: every node takes its initial condition,
+  /// and the rollback ladder (back to its virtual initial entry), the
+  /// corruption epochs, the lost set, the refills and the commit markers
+  /// reset. Adapters call it at the end of their constructor, once the
+  /// hooks below can run; a rollback to the start calls it again.
   void initialize_all();
 
   std::uint64_t node_count() const noexcept { return policy_.nodes; }
@@ -234,6 +247,26 @@ class CheckpointDriver {
                       std::span<double> next) const = 0;
 
  private:
+  /// One rung of the rollback ladder: a committed set's capture step, its
+  /// per-node content hashes, and the corruption epochs its images carry.
+  /// The ladder is seeded with a *virtual initial entry* (the starting
+  /// configuration, epochs all zero) so a run corrupted before its first
+  /// clean commit can still roll back to a restart instead of dying.
+  struct RetainedSet {
+    std::uint64_t step = 0;
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::uint64_t> epochs;
+    bool initial = false;
+  };
+
+  /// A pending re-replication of one store the failure emptied.
+  struct RefillEntry {
+    std::uint64_t node = 0;
+    std::uint64_t due = 0;      ///< executed steps until the next attempt
+    std::uint64_t attempt = 1;  ///< 1-based delivery attempt counter
+    bool abandoned = false;     ///< retries exhausted; wait for a commit
+  };
+
   /// Writes `node`'s live copy into its pages. Only the pages whose bytes
   /// changed are written, so the others stay shared with the snapshots.
   void write_back(std::uint64_t node);
@@ -248,7 +281,45 @@ class CheckpointDriver {
   void commit_checkpoint(RunReport& report);
   void commit_delta_checkpoint(RunReport& report, std::uint64_t step);
   void proactive_checkpoint(RunReport& report, std::uint64_t step);
+
+  /// Fires every injection scheduled for `step`, in kind order within the
+  /// step: SilentError flips live memory first (the node keeps running, its
+  /// corruption epoch advances), CorruptReplica and TornDelta damage
+  /// committed images, Torn/FailTransfer arm against the node's next refill
+  /// delivery, NodeLoss destroys last. Fired injections are erased from
+  /// `pending`. Returns true when at least one NodeLoss fired.
+  bool fire_injections(std::vector<FailureInjection>& pending,
+                       std::uint64_t step, RunReport& report);
+  /// The coordinated rollback after a NodeLoss, to the committed set (the
+  /// starting configuration before the first commit): every node restores
+  /// through its replica ladder; corrupt images are skipped and counted; a
+  /// node with no clean replica blank-restarts and is marked lost (the
+  /// first one sets the fatal fields; the run continues). The run resumes
+  /// from committed_step_.
   void rollback_all(RunReport& report, std::uint64_t step);
+  /// One verification round (cost accounted by the caller). No live
+  /// corruption -> nullopt. Otherwise walks the rollback ladder newest ->
+  /// oldest for the shallowest retained set that (a) was captured before
+  /// every live corruption epoch and (b) every node can restore
+  /// hash-verified through its replica ladder, installs it as the committed
+  /// set and returns the step to resume from. Exhausted ladder =
+  /// detected-but-unrecoverable: the corruption is *accepted* as the new
+  /// truth (fatal fields set, run continues) and nullopt is returned.
+  std::optional<std::uint64_t> verify_checkpoints(RunReport& report,
+                                                  std::uint64_t step);
+  /// Queues a refill for every store a rollback left empty -- every store
+  /// must be refilled before its group can take another hit (the model's
+  /// risk window) -- and delivers at once when the delay is 0, exactly like
+  /// the blocking protocol.
+  void schedule_refills(RunReport& report);
+  /// Attempts every live refill whose countdown reached zero, erasing the
+  /// delivered ones.
+  void deliver_due(RunReport& report);
+  /// One delivery attempt for `entry`. Returns true when the entry is done
+  /// (delivered); false re-arms it (retry scheduled or abandoned in place).
+  bool attempt_delivery(RefillEntry& entry, RunReport& report);
+  /// Every node runs committed or initial data again; nobody is blank.
+  void readmit_lost();
 
   CheckpointPolicy policy_;
   std::size_t cells_;
@@ -256,7 +327,7 @@ class CheckpointDriver {
   util::ThreadPool pool_;
   std::vector<std::vector<double>> next_;  ///< step output, per chunk
   // Per node: the application state (paged, and the live copy), the buddy
-  // storage, and the view of the stores the engine takes (&stores_[i]).
+  // storage, and the view of the stores the ckpt walks take (&stores_[i]).
   std::vector<ckpt::PageStore> memory_;
   std::vector<std::vector<double>> live_;
   std::vector<ckpt::BuddyStore> stores_;
@@ -292,7 +363,16 @@ class CheckpointDriver {
   std::uint64_t dcp_layers_ = 0;
   std::uint64_t dcp_tip_version_ = 0;  ///< snapshot version of the last commit
 
-  RecoveryEngine engine_;
+  // The post-failure machine: pending refills, armed transfer faults (per
+  // node, FIFO), the nodes running blank since an exhausted ladder, the
+  // live per-node corruption epochs (0 = clean since capture) and the
+  // rollback ladder (front = the committed set, depth 0).
+  std::vector<RefillEntry> refill_;
+  std::vector<std::vector<InjectionKind>> armed_;
+  std::vector<char> lost_;
+  std::uint64_t lost_count_ = 0;
+  std::vector<std::uint64_t> sdc_epoch_;
+  std::deque<RetainedSet> sets_;
 };
 
 }  // namespace dckpt::runtime
