@@ -620,9 +620,9 @@ TEST(ChaosSdc, RollbackPicksTheShallowestCleanSet) {
 // A verification rollback that overlaps an unrefilled node loss: a corrupt
 // buddy copy plus a loss of its owner leave node 0 lost (blank restart,
 // fatal-detected), and a later silent error sends the verification back
-// through the ladder while node 0 is still lost. The chain's runs of the
-// same schedules in scripts/chaos_smoke_campaigns.sh, as `dckpt chaos`
-// builds them.
+// through the ladder while node 0 is still lost. The same schedules run as
+// chain campaigns in scripts/chaos_smoke_campaigns.sh; this is the config
+// `dckpt chaos` builds from their flags.
 chaos::ChaosCampaignConfig lost_node_campaign(std::uint64_t verify_every,
                                               std::size_t keep_last,
                                               std::uint64_t delay) {
