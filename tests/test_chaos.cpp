@@ -15,6 +15,7 @@
 #include <string>
 
 #include "chaos/chaos_api.hpp"
+#include "chaos_thread_parity.hpp"
 #include "proptest.hpp"
 #include "util/cli.hpp"
 
@@ -1279,6 +1280,41 @@ TEST(ChaosSparePool, DelayWidensTheObservedRiskWindow) {
         chaos::run_one(c, schedule, chaos::reference_run(c).final_hash);
     EXPECT_EQ(run.outcome, chaos::ChaosOutcome::FatalDetected) << run.detail;
   }
+}
+
+// ------------------------------------- recovery at any thread count
+//
+// The dcp smoke configs and the sdc smoke config (verify_every 4,
+// keep-last 3) at 1, 2 and 4 stepping threads (chaos_thread_parity.hpp):
+// torn-layer and corrupt-copy failovers, exhausted ladders with blank
+// restarts and verified rollbacks all run their per-node walks on the
+// stepping pool.
+
+void expect_chain_recovery_thread_invariant(Topology topology) {
+  test::RecoveryPaths reached;
+  test::expect_thread_count_invariant(dcp_campaign(topology), 20260812,
+                                      reached);
+  // Node 0 is lost at step 44 (every copy of its set of step 36 corrupt)
+  // and still lost at the verification of step 48, which drops that set.
+  const std::string lost_node_then_sdc =
+      topology == Topology::Pairs
+          ? "44:corrupt:1:0,44:0,45:sdc:2"
+          : "44:corrupt:1:0,44:corrupt:2:0,44:0,45:sdc:4";
+  test::expect_thread_count_invariant(sdc_campaign(topology, 3), 20260809,
+                                      reached, {lost_node_then_sdc});
+  EXPECT_GT(reached.failed_over, 0u);
+  EXPECT_GT(reached.torn_failed_over, 0u);
+  EXPECT_GT(reached.exhausted, 0u);
+  EXPECT_GT(reached.verified_rollbacks, 0u);
+  EXPECT_GT(reached.exhausted_then_verified, 0u);
+}
+
+TEST(ChaosThreadCount, PairsRecoveryMatchesAtOneTwoAndFourThreads) {
+  expect_chain_recovery_thread_invariant(Topology::Pairs);
+}
+
+TEST(ChaosThreadCount, TriplesRecoveryMatchesAtOneTwoAndFourThreads) {
+  expect_chain_recovery_thread_invariant(Topology::Triples);
 }
 
 }  // namespace

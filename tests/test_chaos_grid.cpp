@@ -12,6 +12,7 @@
 #include <string>
 
 #include "chaos/chaos_api.hpp"
+#include "chaos_thread_parity.hpp"
 #include "proptest.hpp"
 
 namespace {
@@ -435,6 +436,42 @@ TEST(GridChaosSdc, RandomizedSdcGridCampaignNeverViolates) {
         << run.schedule.name << " seed " << run.schedule.seed << ": "
         << run.detail << "\n  " << run.repro;
   }
+}
+
+// ------------------------------------- recovery at any thread count
+//
+// The grid dcp smoke config and the grid sdc smoke config (verify_every 4,
+// keep-last 3) at 1, 2 and 4 stepping threads (chaos_thread_parity.hpp).
+
+void expect_grid_recovery_thread_invariant(Topology topology) {
+  test::RecoveryPaths reached;
+  auto dcp = grid_campaign(topology);
+  dcp.grid->dcp_stack_size = 3;
+  test::expect_thread_count_invariant(dcp, 20260812, reached);
+  auto sdc = grid_campaign(topology);
+  sdc.grid->verify_every = 4;
+  sdc.grid->keep_last = 3;
+  // Node 0 is lost at step 26 (every copy of its set of step 24 corrupt)
+  // and still lost at the verification of step 32, which drops that set.
+  const std::string lost_node_then_sdc =
+      topology == Topology::Pairs
+          ? "26:corrupt:1:0,26:0,27:sdc:2"
+          : "26:corrupt:1:0,26:corrupt:2:0,26:0,27:sdc:4";
+  test::expect_thread_count_invariant(sdc, 20260809, reached,
+                                      {lost_node_then_sdc});
+  EXPECT_GT(reached.failed_over, 0u);
+  EXPECT_GT(reached.torn_failed_over, 0u);
+  EXPECT_GT(reached.exhausted, 0u);
+  EXPECT_GT(reached.verified_rollbacks, 0u);
+  EXPECT_GT(reached.exhausted_then_verified, 0u);
+}
+
+TEST(GridChaosThreadCount, PairsRecoveryMatchesAtOneTwoAndFourThreads) {
+  expect_grid_recovery_thread_invariant(Topology::Pairs);
+}
+
+TEST(GridChaosThreadCount, TriplesRecoveryMatchesAtOneTwoAndFourThreads) {
+  expect_grid_recovery_thread_invariant(Topology::Triples);
 }
 
 }  // namespace
