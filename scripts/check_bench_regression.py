@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Guards the committed speedup records against performance regressions.
+"""Guards the committed benchmark records against performance regressions.
 
-Compares a freshly measured record against its committed baseline. Two
-record kinds are accepted, each gated on speedups measured on the same
-machine in the same run, so host speed cancels out:
+Compares a freshly measured record against its committed baseline. Three
+record kinds are accepted, each gated on ratios of rates measured on the
+same machine in the same run, so host speed cancels out:
 
 * `bench_engine` (`bench_micro_engine --engine-json=PATH`, baseline
   `BENCH_engine.json`): the batched Monte-Carlo kernel against the scalar
@@ -19,8 +19,14 @@ machine in the same run, so host speed cancels out:
   with the original image as the hash reference against the full walk
   (`diff_speedup`, which measures how much of the image a diff skips by
   page identity). The fresh record must then carry it too.
+* `bench_runtime` (`bench_runtime_overhead --runtime-json=PATH`, baseline
+  `BENCH_runtime.json`): the checkpointing runtime's steps/s with
+  checkpointing on over its steps/s with it off (an efficiency, not a
+  speedup), on the grid shape with one node loss and a three-layer chain
+  replay (`grid_efficiency`) and, when the baseline carries it, on the
+  chain shape with no loss (`chain_efficiency`).
 
-Exit 1 when a fresh speedup drops below --min-ratio (default 0.8, i.e. a
+Exit 1 when a fresh ratio drops below --min-ratio (default 0.8, i.e. a
 >20% regression) of the baseline's.
 
 Usage:
@@ -36,13 +42,15 @@ import pathlib
 import sys
 
 
-# Per record kind: the committed baseline, what it measures, and its gated
-# speedups as (label, speedup key, fast rate key, slow rate key, unit). The
-# first gate is required; the others apply when the baseline carries them.
+# Per record kind: the committed baseline, what it measures, the name of
+# its ratio, and its gated ratios as (label, ratio key, numerator rate key,
+# denominator rate key, unit). The first gate is required; the others apply
+# when the baseline carries them.
 RECORDS = {
     "bench_engine": {
         "baseline": "BENCH_engine.json",
         "what": "batched-engine",
+        "measure": "speedup",
         "gates": [
             ("reference", "speedup", "batched_trials_per_sec",
              "scalar_trials_per_sec", "trials/s"),
@@ -53,11 +61,23 @@ RECORDS = {
     "bench_hash": {
         "baseline": "BENCH_hash.json",
         "what": "commit-hashing",
+        "measure": "speedup",
         "gates": [
             ("hash", "speedup", "commit_hash_gb_per_s",
              "flat_fnv1a_gb_per_s", "GB/s"),
             ("diff", "diff_speedup", "diff_reference_per_sec",
              "diff_walk_per_sec", "diffs/s"),
+        ],
+    },
+    "bench_runtime": {
+        "baseline": "BENCH_runtime.json",
+        "what": "checkpointing-runtime",
+        "measure": "efficiency",
+        "gates": [
+            ("grid", "grid_efficiency", "grid_ckpt_on_steps_per_s",
+             "grid_ckpt_off_steps_per_s", "steps/s"),
+            ("chain", "chain_efficiency", "chain_ckpt_on_steps_per_s",
+             "chain_ckpt_off_steps_per_s", "steps/s"),
         ],
     },
 }
@@ -81,12 +101,12 @@ def load_record(path, kind=None):
     return record
 
 
-def gate(spec, fresh, baseline, min_ratio):
-    """Prints one speedup comparison; returns the fresh/baseline ratio."""
+def gate(spec, measure, fresh, baseline, min_ratio):
+    """Prints one ratio comparison; returns the fresh/baseline ratio."""
     label, key, fast, slow, unit = spec
     ratio = fresh[key] / baseline[key]
     for name, record in (("baseline", baseline), ("fresh", fresh)):
-        print(f"{label} {name} speedup: {record[key]:.2f}x "
+        print(f"{label} {name} {measure}: {record[key]:.2f}x "
               f"({record[fast]:.6g} vs {record[slow]:.6g} {unit})")
     print(f"{label} ratio: {ratio:.3f} (gate: >= {min_ratio})")
     return ratio
@@ -95,14 +115,14 @@ def gate(spec, fresh, baseline, min_ratio):
 def main():
     repo_root = pathlib.Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(
-        description="fail on speedup regressions against a committed record")
-    parser.add_argument("fresh", help="freshly measured bench_engine or "
-                        "bench_hash JSON")
+        description="fail on ratio regressions against a committed record")
+    parser.add_argument("fresh", help="freshly measured bench_engine, "
+                        "bench_hash or bench_runtime JSON")
     parser.add_argument("--baseline",
                         help="committed baseline record (default: the "
                         "committed record of the fresh record's kind)")
     parser.add_argument("--min-ratio", type=float, default=0.8,
-                        help="minimum fresh/baseline speedup ratio")
+                        help="minimum fresh/baseline ratio")
     args = parser.parse_args()
 
     fresh = load_record(args.fresh)
@@ -115,15 +135,15 @@ def main():
             continue
         require_positive(baseline, baseline_path, spec)
         require_positive(fresh, args.fresh, spec)
-        ratio = gate(spec, fresh, baseline, args.min_ratio)
+        ratio = gate(spec, kind["measure"], fresh, baseline, args.min_ratio)
         if ratio < args.min_ratio:
-            print(f"FAIL: {spec[0]} {kind['what']} speedup regressed by "
-                  f"{(1.0 - ratio) * 100.0:.1f}% against the committed "
-                  "baseline", file=sys.stderr)
+            print(f"FAIL: {spec[0]} {kind['what']} {kind['measure']} "
+                  f"regressed by {(1.0 - ratio) * 100.0:.1f}% against the "
+                  "committed baseline", file=sys.stderr)
             passed = False
     if not passed:
         return 1
-    print(f"OK: {kind['what']} speedup within tolerance")
+    print(f"OK: {kind['what']} {kind['measure']} within tolerance")
     return 0
 
 

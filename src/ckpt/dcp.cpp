@@ -20,8 +20,8 @@ std::size_t block_count(std::size_t size_bytes, std::size_t block_size) {
 
 /// FNV-1a of the payloads of blocks[first .. first + 3], on four chains;
 /// a lane past the end hashes nothing.
-std::array<std::uint64_t, 4> payload_hashes(const std::vector<DcpBlock>& blocks,
-                                            std::size_t first) {
+std::array<std::uint64_t, 4> four_payload_hashes(
+    const std::vector<DcpBlock>& blocks, std::size_t first) {
   std::array<std::span<const std::byte>, 4> payloads;
   for (std::size_t k = 0; k < 4 && first + k < blocks.size(); ++k) {
     payloads[k] = blocks[first + k].payload;
@@ -29,61 +29,79 @@ std::array<std::uint64_t, 4> payload_hashes(const std::vector<DcpBlock>& blocks,
   return fnv1a_x4(payloads);
 }
 
+/// The self hash of `layer`: its metadata, then each block's index, size
+/// and payload_hash(i), the FNV-1a of block i's payload, folded in order.
+template <typename PayloadHash>
+std::uint64_t fold_self_hash(const BlockDelta& layer,
+                             PayloadHash&& payload_hash) {
+  const std::vector<DcpBlock>& blocks = layer.blocks();
+  std::uint64_t h = fnv1a_u64(layer.owner());
+  h = fnv1a_u64(layer.base_version(), h);
+  h = fnv1a_u64(layer.version(), h);
+  h = fnv1a_u64(layer.size_bytes(), h);
+  h = fnv1a_u64(layer.block_size(), h);
+  h = fnv1a_u64(layer.base_hash(), h);
+  h = fnv1a_u64(layer.result_hash(), h);
+  h = fnv1a_u64(blocks.size(), h);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    h = fnv1a_u64(blocks[i].index, h);
+    h = fnv1a_u64(blocks[i].payload.size(), h);
+    h = fnv1a_u64(payload_hash(i), h);
+  }
+  return h;
+}
+
 }  // namespace
 
 BlockDelta::BlockDelta(std::uint64_t owner, std::uint64_t base_version,
                        std::uint64_t version, std::size_t size_bytes,
                        std::size_t block_size, std::uint64_t base_hash,
-                       std::uint64_t result_hash, std::vector<DcpBlock> blocks)
+                       std::uint64_t result_hash, std::vector<DcpBlock> blocks,
+                       std::span<const std::uint64_t> payload_hashes)
     : owner_(owner),
       base_version_(base_version),
       version_(version),
       size_bytes_(size_bytes),
       block_size_(block_size),
       base_hash_(base_hash),
-      result_hash_(result_hash),
-      blocks_(std::move(blocks)) {
+      result_hash_(result_hash) {
   if (block_size_ == 0) {
     throw std::invalid_argument("BlockDelta: block_size must be > 0");
   }
-  stored_self_hash_ = self_hash();
+  if (payload_hashes.size() != blocks.size()) {
+    throw std::invalid_argument("BlockDelta: want one payload hash per block");
+  }
+  blocks_ = std::make_shared<const std::vector<DcpBlock>>(std::move(blocks));
+  stored_self_hash_ = fold_self_hash(
+      *this, [&](std::size_t i) { return payload_hashes[i]; });
+}
+
+const std::vector<DcpBlock>& BlockDelta::blocks() const noexcept {
+  static const std::vector<DcpBlock> kNone;
+  return blocks_ ? *blocks_ : kNone;
 }
 
 std::size_t BlockDelta::delta_bytes() const {
   std::size_t total = 0;
-  for (const DcpBlock& block : blocks_) total += block.payload.size();
+  for (const DcpBlock& block : blocks()) total += block.payload.size();
   return total;
 }
 
 double BlockDelta::dirty_ratio() const noexcept {
   const std::size_t count = block_count(size_bytes_, block_size_);
-  return count ? static_cast<double>(blocks_.size()) /
+  return count ? static_cast<double>(dirty_blocks()) /
                      static_cast<double>(count)
                : 0.0;
 }
 
-std::uint64_t BlockDelta::self_hash() const {
-  std::uint64_t h = fnv1a_u64(owner_);
-  h = fnv1a_u64(base_version_, h);
-  h = fnv1a_u64(version_, h);
-  h = fnv1a_u64(size_bytes_, h);
-  h = fnv1a_u64(block_size_, h);
-  h = fnv1a_u64(base_hash_, h);
-  h = fnv1a_u64(result_hash_, h);
-  h = fnv1a_u64(blocks_.size(), h);
-  // Each payload's own FNV-1a, four payloads at a time, folded in order.
-  std::array<std::uint64_t, 4> payload_hash{};
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    if (i % 4 == 0) payload_hash = payload_hashes(blocks_, i);
-    h = fnv1a_u64(blocks_[i].index, h);
-    h = fnv1a_u64(blocks_[i].payload.size(), h);
-    h = fnv1a_u64(payload_hash[i % 4], h);
-  }
-  return h;
-}
-
 bool BlockDelta::verify_self() const {
-  return self_hash() == stored_self_hash_;
+  // Each payload's own FNV-1a, read four payloads at a time.
+  std::array<std::uint64_t, 4> four{};
+  const std::uint64_t read = fold_self_hash(*this, [&](std::size_t i) {
+    if (i % 4 == 0) four = four_payload_hashes(blocks(), i);
+    return four[i % 4];
+  });
+  return read == stored_self_hash_;
 }
 
 std::vector<std::uint64_t> block_hashes(const Snapshot& image,
@@ -105,29 +123,31 @@ BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
                       const Snapshot& current, std::size_t block_size,
                       HashReference reference) {
   if (block_size == 0) {
-    throw std::invalid_argument("make_block_delta: block_size must be > 0");
+    throw std::invalid_argument("diff_blocks: block_size must be > 0");
   }
   if (base_version >= current.version()) {
     throw std::invalid_argument(
-        "make_block_delta: base must predate current (base v" +
+        "diff_blocks: base must predate current (base v" +
         std::to_string(base_version) + ", current v" +
         std::to_string(current.version()) + ")");
   }
   const std::size_t count = block_count(current.size_bytes(), block_size);
   if (base_hashes.size() != count) {
     throw std::invalid_argument(
-        "make_block_delta: base hash array has " +
+        "diff_blocks: base hash array has " +
         std::to_string(base_hashes.size()) + " entries, want " +
         std::to_string(count));
   }
   std::vector<std::uint64_t> hashes;
   hashes.reserve(count);
   std::vector<DcpBlock> blocks;
+  std::vector<std::uint64_t> dirty_hashes;  // the self hash folds these
   current.walk_blocks(
       block_size, [&](std::size_t index, std::uint64_t hash,
                       Snapshot::BlockPieces pieces) {
         hashes.push_back(hash);
         if (hash == base_hashes[index]) return;
+        dirty_hashes.push_back(hash);
         DcpBlock& block = blocks.emplace_back();
         block.index = index;
         for (const auto piece : pieces) {
@@ -138,7 +158,7 @@ BlockDiff diff_blocks(const std::vector<std::uint64_t>& base_hashes,
       reference);
   return {BlockDelta(current.owner(), base_version, current.version(),
                      current.size_bytes(), block_size, base_hash,
-                     current.content_hash(), std::move(blocks)),
+                     current.content_hash(), std::move(blocks), dirty_hashes),
           std::move(hashes)};
 }
 
@@ -216,12 +236,16 @@ Snapshot apply_block_delta(const Snapshot& base, const BlockDelta& delta) {
 
 BlockDelta torn_layer_copy(const BlockDelta& layer) {
   BlockDelta torn = layer;
-  if (torn.blocks_.empty()) {
+  if (layer.blocks().empty()) {
     torn.stored_self_hash_ ^= 1;  // nothing to truncate; still detectable
     return torn;
   }
-  std::vector<std::byte>& payload = torn.blocks_.back().payload;
+  // The blocks are shared with `layer` and its other copies: tear a private
+  // copy of them.
+  auto blocks = std::make_shared<std::vector<DcpBlock>>(layer.blocks());
+  std::vector<std::byte>& payload = blocks->back().payload;
   payload.resize(payload.size() / 2);  // prefix-only delivery
+  torn.blocks_ = std::move(blocks);
   return torn;
 }
 

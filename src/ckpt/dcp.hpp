@@ -26,9 +26,15 @@
 //   * a self hash folding the layer's own metadata and each payload's
 //     FNV-1a, so a torn layer (truncated transfer) is detected without
 //     replaying anything.
+//
+// A layer's blocks are immutable once built and shared by every copy of the
+// layer, the way a Snapshot shares its pages: both holders of a delta keep
+// the same bytes, and fault injection tears a private copy.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "ckpt/page_store.hpp"
@@ -46,14 +52,19 @@ struct DcpBlock {
   std::vector<std::byte> payload;
 };
 
-/// One differential layer of a dcp chain.
+/// One differential layer of a dcp chain. Copies share the blocks.
 class BlockDelta {
  public:
   BlockDelta() = default;
+  /// Records the self hash from `payload_hashes`, the FNV-1a of each
+  /// block's payload in order, without reading a payload (the diff walk
+  /// has hashed every block already). Throws std::invalid_argument when
+  /// block_size == 0 or there is not one hash per block.
   BlockDelta(std::uint64_t owner, std::uint64_t base_version,
              std::uint64_t version, std::size_t size_bytes,
              std::size_t block_size, std::uint64_t base_hash,
-             std::uint64_t result_hash, std::vector<DcpBlock> blocks);
+             std::uint64_t result_hash, std::vector<DcpBlock> blocks,
+             std::span<const std::uint64_t> payload_hashes);
 
   std::uint64_t owner() const noexcept { return owner_; }
   std::uint64_t base_version() const noexcept { return base_version_; }
@@ -66,8 +77,9 @@ class BlockDelta {
   /// Content hash of the image replaying this layer must produce.
   std::uint64_t result_hash() const noexcept { return result_hash_; }
 
-  std::size_t dirty_blocks() const noexcept { return blocks_.size(); }
-  const std::vector<DcpBlock>& blocks() const noexcept { return blocks_; }
+  std::size_t dirty_blocks() const noexcept { return blocks().size(); }
+  /// The dirty blocks in index order: the same object for every copy.
+  const std::vector<DcpBlock>& blocks() const noexcept;
 
   /// Bytes a buddy transfer must actually move for this layer.
   std::size_t delta_bytes() const;
@@ -76,14 +88,13 @@ class BlockDelta {
   double dirty_ratio() const noexcept;
 
   /// Per-layer integrity: recomputes the self hash over the layer's
-  /// metadata and payloads and compares it to the value recorded at
-  /// construction. A torn layer fails this without any replay.
+  /// metadata and payloads, reading every payload byte, and compares it to
+  /// the value recorded at construction. A torn layer fails this without
+  /// any replay.
   bool verify_self() const;
 
  private:
   friend BlockDelta torn_layer_copy(const BlockDelta& layer);
-
-  std::uint64_t self_hash() const;
 
   std::uint64_t owner_ = 0;
   std::uint64_t base_version_ = 0;
@@ -92,7 +103,7 @@ class BlockDelta {
   std::size_t block_size_ = kDefaultDcpBlockSize;
   std::uint64_t base_hash_ = 0;
   std::uint64_t result_hash_ = 0;
-  std::vector<DcpBlock> blocks_;
+  std::shared_ptr<const std::vector<DcpBlock>> blocks_;  ///< null: none
   std::uint64_t stored_self_hash_ = 0;
 };
 
@@ -117,8 +128,12 @@ struct BlockDiff {
 /// `base_version` must predate current.version() and `base_hashes` must
 /// cover current's layout exactly. One walk over current's pages compares
 /// every block hash, copies the dirty blocks straight from the pages and
-/// returns current's hash array; at kDigestBlockSize it also caches
-/// current's digest, which becomes the layer's result_hash. With a
+/// returns current's hash array; the layer's self hash folds the walk's
+/// hashes of the dirty blocks, so no payload is read twice. At
+/// kDigestBlockSize the walk also caches current's digest, which becomes
+/// the layer's result_hash. Throws std::invalid_argument (naming
+/// diff_blocks) on a zero block size, a base that does not predate
+/// current, or a hash array of the wrong length. With a
 /// `reference` (an image of current's layout and its block_hashes() at
 /// `block_size`), blocks whose pages are all the reference's take their
 /// hash from it unread (Snapshot::walk_blocks); dirtiness is still decided
@@ -147,8 +162,10 @@ Snapshot apply_block_delta(const Snapshot& base, const BlockDelta& delta);
 /// Fault injection (chaos harness): a copy of `layer` whose last dirty
 /// block lost the tail half of its payload while the recorded self hash is
 /// kept -- a torn (truncated) layer transfer. verify_self() on the copy
-/// fails. A layer with no dirty blocks gets its recorded self hash flipped
-/// instead (still detected, nothing to truncate).
+/// fails. The copy tears blocks of its own, so `layer` and every other
+/// copy of it keep their bytes and still verify. A layer with no dirty
+/// blocks gets its recorded self hash flipped instead (still detected,
+/// nothing to truncate).
 BlockDelta torn_layer_copy(const BlockDelta& layer);
 
 }  // namespace dckpt::ckpt

@@ -73,7 +73,8 @@ class Snapshot {
     return content_hash() == expected_hash;
   }
 
-  /// Copies the image back into a flat buffer (restore path).
+  /// Copies the image into a flat buffer: how benches and tests compare an
+  /// image's bytes. No restore path calls it (restores share pages).
   std::vector<std::byte> to_bytes() const;
 
   /// The page slices holding one block's bytes, in order.

@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/recovery.hpp"
-
 namespace dckpt::runtime {
 
 void CheckpointPolicy::validate() const {
@@ -159,18 +157,21 @@ void score_predictions(std::span<const FailureInjection> failures,
   }
 }
 
-// Per-node hashing of a checkpoint commit, run on the stepping pool.
+// Per-node work of a commit or a rollback, run on the stepping pool.
 //
 // What a commit costs is reading every node's image: the content hash on a
 // full commit (plus the dcp block hash array when dcp is on), the block
-// diff on a delta commit. The pool that runs the steps sits idle during a
-// commit. Node i's task reads only images[i] and writes only slot i of the
-// outputs, so the result is the same at any thread count; staging,
-// appends, promotion and counters stay with the caller, serial and in node
-// order.
+// diff on a delta commit. What a rollback costs is every node's ladder
+// walk: rung selection, chain replay, the hash checks and the restore. The
+// pool that runs the steps sits idle through both. Node i's task reads
+// only node i's image or the stores' copies of it and writes only node i's
+// memory or slot i of the outputs, so the result is the same at any thread
+// count; staging, appends, promotion, counters, blank restarts and refills
+// stay with the caller, serial and in node order.
 
 /// Runs work(i) for every node on `pool`, one task per node: nodes with
-/// more dirty blocks take longer, and the pool's queue evens that out.
+/// more dirty blocks or longer chains take longer, and the pool's queue
+/// evens that out.
 void for_each_node(util::ThreadPool& pool, std::size_t nodes,
                    const std::function<void(std::size_t)>& work) {
   util::parallel_for_chunked(
@@ -418,14 +419,13 @@ void CheckpointDriver::commit_delta_checkpoint(RunReport& report,
   const std::uint64_t sent =
       policy_.topology == ckpt::Topology::Pairs ? 1 : 2;
   for (std::uint64_t node = 0; node < layers.size(); ++node) {
-    // The second holder takes the layer itself rather than a copy, so the
-    // commit peaks at the layers the stores keep.
-    ckpt::BlockDelta& layer = layers[node];
+    // Both holders share the layer's blocks: a copy moves no bytes.
+    const ckpt::BlockDelta& layer = layers[node];
     committed_hashes_[node] = layer.result_hash();
     report.bytes_replicated += sent * layer.delta_bytes();
-    const auto [first, second] = groups_.holders(node);
-    stores_[first].append_delta(layer);
-    stores_[second].append_delta(std::move(layer));
+    for (const std::uint64_t holder : groups_.holders(node)) {
+      stores_[holder].append_delta(layer);
+    }
   }
   committed_step_ = step;
   dcp_tip_version_ = images.front().version();
@@ -506,17 +506,18 @@ void CheckpointDriver::rollback_all(RunReport& report, std::uint64_t step) {
   // whichever stores the failure left empty.
   staging_ = false;
   refill_.clear();
+  for (ckpt::BuddyStore& store : stores_) store.discard_staged();
+  // A node already running degraded has no committed image anywhere, so
+  // there is no ladder to walk until the next commit readmits it.
+  const std::vector<ckpt::RecoveryOutcome> outcomes =
+      restore_all(committed_hashes_);
   for (std::uint64_t node = 0; node < node_count(); ++node) {
-    stores_[node].discard_staged();
     if (lost_[node]) {
-      // Already running degraded: the node has no committed image anywhere,
-      // so there is no ladder to walk until the next commit readmits it.
       reinitialize(node);
       sdc_epoch_[node] = 0;
       continue;
     }
-    auto outcome = ckpt::select_replica(node, groups_, directory_,
-                                        committed_hashes_[node]);
+    const ckpt::RecoveryOutcome& outcome = outcomes[node];
     report.corrupt_images_detected += outcome.corrupt_skipped;
     report.torn_chain_failovers += outcome.torn_skipped;
     if (outcome.ok()) {
@@ -531,7 +532,6 @@ void CheckpointDriver::rollback_all(RunReport& report, std::uint64_t step) {
         ++report.chain_replays;
         report.chain_replay_depth += outcome.replayed_layers;
       }
-      restore(node, *outcome.image);
       // The restored image carries whatever corruption the committed set
       // captured -- the live epoch snaps back to the set's record.
       sdc_epoch_[node] = sets_.front().epochs[node];
@@ -622,20 +622,31 @@ std::optional<std::uint64_t> CheckpointDriver::verify_checkpoints(
   staging_ = false;
   refill_.clear();
   const RetainedSet& target = sets_.front();
-  for (std::uint64_t node = 0; node < node_count(); ++node) {
-    const auto selected =
-        ckpt::select_replica(node, groups_, directory_, target.hashes[node]);
-    restore(node, *selected.image);
-    sdc_epoch_[node] = target.epochs[node];
-  }
+  // Every node runs verified committed data again; nobody is blank.
+  readmit_lost();
+  restore_all(target.hashes);
+  sdc_epoch_ = target.epochs;
   committed_hashes_ = target.hashes;
   committed_step_ = target.step;
-  // Every node now runs verified committed data; nobody is blank. A store
-  // whose ring ran out of sets is empty after the drop (e.g. a replacement
-  // node refilled only at depth 0) and is refilled like any other.
-  readmit_lost();
+  // A store whose ring ran out of sets is empty after the drop (e.g. a
+  // replacement node refilled only at depth 0) and is refilled like any
+  // other.
   schedule_refills(report);
   return target.step;
+}
+
+std::vector<ckpt::RecoveryOutcome> CheckpointDriver::restore_all(
+    std::span<const std::uint64_t> expected) {
+  std::vector<ckpt::RecoveryOutcome> outcomes(node_count());
+  for_each_node(pool_, node_count(), [&](std::size_t node) {
+    if (lost_[node]) return;
+    ckpt::RecoveryOutcome& outcome = outcomes[node];
+    outcome = ckpt::select_replica(node, groups_, directory_, expected[node]);
+    if (!outcome.ok()) return;
+    restore(node, *outcome.image);
+    outcome.image.reset();  // the memory holds it now
+  });
+  return outcomes;
 }
 
 void CheckpointDriver::schedule_refills(RunReport& report) {

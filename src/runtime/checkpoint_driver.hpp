@@ -55,6 +55,7 @@
 #include "ckpt/buddy_store.hpp"
 #include "ckpt/dcp.hpp"
 #include "ckpt/page_store.hpp"
+#include "ckpt/recovery.hpp"
 #include "ckpt/ring.hpp"
 #include "ckpt/transfer.hpp"  // RetryPolicy
 #include "util/thread_pool.hpp"
@@ -307,6 +308,13 @@ class CheckpointDriver {
   /// truth (fatal fields set, run continues) and nullopt is returned.
   std::optional<std::uint64_t> verify_checkpoints(RunReport& report,
                                                   std::uint64_t step);
+  /// The per-node half of a rollback, one task per node on the stepping
+  /// pool: every node not lost walks its replica ladder against
+  /// expected[node] and, when the walk succeeds, restores the image into
+  /// its own memory. Returns the outcomes in node order, without their
+  /// images (a lost node's outcome stays default).
+  std::vector<ckpt::RecoveryOutcome> restore_all(
+      std::span<const std::uint64_t> expected);
   /// Queues a refill for every store a rollback left empty -- every store
   /// must be refilled before its group can take another hit (the model's
   /// risk window) -- and delivers at once when the delay is 0, exactly like

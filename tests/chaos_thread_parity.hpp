@@ -27,13 +27,16 @@
 
 namespace dckpt::test {
 
-/// How many runs reached each recovery path.
+/// How many runs reached each recovery path: a later rung served after a
+/// skipped one, a rung skipped for a torn layer, an exhausted ladder (blank
+/// restart), a verification that dropped at least one retained set, and
+/// the last two in one run.
 struct RecoveryPaths {
-  std::size_t failed_over = 0;        ///< a later rung served after a skip
-  std::size_t torn_failed_over = 0;   ///< a rung skipped for a torn layer
-  std::size_t exhausted = 0;          ///< a ladder ran out: blank restart
-  std::size_t verified_rollbacks = 0; ///< a verification dropped >= 1 set
-  std::size_t exhausted_then_verified = 0;  ///< both in one run
+  std::size_t failed_over = 0;
+  std::size_t torn_failed_over = 0;
+  std::size_t exhausted = 0;
+  std::size_t verified_rollbacks = 0;
+  std::size_t exhausted_then_verified = 0;
 };
 
 /// The campaign's runtime, built directly at `threads` stepping threads.

@@ -178,8 +178,9 @@ TEST(BlockDeltaTest, ApplyRejectsABlockPastTheImage) {
   const auto base = memory.snapshot(0);
   const auto layer_with = [&](std::size_t index, std::size_t payload) {
     std::vector<DcpBlock> blocks{{index, fill(payload, 2)}};
+    const std::vector<std::uint64_t> hashes{fnv1a(blocks[0].payload)};
     return BlockDelta(0, base.version(), base.version() + 1, kBytes, kPage,
-                      base.content_hash(), 0, std::move(blocks));
+                      base.content_hash(), 0, std::move(blocks), hashes);
   };
   const auto refused = [&](std::size_t index, std::size_t payload) {
     const std::string error = apply_error(base, layer_with(index, payload));
@@ -202,7 +203,8 @@ TEST(BlockDeltaTest, ZeroBlockSizeIsRejected) {
                                 base.content_hash(), current, 0),
                std::invalid_argument);
   EXPECT_THROW(BlockDelta(0, base.version(), current.version(), kBytes, 0,
-                          base.content_hash(), current.content_hash(), {}),
+                          base.content_hash(), current.content_hash(), {},
+                          {}),
                std::invalid_argument);
 }
 
@@ -226,6 +228,73 @@ TEST(BlockDeltaTest, TornLayerCopyFailsSelfVerification) {
   ASSERT_EQ(wide.dirty_blocks(), 6u);
   ASSERT_TRUE(wide.verify_self());
   EXPECT_FALSE(torn_layer_copy(wide).verify_self());
+}
+
+TEST(BlockDeltaTest, CopiesShareTheBlocks) {
+  // A layer's blocks are immutable: every copy holds the same ones, so a
+  // second holder's copy moves no bytes.
+  auto memory = make_memory();
+  const auto v1 = memory.snapshot(0);
+  memory.write(kPage, fill(2 * kPage, 2));
+  const auto layer = delta_between(v1, memory.snapshot(0), kPage);
+  ASSERT_EQ(layer.dirty_blocks(), 2u);
+  const BlockDelta copy = layer;
+  EXPECT_EQ(&copy.blocks(), &layer.blocks());
+}
+
+TEST(BlockDeltaTest, TornCopyLeavesTheOriginalAndItsCopiesIntact) {
+  auto memory = make_memory();
+  const auto v1 = memory.snapshot(0);
+  memory.write(kPage, fill(2 * kPage, 2));
+  const auto layer = delta_between(v1, memory.snapshot(0), kPage);
+  const BlockDelta copy = layer;
+  std::vector<std::vector<std::byte>> before;
+  for (const DcpBlock& block : layer.blocks()) before.push_back(block.payload);
+  const BlockDelta torn = torn_layer_copy(copy);
+  EXPECT_FALSE(torn.verify_self());
+  EXPECT_NE(&torn.blocks(), &layer.blocks());
+  for (const BlockDelta* intact : {&layer, &copy}) {
+    EXPECT_TRUE(intact->verify_self());
+    ASSERT_EQ(intact->dirty_blocks(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(intact->blocks()[i].payload, before[i]) << "block " << i;
+    }
+  }
+}
+
+TEST(BlockDeltaTest, RecordedPayloadHashesMustCoverEveryBlock) {
+  std::vector<DcpBlock> blocks{{0, fill(kPage, 1)}, {1, fill(kPage, 2)}};
+  const std::vector<std::uint64_t> one{fnv1a(blocks[0].payload)};
+  EXPECT_THROW(BlockDelta(0, 1, 2, kBytes, kPage, 0, 0, blocks, one),
+               std::invalid_argument);
+  const std::vector<std::uint64_t> both{fnv1a(blocks[0].payload),
+                                        fnv1a(blocks[1].payload)};
+  // Hashes that match the payloads record the self hash a read records.
+  const BlockDelta recorded(0, 1, 2, kBytes, kPage, 0, 0, blocks, both);
+  EXPECT_TRUE(recorded.verify_self());
+  const std::vector<std::uint64_t> wrong{both[1], both[0]};
+  EXPECT_FALSE(
+      BlockDelta(0, 1, 2, kBytes, kPage, 0, 0, blocks, wrong).verify_self());
+}
+
+TEST(BlockDeltaTest, DiffErrorsNameDiffBlocks) {
+  PageStore memory(kBytes, kPage);
+  const auto v1 = memory.snapshot(0);
+  const auto v2 = memory.snapshot(0);
+  const auto hashes = block_hashes(v1, kPage);
+  const auto message = [&](std::size_t block, std::uint64_t base_version,
+                           const std::vector<std::uint64_t>& base_hashes) {
+    try {
+      diff_blocks(base_hashes, base_version, 0, v2, block);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message(0, v1.version(), hashes).rfind("diff_blocks:", 0), 0u);
+  EXPECT_EQ(message(kPage, v2.version(), hashes).rfind("diff_blocks:", 0),
+            0u);
+  EXPECT_EQ(message(kPage, v1.version(), {}).rfind("diff_blocks:", 0), 0u);
 }
 
 TEST(BlockDeltaTest, MaxBlockSizeIsOneBlockAndRoundTrips) {
@@ -713,6 +782,33 @@ TEST(BuddyStoreChainTest, CorruptDeltaTearsExactlyTheAddressedLayer) {
   ASSERT_TRUE(store.corrupt_delta(0, 2));
   EXPECT_TRUE(store.chain_for(0)[0].verify_self());
   EXPECT_FALSE(store.chain_for(0)[1].verify_self());
+}
+
+TEST(BuddyStoreChainTest, BothHoldersCountASharedLayer) {
+  // resident_bytes stays a logical count, like bytes_replicated: a layer
+  // two holders share counts on each.
+  auto memory = make_memory();
+  BuddyStore first(0);
+  BuddyStore second(1);
+  const auto v1 = memory.snapshot(0);
+  for (BuddyStore* store : {&first, &second}) {
+    store->stage(v1);
+    store->promote(v1.version());
+  }
+  const std::size_t base_bytes = first.resident_bytes();
+  memory.write(kPage, fill(3 * kPage, 2));
+  const auto layer = delta_between(v1, memory.snapshot(0), kPage);
+  ASSERT_EQ(layer.delta_bytes(), 3 * kPage);
+  ASSERT_TRUE(first.append_delta(layer));
+  ASSERT_TRUE(second.append_delta(layer));
+  EXPECT_EQ(&first.chain_for(0)[0].blocks(), &second.chain_for(0)[0].blocks());
+  EXPECT_EQ(first.resident_bytes(), base_bytes + layer.delta_bytes());
+  EXPECT_EQ(second.resident_bytes(), base_bytes + layer.delta_bytes());
+  // Tearing one holder's copy leaves the other's chain verifying.
+  ASSERT_TRUE(first.corrupt_delta(0, 1));
+  EXPECT_FALSE(first.chain_for(0)[0].verify_self());
+  EXPECT_TRUE(second.chain_for(0)[0].verify_self());
+  EXPECT_TRUE(layer.verify_self());
 }
 
 /// Pairs cluster with a committed full set plus one chained delta layer on
